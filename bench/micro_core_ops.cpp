@@ -5,9 +5,7 @@
 //
 // With --json=<path> the driver instead emits machine-readable records:
 // per-kernel timings at every supported SIMD dispatch tier (with
-// speedup_vs_scalar on the vector tiers) and a fig4-style MH-K-Modes run
-// with the bit-sketch prefilter off vs on (exact_distances_evaluated /
-// _pruned plus an assignment fingerprint proving the results match).
+// speedup_vs_scalar on the vector tiers).
 
 #include <benchmark/benchmark.h>
 
@@ -18,7 +16,6 @@
 #include "clustering/dissimilarity.h"
 #include "clustering/modes.h"
 #include "core/cluster_shortlist_index.h"
-#include "core/mh_kmodes.h"
 #include "datagen/conjunctive_generator.h"
 #include "hashing/minhash.h"
 #include "hashing/one_permutation_minhash.h"
@@ -257,14 +254,12 @@ struct KernelTiming {
 
 /// Times every dispatched kernel once through the *currently active* tier
 /// (force a tier first). Input shapes mirror the hot paths: m=2000 codes
-/// (fig2's widest mode scan), d=512 doubles, 128-hash MinHash scans,
-/// 64-word sketches.
+/// (fig2's widest mode scan), d=512 doubles, 128-hash MinHash scans.
 std::vector<KernelTiming> TimeKernelsAtActiveTier() {
   const simd::KernelTable& k = simd::ActiveKernels();
   constexpr uint32_t kM = 2000;
   constexpr uint32_t kD = 512;
   constexpr uint32_t kHashes = 128;
-  constexpr uint32_t kWords = 64;
   static const std::vector<uint32_t> a = MakeTokens(kM, 1);
   static const std::vector<uint32_t> b = [] {
     std::vector<uint32_t> out = a;
@@ -281,18 +276,6 @@ std::vector<KernelTiming> TimeKernelsAtActiveTier() {
     Rng rng(8);
     std::vector<double> out(kD);
     for (auto& v : out) v = rng.NextDouble() - 0.5;
-    return out;
-  }();
-  static const std::vector<uint64_t> w1 = [] {
-    Rng rng(9);
-    std::vector<uint64_t> out(kWords);
-    for (auto& v : out) v = rng.Next();
-    return out;
-  }();
-  static const std::vector<uint64_t> w2 = [] {
-    Rng rng(10);
-    std::vector<uint64_t> out(kWords);
-    for (auto& v : out) v = rng.Next();
     return out;
   }();
   static std::vector<uint64_t> scan(kHashes, ~0ull);
@@ -325,22 +308,11 @@ std::vector<KernelTiming> TimeKernelsAtActiveTier() {
                        k.mix64_batch(a.data(), kHashes, 42, mixed.data());
                        benchmark::DoNotOptimize(mixed.data());
                      })});
-  timings.push_back({"hamming_words", TimeNsPerOp([&] {
-                       benchmark::DoNotOptimize(
-                           k.hamming_words(w1.data(), w2.data(), kWords));
-                     })});
   return timings;
 }
 
-uint64_t FingerprintAssignment(const std::vector<uint32_t>& assignment) {
-  uint64_t h = 0x9E3779B97F4A7C15ull;
-  for (const uint32_t v : assignment) h = Mix64(h ^ v);
-  return h;
-}
-
 /// The --json mode: kernel timings at every supported dispatch tier (with
-/// speedup_vs_scalar on the vector tiers), then the fig4-shaped
-/// MH-K-Modes workload with the sketch prefilter off vs on.
+/// speedup_vs_scalar on the vector tiers).
 bool WriteJsonRecords(const std::string& path) {
   bench::JsonBenchWriter writer;
 
@@ -366,68 +338,6 @@ bool WriteJsonRecords(const std::string& path) {
     }
   }
   simd::ForceSimdTier(detected);
-
-  // --- fig4-shaped workload (250k x 100 x 20k at 1/10 scale), sketch
-  // prefilter off vs on: same seeds, same tier. The `on` record carries
-  // the relative reduction and both fingerprints prove the assignments
-  // are bit-identical.
-  //
-  // The domain is small and the banding uses two rows per band so that
-  // shortlists contain spurious collisions for the screen to prune:
-  // unrelated rules share ~5% of attributes (sketch Hamming ~ 49, above
-  // the threshold of 45) while same-rule peers share 80% (Hamming ~ 16,
-  // far below it). At the paper's domain of 40000 cross-rule similarity
-  // is ~0 and nothing ever collides across rules, so the prefilter has
-  // nothing to do — correct, but it measures an empty screen.
-  ConjunctiveDataOptions data;
-  data.num_items = 25000;
-  data.num_attributes = 100;
-  data.num_clusters = 2000;
-  data.domain_size = 40;
-  data.min_rule_fraction = 0.8;
-  data.max_rule_fraction = 0.8;
-  data.seed = 42;
-  auto dataset_result = GenerateConjunctiveRuleData(data);
-  LSHC_CHECK_OK(dataset_result.status());
-
-  MHKModesOptions options;
-  options.engine.num_clusters = data.num_clusters;
-  options.engine.max_iterations = 5;
-  // Seed 7 is pinned deliberately: the screen is conservative, not exact,
-  // and in the earliest passes (mixed clusters, peers a bad proxy for
-  // centroid distance) a handful of seeds show one-item divergences. The
-  // run is fully deterministic, so the record proves bit-identity for
-  // this workload, as the golden test does for its own.
-  options.engine.seed = 7;
-  options.engine.compute_cost = false;
-  options.index.banding = {20, 2};
-  uint64_t evaluated_off = 0;
-  for (const bool prefilter : {false, true}) {
-    options.index.sketch.enabled = prefilter;
-    auto run_result = RunMHKModes(*dataset_result, options);
-    LSHC_CHECK_OK(run_result.status());
-    const ClusteringResult& result = run_result->result;
-    writer.BeginRecord();
-    writer.Add("record", "prefilter");
-    writer.Add("workload", "fig4_items250k_scale0.1");
-    writer.Add("items", data.num_items);
-    writer.Add("clusters", data.num_clusters);
-    writer.Add("prefilter", prefilter ? "on" : "off");
-    writer.Add("iterations", static_cast<uint64_t>(result.iterations.size()));
-    writer.Add("exact_distances_evaluated", result.exact_distances_evaluated);
-    writer.Add("exact_distances_pruned", result.exact_distances_pruned);
-    writer.Add("assignment_fingerprint",
-               FingerprintAssignment(result.assignment));
-    writer.Add("refine_seconds", result.RefinementSeconds());
-    writer.Add("total_seconds", result.total_seconds);
-    if (!prefilter) {
-      evaluated_off = result.exact_distances_evaluated;
-    } else if (evaluated_off > 0) {
-      writer.Add("evaluated_reduction_vs_off",
-                 1.0 - static_cast<double>(result.exact_distances_evaluated) /
-                           static_cast<double>(evaluated_off));
-    }
-  }
 
   return writer.WriteFile(path);
 }

@@ -256,9 +256,9 @@ using RoutedScratch = serving::RoutedScratch;
 /// Routed nearest-centroid assignment through a retained fit-time index:
 /// per item, sign the query (`sign_query(dataset, item, scratch)` fills
 /// scratch.signature) and hand it to the shared routing kernel — probe
-/// the fit-time buckets, sketch-screen, dereference candidate clusters
-/// through the fitted assignment, take the nearest candidate, exhaustive
-/// fallback on an empty probe (see serving::RouteSignedQuery for the
+/// the fit-time buckets, dereference candidate clusters through the
+/// fitted assignment, take the nearest candidate, exhaustive fallback on
+/// an empty probe (see serving::RouteSignedQuery for the
 /// tie-breaking contract). Shard-chunked through the same ShardPlan the
 /// engine uses; per-item work is pure, so every (threads x shards)
 /// setting is bit-identical, and like AssignNearest the pool is spawned
@@ -273,18 +273,7 @@ std::vector<uint32_t> AssignRouted(const typename Traits::Dataset& dataset,
   const uint32_t n = dataset.num_items();
   const uint32_t k = options.num_clusters;
   const BandedIndex& index = *provider.index();
-  // Sketch prefilter (when the retained index was fitted with it on):
-  // the kernel screens each candidate peer's packed sketch against the
-  // query's before its cluster enters the shortlist. A screened-out
-  // shortlist that comes up empty falls through to the exhaustive
-  // kernel, so screening never leaves a query unanswered.
-  const bool sketch_on = provider.sketch_enabled();
-  serving::RoutedStateView view;
-  view.index = &index;
-  view.fit_assignment = fit_assignment;
-  view.sketches = &provider.sketches();
-  view.sketch_on = sketch_on;
-  view.sketch_max_hamming = provider.sketch_max_hamming();
+  const serving::RoutedStateView view{&index, fit_assignment};
   std::vector<uint32_t> assignment(n, 0);
 
   const auto route_range = [&](uint32_t begin, uint32_t end,
@@ -299,9 +288,7 @@ std::vector<uint32_t> AssignRouted(const typename Traits::Dataset& dataset,
   const ShardPlan plan =
       ShardPlan::Clamped(n, options.num_shards, options.chunk_size);
   const auto make_scratch = [&] {
-    return serving::MakeRoutedScratch(
-        k, index.signature_width(),
-        sketch_on ? provider.sketches().words() : 0);
+    return serving::MakeRoutedScratch(k, index.signature_width());
   };
   const uint32_t num_threads = ResolveThreadCount(options.num_threads);
   if (num_threads <= 1 || n < 4096u) {
@@ -426,10 +413,10 @@ class EngineDispatcher {
   /// builds, assert) staleness after a refit — see api/index_handle.h.
   IndexHandle MakeHandle(const BandedIndex* index,
                          std::span<const uint32_t> assignment,
-                         uint64_t memory_bytes, uint64_t dataset_sign_passes,
-                         uint64_t sketch_memory_bytes) const {
+                         uint64_t memory_bytes,
+                         uint64_t dataset_sign_passes) const {
     return IndexHandle(index, assignment, memory_bytes, dataset_sign_passes,
-                       sketch_memory_bytes, generation_, *generation_);
+                       generation_, *generation_);
   }
 
   /// Called by each dispatcher at the commit point of a successful Fit:
@@ -534,8 +521,7 @@ class CategoricalDispatcher final : public EngineDispatcher {
       retained_ = std::make_unique<ClusterShortlistProvider>(
           ClusterShortlistProvider::FromParts(
               std::move(routing.family), spec_.engine.num_clusters,
-              std::move(routing.index), std::move(routing.sketches),
-              routing.sketch_max_hamming));
+              std::move(routing.index)));
     } else {
       retained_ = nullptr;
       fit_assignment_ = {};
@@ -573,8 +559,7 @@ class CategoricalDispatcher final : public EngineDispatcher {
     if (retained_ == nullptr) return NoRetainedIndex();
     return MakeHandle(retained_->index(), fit_assignment_,
                       retained_->MemoryUsageBytes(),
-                      retained_->dataset_sign_passes(),
-                      retained_->SketchMemoryUsageBytes());
+                      retained_->dataset_sign_passes());
   }
 
   Result<std::shared_ptr<const serving::FrozenModel>> Snapshot()
@@ -584,18 +569,15 @@ class CategoricalDispatcher final : public EngineDispatcher {
       return std::shared_ptr<const serving::FrozenModel>(
           std::make_shared<serving::internal::FrozenModelImpl<
               CategoricalClusteringTraits>>(
-              spec_.engine, *modes_, std::nullopt, nullptr, BitSketchTable(),
-              0, std::vector<uint32_t>(), num_attributes_, 0));
+              spec_.engine, *modes_, std::nullopt, nullptr,
+              std::vector<uint32_t>(), num_attributes_, 0));
     }
     return std::shared_ptr<const serving::FrozenModel>(
         std::make_shared<serving::internal::FrozenModelImpl<
             CategoricalClusteringTraits, MinHashShortlistFamily>>(
             spec_.engine, *modes_, retained_->family(),
             std::make_unique<BandedIndex>(*retained_->index()),
-            retained_->sketch_enabled() ? retained_->sketches()
-                                        : BitSketchTable(),
-            retained_->sketch_max_hamming(), fit_assignment_,
-            num_attributes_, 0));
+            fit_assignment_, num_attributes_, 0));
   }
 
   bool fitted() const override { return modes_.has_value(); }
@@ -689,8 +671,7 @@ class NumericDispatcher final : public EngineDispatcher {
       retained_ = std::make_unique<SimHashShortlistProvider>(
           SimHashShortlistProvider::FromParts(
               std::move(routing.family), spec_.engine.num_clusters,
-              std::move(routing.index), std::move(routing.sketches),
-              routing.sketch_max_hamming));
+              std::move(routing.index)));
     } else {
       retained_ = nullptr;
       fit_assignment_ = {};
@@ -727,8 +708,7 @@ class NumericDispatcher final : public EngineDispatcher {
     if (retained_ == nullptr) return NoRetainedIndex();
     return MakeHandle(retained_->index(), fit_assignment_,
                       retained_->MemoryUsageBytes(),
-                      retained_->dataset_sign_passes(),
-                      retained_->SketchMemoryUsageBytes());
+                      retained_->dataset_sign_passes());
   }
 
   Result<std::shared_ptr<const serving::FrozenModel>> Snapshot()
@@ -738,18 +718,15 @@ class NumericDispatcher final : public EngineDispatcher {
       return std::shared_ptr<const serving::FrozenModel>(
           std::make_shared<
               serving::internal::FrozenModelImpl<NumericClusteringTraits>>(
-              Options(), centroids_, std::nullopt, nullptr, BitSketchTable(),
-              0, std::vector<uint32_t>(), dimensions_, 0));
+              Options(), centroids_, std::nullopt, nullptr,
+              std::vector<uint32_t>(), dimensions_, 0));
     }
     return std::shared_ptr<const serving::FrozenModel>(
         std::make_shared<serving::internal::FrozenModelImpl<
             NumericClusteringTraits, SimHashShortlistFamily>>(
             Options(), centroids_, retained_->family(),
             std::make_unique<BandedIndex>(*retained_->index()),
-            retained_->sketch_enabled() ? retained_->sketches()
-                                        : BitSketchTable(),
-            retained_->sketch_max_hamming(), fit_assignment_, dimensions_,
-            0));
+            fit_assignment_, dimensions_, 0));
   }
 
   bool fitted() const override { return fitted_; }
@@ -853,8 +830,7 @@ class MixedDispatcher final : public EngineDispatcher {
       retained_ = std::make_unique<MixedShortlistProvider>(
           MixedShortlistProvider::FromParts(
               std::move(routing.family), spec_.engine.num_clusters,
-              std::move(routing.index), std::move(routing.sketches),
-              routing.sketch_max_hamming));
+              std::move(routing.index)));
     } else {
       retained_ = nullptr;
       fit_assignment_ = {};
@@ -894,8 +870,7 @@ class MixedDispatcher final : public EngineDispatcher {
     if (retained_ == nullptr) return NoRetainedIndex();
     return MakeHandle(retained_->index(), fit_assignment_,
                       retained_->MemoryUsageBytes(),
-                      retained_->dataset_sign_passes(),
-                      retained_->SketchMemoryUsageBytes());
+                      retained_->dataset_sign_passes());
   }
 
   Result<std::shared_ptr<const serving::FrozenModel>> Snapshot()
@@ -906,18 +881,14 @@ class MixedDispatcher final : public EngineDispatcher {
           std::make_shared<
               serving::internal::FrozenModelImpl<MixedClusteringTraits>>(
               Options(), *prototypes_, std::nullopt, nullptr,
-              BitSketchTable(), 0, std::vector<uint32_t>(), num_categorical_,
-              num_numeric_));
+              std::vector<uint32_t>(), num_categorical_, num_numeric_));
     }
     return std::shared_ptr<const serving::FrozenModel>(
         std::make_shared<serving::internal::FrozenModelImpl<
             MixedClusteringTraits, MixedShortlistFamily>>(
             Options(), *prototypes_, retained_->family(),
             std::make_unique<BandedIndex>(*retained_->index()),
-            retained_->sketch_enabled() ? retained_->sketches()
-                                        : BitSketchTable(),
-            retained_->sketch_max_hamming(), fit_assignment_,
-            num_categorical_, num_numeric_));
+            fit_assignment_, num_categorical_, num_numeric_));
   }
 
   bool fitted() const override { return prototypes_.has_value(); }
@@ -1000,9 +971,7 @@ Result<std::shared_ptr<const serving::FrozenModel>> StreamingSession::Snapshot()
           CategoricalClusteringTraits, MinHashShortlistFamily>>(
           options, engine.modes(), engine.family(),
           std::make_unique<BandedIndex>(engine.live_index()),
-          engine.sketch_enabled() ? engine.sketches() : BitSketchTable(),
-          engine.sketch_max_hamming(), engine.assignment(),
-          engine.num_attributes(), 0));
+          engine.assignment(), engine.num_attributes(), 0));
 }
 
 Clusterer::Clusterer(std::unique_ptr<internal::EngineDispatcher> dispatcher)

@@ -250,7 +250,7 @@ class StreamingSession {
 
   /// An immutable deep-copied FrozenModel of the session's *current*
   /// state: modes, the signing family, the live index frozen into CSR
-  /// form, sketches and the full assignment so far. Safe to route from
+  /// form and the full assignment so far. Safe to route from
   /// other threads while this session keeps ingesting. Call between
   /// ingest calls on the writer's thread (the session is single-writer,
   /// like its Ingest methods). Snapshot routing resolves score ties to
@@ -377,8 +377,8 @@ class Clusterer {
 
   /// An immutable deep-copied FrozenModel of the fitted state for the
   /// lock-free serving layer (serving/frozen_model.h): centroids/modes,
-  /// the family's hashers, the banded index's CSR arrays, sketches and
-  /// the fitted assignment. The snapshot is self-contained — refitting or
+  /// the family's hashers, the banded index's CSR arrays and the fitted
+  /// assignment. The snapshot is self-contained — refitting or
   /// destroying this Clusterer leaves it routing unchanged (the opposite
   /// of index(), whose handles a refit invalidates). Its Route is
   /// bit-identical to PredictRouted on the fitted state it was taken

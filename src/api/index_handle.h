@@ -88,15 +88,8 @@ class IndexHandle {
   }
 
   /// Approximate heap footprint of the retained shortlist state (banded
-  /// index + hashers + any kept signatures + the sketch table), as of
-  /// handle creation.
+  /// index + hashers + any kept signatures), as of handle creation.
   uint64_t memory_bytes() const { return memory_bytes_; }
-
-  /// Heap footprint of the bit-sketch prefilter table alone (a subset of
-  /// memory_bytes()): n x ceil(width/64) packed words when the fit ran
-  /// with the sketch prefilter enabled, 0 otherwise. This is the marginal
-  /// memory cost of turning the prefilter on.
-  uint64_t sketch_memory_bytes() const { return sketch_memory_bytes_; }
 
   /// Number of completed full-dataset signing passes the retained
   /// provider had executed when this handle was created — 1 after a Fit,
@@ -153,14 +146,12 @@ class IndexHandle {
 
   IndexHandle(const BandedIndex* index, std::span<const uint32_t> assignment,
               uint64_t memory_bytes, uint64_t dataset_sign_passes,
-              uint64_t sketch_memory_bytes,
               std::shared_ptr<const uint64_t> generation,
               uint64_t created_generation)
       : index_(index),
         assignment_(assignment),
         memory_bytes_(memory_bytes),
         dataset_sign_passes_(dataset_sign_passes),
-        sketch_memory_bytes_(sketch_memory_bytes),
         generation_(std::move(generation)),
         created_generation_(created_generation) {
     LSHC_DCHECK(index != nullptr) << "handle requires a live index";
@@ -171,7 +162,6 @@ class IndexHandle {
   std::span<const uint32_t> assignment_;
   uint64_t memory_bytes_;
   uint64_t dataset_sign_passes_;
-  uint64_t sketch_memory_bytes_;
   // The dispatcher's fit-generation cell + its value at handle creation;
   // a later Fit bumps the cell, flipping valid() to false.
   std::shared_ptr<const uint64_t> generation_;

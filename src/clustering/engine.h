@@ -20,19 +20,35 @@
 ///      algorithm of the family.
 ///    - ShortlistProvider<Family> (core/shortlist_provider.h) — candidates
 ///      come from an LSH banding index: the paper's acceleration.
+///    - CanopyShortlistProvider (core/canopy_shortlist_index.h) — the
+///      related-work canopy accelerator on the same hook.
 ///
-/// One engine body serves all six combinations (and more, e.g. the canopy
-/// provider), which keeps the paper's efficiency comparisons honest: both
-/// sides of every comparison run the same code except candidate
-/// generation.
+/// One engine body serves every combination, which keeps the paper's
+/// efficiency comparisons honest: both sides of every comparison run the
+/// same code except candidate generation.
+///
+/// ## The provider contract
+///
+/// A provider with `kExhaustive = true` only has to name that constant:
+/// the engine scans all k clusters itself and never calls it. Every other
+/// provider meets exactly one contract:
+///
+///  * `static constexpr bool kExhaustive = false;`
+///  * `Scratch MakeScratch() const` — per-caller query state;
+///  * `void GetCandidates(item, assignment, Scratch&, std::vector<uint32_t>*)
+///    const` — the candidate clusters of `item`, its current cluster
+///    first, read against the `assignment` span the engine passes;
+///  * `Status Prepare(const Dataset&, ThreadPool* pool,
+///    const std::function<bool()>* cancel)` — the one-time build after the
+///    initial assignment. `pool` (may be null) is the run's worker pool,
+///    `cancel` (may be null) the run's cooperative-cancel hook.
 ///
 /// Phases, timed separately (see ClusteringResult):
 ///   1. init: seed selection, initial centroids = seed items.
 ///   2. initial assignment: one exhaustive pass (the paper performs this
 ///      for MH-K-Modes too, before the index exists — Alg. 2 step 2).
-///   3. provider.Prepare(): signature computation + index build
-///      (no-op for the baseline). Pool-aware providers receive the worker
-///      pool and parallelize signing over items.
+///   3. provider.Prepare(): signature computation + index build, on the
+///      run's worker pool (skipped for exhaustive providers).
 ///   4. refinement iterations until no item moves or max_iterations.
 ///
 /// ## Shard-aware batch-parallel assignment
@@ -42,11 +58,10 @@
 /// space is partitioned into `EngineOptions::num_shards` contiguous
 /// shards, each shard is cut into `EngineOptions::chunk_size`-item
 /// chunks, and the chunks are dispatched to a small worker pool
-/// (util/thread_pool.h) when EngineOptions::num_threads > 1. A shard is
-/// the slice a future node / NUMA domain would own: it carries its own
-/// replica handle of the centroid-side shortlist state and its own query
-/// scratch, so nothing about a shard's work references pool-global
-/// mutable state. Determinism is preserved by construction — every
+/// (util/thread_pool.h) when EngineOptions::num_threads > 1. A shard
+/// carries its own per-worker query scratch, so nothing about a shard's
+/// work references pool-global mutable state; the provider itself is only
+/// read. Determinism is preserved by construction — every
 /// (num_shards x num_threads) combination produces bit-identical
 /// assignments, costs and move counts, and `num_shards = 1` *is* the
 /// historical flat decomposition, not an emulation of it:
@@ -65,20 +80,11 @@
 ///    floating-point summation and RNG draw order is part of the
 ///    reported numbers.
 ///
-/// Providers that opt into parallel queries expose `MakeScratch()` and a
-/// const `GetCandidates(item, assignment, scratch, out)`; the engine gives
-/// every (shard, worker) pair its own scratch. Providers that additionally
-/// expose `MakeReplica()` (see core/shortlist_provider.h) hand each shard
-/// a replica handle of their read-only query state — on one node every
-/// replica aliases the same index, but the handle is the seam where
-/// multi-node scale-out substitutes a per-shard copy. Legacy
-/// single-threaded providers (a non-const 3-argument `GetCandidates`)
-/// still work — the engine detects them and runs their passes
-/// sequentially on the live assignment array, preserving their historical
-/// in-place semantics (the shard plan has no observable effect there).
+/// The engine gives every (shard, worker) pair its own provider scratch.
 
 #include <algorithm>
 #include <atomic>
+#include <concepts>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -135,10 +141,9 @@ struct EngineOptions {
   /// bit-identical results.
   uint32_t num_threads = 1;
   /// Item-space shards of the two-level (shard -> chunk) decomposition.
-  /// Each shard owns a contiguous item slice, a replica handle of the
-  /// centroid-side shortlist state and its own query scratch. Must be
-  /// >= 1; any value produces bit-identical results (1 = the historical
-  /// flat decomposition). Values above the flat chunk count
+  /// Each shard owns a contiguous item slice and its own query scratch.
+  /// Must be >= 1; any value produces bit-identical results (1 = the
+  /// historical flat decomposition). Values above the flat chunk count
   /// (ceil(n / chunk_size)) are clamped to it — the excess shards could
   /// not own a whole work unit anyway.
   uint32_t num_shards = 1;
@@ -224,17 +229,11 @@ uint32_t BestClusterExhaustive(const typename Traits::Dataset& dataset,
 
 /// \brief Candidate provider that enumerates every cluster — plugging this
 /// into the engine yields the family's original algorithm. One struct
-/// serves all dataset families (Prepare is a template; the engine never
-/// queries candidates on the exhaustive path).
+/// serves all dataset families: the engine neither prepares nor queries
+/// an exhaustive provider.
 struct ExhaustiveProvider {
   /// Tells the engine to scan all k clusters without materialising lists.
   static constexpr bool kExhaustive = true;
-
-  /// Nothing to build.
-  template <typename Dataset>
-  [[nodiscard]] Status Prepare(const Dataset&) {
-    return Status::OK();
-  }
 };
 
 /// \brief Dissimilarity/centroid traits for categorical data (K-Modes).
@@ -307,30 +306,17 @@ struct CategoricalClusteringTraits {
 
 namespace internal {
 
-/// Scratch type of a provider: providers that support parallel queries
-/// expose MakeScratch(); everything else gets an empty placeholder.
+/// Scratch type of a provider: MakeScratch()'s result for shortlist
+/// providers, an empty placeholder for exhaustive ones (which have none).
 template <typename Provider>
 struct ProviderScratch {
   struct None {};
   using type = None;
 };
 template <typename Provider>
-  requires requires(const Provider& p) { p.MakeScratch(); }
+  requires(!Provider::kExhaustive)
 struct ProviderScratch<Provider> {
   using type = decltype(std::declval<const Provider&>().MakeScratch());
-};
-
-/// Replica-handle type of a provider: providers exposing MakeReplica()
-/// hand each shard a replica of their read-only query state; everything
-/// else gets the engine-supplied fallback (a thin provider reference).
-template <typename Provider, typename Fallback>
-struct ProviderReplica {
-  using type = Fallback;
-};
-template <typename Provider, typename Fallback>
-  requires requires(const Provider& p) { p.MakeReplica(); }
-struct ProviderReplica<Provider, Fallback> {
-  using type = decltype(std::declval<const Provider&>().MakeReplica());
 };
 
 }  // namespace internal
@@ -401,9 +387,7 @@ class ClusteringEngine {
     }
     result.init_seconds = phase_watch.ElapsedSeconds();
 
-    // Worker pool shared by every pass of this run. Legacy providers
-    // cannot be queried concurrently, so their shortlist passes run
-    // sequentially either way; the exhaustive passes still parallelise.
+    // Worker pool shared by every pass of this run and by Prepare.
     const uint32_t num_threads = ResolveThreadCount(options.num_threads);
     std::optional<ThreadPool> pool_storage;
     ThreadPool* pool = nullptr;
@@ -422,18 +406,15 @@ class ClusteringEngine {
         ShardPlan::Clamped(n, options.num_shards, options.chunk_size);
     ShardedAccumulator<ChunkStats> accumulator;
 
-    // Shard-local query state for parallel-capable shortlist providers:
-    // each shard owns a replica handle of the provider's read-only query
-    // state plus one scratch slot per worker (filled lazily; see
-    // ShardState) — nothing a shard's queries touch is pool-global.
+    // Shard-local query state for shortlist providers: one scratch slot
+    // per worker in every shard (filled lazily; see ShardState) — nothing
+    // a shard's queries write is pool-global.
     [[maybe_unused]] std::vector<ShardState> shard_states;
-    if constexpr (!Provider::kExhaustive && kParallelProvider) {
-      shard_states.reserve(plan.num_shards());
-      for (uint32_t s = 0; s < plan.num_shards(); ++s) {
-        ShardState state{MakeQueryHandle(provider), {}, {}};
+    if constexpr (!Provider::kExhaustive) {
+      shard_states.resize(plan.num_shards());
+      for (ShardState& state : shard_states) {
         state.scratches.resize(num_threads);
         state.shortlists.resize(num_threads);
-        shard_states.push_back(std::move(state));
       }
     }
 
@@ -480,30 +461,22 @@ class ClusteringEngine {
     // complete and reportable, and Prepare is the next big work unit.
     if (cancel.Cancelled()) return finish_cancelled(std::move(result));
 
-    // Phase 3: provider preparation (signatures + LSH index). Pool-aware
-    // providers parallelize their signing pass over the same workers the
-    // assignment step uses; others keep their historical signature.
-    // Cancel-aware providers additionally poll the run's hook at
-    // signing-batch boundaries — Prepare is the most expensive
-    // pre-iteration phase, so a cancel landing here must not wait for the
-    // first refinement pass. A Prepare stopped that way reports the same
-    // rollback contract as any other cancel point: the state after the
-    // completed initial assignment, with no (partial) index installed.
+    // Phase 3: provider preparation (signatures + LSH index). The provider
+    // parallelizes its signing pass over the same workers the assignment
+    // step uses and polls the run's cancel hook at signing-batch
+    // boundaries — Prepare is the most expensive pre-iteration phase, so a
+    // cancel landing here must not wait for the first refinement pass. A
+    // Prepare stopped that way reports the same rollback contract as any
+    // other cancel point: the state after the completed initial
+    // assignment, with no (partial) index installed.
     phase_watch.Restart();
-    const std::function<bool()> prepare_cancel = [&cancel] {
-      return cancel.Cancelled();
-    };
-    const std::function<bool()>* prepare_cancel_hook =
-        options.cancel ? &prepare_cancel : nullptr;
     Status prepare_status;
-    if constexpr (requires {
-                    provider.Prepare(dataset, pool, prepare_cancel_hook);
-                  }) {
-      prepare_status = provider.Prepare(dataset, pool, prepare_cancel_hook);
-    } else if constexpr (requires { provider.Prepare(dataset, pool); }) {
-      prepare_status = provider.Prepare(dataset, pool);
-    } else {
-      prepare_status = provider.Prepare(dataset);
+    if constexpr (!Provider::kExhaustive) {
+      const std::function<bool()> prepare_cancel = [&cancel] {
+        return cancel.Cancelled();
+      };
+      prepare_status = provider.Prepare(
+          dataset, pool, options.cancel ? &prepare_cancel : nullptr);
     }
     result.index_build_seconds = phase_watch.ElapsedSeconds();
     if (prepare_status.IsCancelled()) {
@@ -517,12 +490,7 @@ class ClusteringEngine {
     // doubles as the rollback buffer for a cancelled pass, so cancellable
     // exhaustive runs keep one too.
     std::vector<uint32_t> snapshot;
-    if constexpr (!Provider::kExhaustive && kParallelProvider) {
-      snapshot.resize(n);
-    } else {
-      if (options.cancel) snapshot.resize(n);
-    }
-    [[maybe_unused]] std::vector<uint32_t> legacy_shortlist;
+    if (!Provider::kExhaustive || options.cancel) snapshot.resize(n);
     for (uint32_t iteration = 1; iteration <= options.max_iterations;
          ++iteration) {
       if (cancel.Cancelled()) {
@@ -533,7 +501,6 @@ class ClusteringEngine {
       uint64_t moves = 0;
       uint64_t shortlist_total = 0;
       uint64_t pass_evaluated = 0;
-      uint64_t pass_pruned = 0;
       DispatchEarlyExit(options.early_exit, [&](auto early_exit) {
         constexpr bool kEarlyExit = early_exit.value;
         if constexpr (Provider::kExhaustive) {
@@ -545,24 +512,16 @@ class ClusteringEngine {
               dataset, centroids, options, result.assignment, plan, pool,
               accumulator, &pass_evaluated, cancel);
           shortlist_total = static_cast<uint64_t>(n) * k;
-        } else if constexpr (kParallelProvider) {
+        } else {
           // Freeze the cluster-reference store for this pass: queries see
           // the pre-pass assignment regardless of chunk order, which is
           // what makes the pass thread-count-invariant.
           std::copy(result.assignment.begin(), result.assignment.end(),
                     snapshot.begin());
           moves = ShortlistPass<kEarlyExit>(
-              dataset, centroids, options, snapshot, result.assignment, plan,
-              pool, shard_states, accumulator, &shortlist_total,
-              &pass_evaluated, &pass_pruned, cancel);
-        } else {
-          if (!snapshot.empty()) {
-            std::copy(result.assignment.begin(), result.assignment.end(),
-                      snapshot.begin());
-          }
-          moves = LegacyShortlistPass<kEarlyExit>(
-              dataset, centroids, options, provider, result.assignment,
-              legacy_shortlist, &shortlist_total, &pass_evaluated, cancel);
+              dataset, centroids, options, provider, snapshot,
+              result.assignment, plan, pool, shard_states, accumulator,
+              &shortlist_total, &pass_evaluated, cancel);
         }
       });
       if (cancel.Latched()) {
@@ -579,7 +538,6 @@ class ClusteringEngine {
       // Counters are committed only for completed passes, matching the
       // rollback contract: a cancelled pass contributes no state at all.
       result.exact_distances_evaluated += pass_evaluated;
-      result.exact_distances_pruned += pass_pruned;
       Traits::UpdateCentroids(dataset, centroids, result.assignment, options,
                               rng);
 
@@ -642,57 +600,33 @@ class ClusteringEngine {
     }
   };
 
-  /// True when the provider supports concurrent queries via per-worker
-  /// scratch state.
-  static constexpr bool kParallelProvider =
-      requires(const Provider& p) { p.MakeScratch(); };
-
-  /// True when the provider hands out shard replica handles of its
-  /// read-only query state (core/shortlist_provider.h). Providers without
-  /// one are wrapped in ProviderRef — same calls, provider-global state.
-  static constexpr bool kHasReplica =
-      requires(const Provider& p) { p.MakeReplica(); };
-
   using Scratch = typename internal::ProviderScratch<Provider>::type;
 
-  /// Thin query handle for parallel providers without MakeReplica.
-  struct ProviderRef {
-    const Provider* provider = nullptr;
+  static_assert(
+      Provider::kExhaustive ||
+          requires(Provider& mutable_provider, const Provider& provider,
+                   const Dataset& dataset, ThreadPool* pool,
+                   const std::function<bool()>* cancel, uint32_t item,
+                   std::span<const uint32_t> assignment, Scratch& scratch,
+                   std::vector<uint32_t>* out) {
+            { mutable_provider.Prepare(dataset, pool, cancel) }
+                -> std::same_as<Status>;
+            provider.GetCandidates(item, assignment, scratch, out);
+          },
+      "a shortlist provider needs MakeScratch() const, a const "
+      "GetCandidates(item, assignment, scratch, out) and "
+      "Prepare(dataset, pool, cancel); see the file comment");
 
-    void GetCandidates(uint32_t item, std::span<const uint32_t> assignment,
-                       Scratch& scratch, std::vector<uint32_t>* out) const {
-      provider->GetCandidates(item, assignment, scratch, out);
-    }
-
-    Scratch MakeScratch() const { return provider->MakeScratch(); }
-  };
-
-  /// What a shard queries through: the provider's replica handle when it
-  /// offers one, a plain provider reference otherwise.
-  using QueryHandle =
-      typename internal::ProviderReplica<Provider, ProviderRef>::type;
-
-  static QueryHandle MakeQueryHandle(const Provider& provider) {
-    if constexpr (kHasReplica) {
-      return provider.MakeReplica();
-    } else {
-      return ProviderRef{&provider};
-    }
-  }
-
-  /// Everything a shard owns besides its item slice: the replica handle
-  /// of the centroid-side shortlist state and per-worker query scratch
-  /// (dedup stamps + shortlist buffers). Indexed by shard; the per-worker
-  /// vectors are indexed by the pool's stable worker id. Scratches are
-  /// materialised lazily, on the worker that first runs one of the
-  /// shard's chunks: scratch contents never influence results (queries
-  /// epoch-reset them), so only (shard, worker) pairs that actually
-  /// execute pay the k-sized stamp array. Together with the shard-count
-  /// clamp in Run (shards <= flat chunk count), total shard-state
-  /// bookkeeping is bounded by the number of work units, not by the
-  /// requested shard count.
+  /// Everything a shard owns besides its item slice: per-worker query
+  /// scratch (dedup stamps + shortlist buffers), indexed by the pool's
+  /// stable worker id. Scratches are materialised lazily, on the worker
+  /// that first runs one of the shard's chunks: scratch contents never
+  /// influence results (queries epoch-reset them), so only (shard, worker)
+  /// pairs that actually execute pay the k-sized stamp array. Together
+  /// with the shard-count clamp in Run (shards <= flat chunk count),
+  /// total shard-state bookkeeping is bounded by the number of work
+  /// units, not by the requested shard count.
   struct ShardState {
-    QueryHandle handle;
     std::vector<std::optional<Scratch>> scratches;
     std::vector<std::vector<uint32_t>> shortlists;
   };
@@ -703,7 +637,6 @@ class ClusteringEngine {
     uint64_t moves = 0;
     uint64_t shortlist = 0;
     uint64_t evaluated = 0;  ///< exact distance kernel invocations
-    uint64_t pruned = 0;     ///< clusters dropped by the sketch prefilter
   };
 
   /// Hoists the early-exit switch out of the hot loops: a runtime branch
@@ -802,15 +735,14 @@ class ClusteringEngine {
     return moves;
   }
 
-  /// One shortlist chunk (parallel-capable providers): queries through the
-  /// owning shard's replica `handle` against the frozen `reference`
-  /// snapshot, writes into the live assignment. Local accumulators for the
-  /// same false-sharing reason as ExhaustiveChunk.
+  /// One shortlist chunk: queries `provider` against the frozen
+  /// `reference` snapshot, writes into the live assignment. Local
+  /// accumulators for the same false-sharing reason as ExhaustiveChunk.
   template <bool EarlyExit>
   static void ShortlistChunk(const Dataset& dataset,
                              const Centroids& centroids,
                              const Options& options,
-                             const QueryHandle& handle,
+                             const Provider& provider,
                              std::span<const uint32_t> reference,
                              std::span<uint32_t> assignment, uint32_t begin,
                              uint32_t end, Scratch& scratch,
@@ -818,16 +750,12 @@ class ClusteringEngine {
                              ChunkStats* stats) {
     uint64_t moves = 0;
     uint64_t shortlist_total = 0;
-    uint64_t pruned_total = 0;
     for (uint32_t item = begin; item < end; ++item) {
-      handle.GetCandidates(item, reference, scratch, &shortlist);
-      // Every surviving shortlist entry gets one exact distance: the seed
-      // cluster (always the shortlist's first entry) exactly once, the
-      // rest in the scan.
+      provider.GetCandidates(item, reference, scratch, &shortlist);
+      // Every shortlist entry gets one exact distance: the seed cluster
+      // (always the shortlist's first entry) exactly once, the rest in
+      // the scan.
       shortlist_total += shortlist.size();
-      if constexpr (requires { scratch.last_pruned; }) {
-        pruned_total += scratch.last_pruned;
-      }
       const uint32_t seed_cluster = assignment[item];
       const uint32_t best = BestClusterShortlist<EarlyExit>(
           dataset, centroids, options, item, seed_cluster, shortlist);
@@ -839,20 +767,20 @@ class ClusteringEngine {
     stats->moves = moves;
     stats->shortlist = shortlist_total;
     stats->evaluated = shortlist_total;
-    stats->pruned = pruned_total;
   }
 
-  /// Full shortlist pass for parallel-capable providers: every chunk runs
-  /// against its shard's replica handle and (shard, worker) scratch, and
-  /// the per-chunk stats merge through the accumulator in shard order.
+  /// Full shortlist pass: every chunk runs against its (shard, worker)
+  /// scratch, and the per-chunk stats merge through the accumulator in
+  /// shard order.
   template <bool EarlyExit>
   static uint64_t ShortlistPass(
       const Dataset& dataset, const Centroids& centroids,
-      const Options& options, std::span<const uint32_t> reference,
-      std::span<uint32_t> assignment, const ShardPlan& plan,
-      ThreadPool* pool, std::vector<ShardState>& shard_states,
+      const Options& options, const Provider& provider,
+      std::span<const uint32_t> reference, std::span<uint32_t> assignment,
+      const ShardPlan& plan, ThreadPool* pool,
+      std::vector<ShardState>& shard_states,
       ShardedAccumulator<ChunkStats>& accumulator,
-      uint64_t* shortlist_total, uint64_t* evaluated, uint64_t* pruned,
+      uint64_t* shortlist_total, uint64_t* evaluated,
       const CancelPoll& cancel) {
     accumulator.Reset(plan);
     ForEachShardChunk(
@@ -864,10 +792,10 @@ class ClusteringEngine {
           // worker) is only ever touched from worker `worker`, and the
           // slot vector was sized up front (no reallocation).
           std::optional<Scratch>& scratch = state.scratches[worker];
-          if (!scratch.has_value()) scratch.emplace(state.handle.MakeScratch());
-          ShortlistChunk<EarlyExit>(dataset, centroids, options,
-                                    state.handle, reference, assignment,
-                                    chunk.begin, chunk.end, *scratch,
+          if (!scratch.has_value()) scratch.emplace(provider.MakeScratch());
+          ShortlistChunk<EarlyExit>(dataset, centroids, options, provider,
+                                    reference, assignment, chunk.begin,
+                                    chunk.end, *scratch,
                                     state.shortlists[worker],
                                     accumulator.slot(index));
         });
@@ -876,48 +804,14 @@ class ClusteringEngine {
       moves += stats.moves;
       *shortlist_total += stats.shortlist;
       *evaluated += stats.evaluated;
-      *pruned += stats.pruned;
     });
-    return moves;
-  }
-
-  /// Sequential pass for legacy providers (non-const 3-argument
-  /// GetCandidates): queries run in item order against the live
-  /// assignment, preserving their historical in-place semantics.
-  template <bool EarlyExit>
-  static uint64_t LegacyShortlistPass(const Dataset& dataset,
-                                      const Centroids& centroids,
-                                      const Options& options,
-                                      Provider& provider,
-                                      std::span<uint32_t> assignment,
-                                      std::vector<uint32_t>& shortlist,
-                                      uint64_t* shortlist_total,
-                                      uint64_t* evaluated,
-                                      const CancelPoll& cancel) {
-    const uint32_t n = dataset.num_items();
-    uint64_t moves = 0;
-    for (uint32_t item = 0; item < n; ++item) {
-      // The sequential pass has no chunks; poll at the same granularity
-      // the chunked passes would (the default chunk size).
-      if ((item & 1023u) == 0 && cancel.Cancelled()) break;
-      provider.GetCandidates(item, assignment, &shortlist);
-      *shortlist_total += shortlist.size();
-      *evaluated += shortlist.size();
-      const uint32_t seed_cluster = assignment[item];
-      const uint32_t best = BestClusterShortlist<EarlyExit>(
-          dataset, centroids, options, item, seed_cluster, shortlist);
-      if (best != seed_cluster) {
-        assignment[item] = best;
-        ++moves;
-      }
-    }
     return moves;
   }
 };
 
 /// Runs the categorical (K-Modes) engine with candidate clusters supplied
-/// by `provider` — kept as the historical entry point; MH-K-Modes wraps it
-/// in core/mh_kmodes.h.
+/// by `provider`. RunKModes (clustering/kmodes.h) is this with
+/// ExhaustiveProvider.
 template <typename Provider>
 Result<ClusteringResult> RunEngine(const CategoricalDataset& dataset,
                                    const EngineOptions& options,

@@ -77,14 +77,8 @@ struct ClusteringResult {
   /// assignment is common to every method — Alg. 2 runs it before
   /// indexing — so neither is counted). For the exhaustive baseline this
   /// is n*k per pass; for shortlist providers it is the summed shortlist
-  /// sizes, so the counter directly measures what the index (and the
-  /// sketch prefilter on top of it) saves.
+  /// sizes, so the counter directly measures what the index saves.
   uint64_t exact_distances_evaluated = 0;
-  /// Candidate clusters dropped by the bit-sketch prefilter before their
-  /// exact distance was computed (0 unless the prefilter is enabled) —
-  /// each one an exact kernel invocation that did not happen. A cluster
-  /// counts only when every peer proposing it was screened out.
-  uint64_t exact_distances_pruned = 0;
 
   /// Sum of per-iteration seconds (the refinement phase only).
   double RefinementSeconds() const {

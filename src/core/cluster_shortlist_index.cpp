@@ -8,8 +8,7 @@
 namespace lshclust {
 
 Status MinHashShortlistFamily::ValidateOptions(const Options& options) {
-  LSHC_RETURN_NOT_OK(ValidateBanding(options.banding, "MinHash banding"));
-  return ValidateSketchPrefilter(options.sketch, "MinHash sketch");
+  return ValidateBanding(options.banding, "MinHash banding");
 }
 
 MinHashShortlistFamily::MinHashShortlistFamily(const Options& options)

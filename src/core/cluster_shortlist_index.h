@@ -45,8 +45,6 @@ struct ShortlistIndexOptions {
   /// Keep per-item signatures after the index is built (needed only for
   /// querying items outside the indexed dataset).
   bool keep_signatures = false;
-  /// Bit-sketch prescreen of shortlist candidates (lsh/bit_sketch.h).
-  SketchPrefilterOptions sketch;
 };
 
 /// \brief MinHash/Jaccard signature family over categorical token sets
@@ -102,11 +100,6 @@ class MinHashShortlistFamily {
   uint64_t MemoryUsageBytes() const;
 
   const Options& options() const { return options_; }
-
-  /// Sketch prefilter configuration, read by ShortlistProvider::Prepare.
-  const SketchPrefilterOptions& sketch_options() const {
-    return options_.sketch;
-  }
 
  private:
   Options options_;

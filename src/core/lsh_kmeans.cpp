@@ -13,8 +13,7 @@ Result<ClusteringResult> RunLshKMeans(const NumericDataset& dataset,
   spec.modality = Modality::kNumeric;
   spec.accelerator = Accelerator::kSimHash;
   spec.engine = options.kmeans;
-  spec.simhash = SimHashIndexOptions{options.banding, options.seed,
-                                     SketchPrefilterOptions{}};
+  spec.simhash = SimHashIndexOptions{options.banding, options.seed};
   LSHC_ASSIGN_OR_RETURN(Clusterer clusterer, Clusterer::Create(spec));
   LSHC_ASSIGN_OR_RETURN(FitReport report, clusterer.Fit(dataset));
   // No channel for a partial report here: a cancelled run surfaces as

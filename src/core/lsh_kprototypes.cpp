@@ -16,7 +16,7 @@ Result<ClusteringResult> RunLshKPrototypes(
   spec.gamma = options.kprototypes.gamma;
   spec.mixed_index =
       MixedIndexOptions{options.categorical_banding, options.numeric_banding,
-                        options.seed, SketchPrefilterOptions{}};
+                        options.seed};
   LSHC_ASSIGN_OR_RETURN(Clusterer clusterer, Clusterer::Create(spec));
   LSHC_ASSIGN_OR_RETURN(FitReport report, clusterer.Fit(dataset));
   // No channel for a partial report here: a cancelled run surfaces as

@@ -45,11 +45,6 @@ struct MixedIndexOptions {
   BandingParams numeric_banding = {10, 16};
   /// Hash family seed.
   uint64_t seed = 99;
-  /// Bit-sketch prescreen of shortlist candidates (lsh/bit_sketch.h),
-  /// packed over the concatenated signature — MinHash low bits for the
-  /// categorical components, the SimHash bits themselves for the numeric
-  /// ones — so the Hamming screen blends both modalities.
-  SketchPrefilterOptions sketch;
 };
 
 /// \brief Concatenated MinHash + SimHash signature family over mixed
@@ -65,9 +60,7 @@ class MixedShortlistFamily {
   [[nodiscard]] static Status ValidateOptions(const Options& options) {
     LSHC_RETURN_NOT_OK(ValidateBanding(options.categorical_banding,
                                        "mixed categorical banding"));
-    LSHC_RETURN_NOT_OK(
-        ValidateBanding(options.numeric_banding, "mixed numeric banding"));
-    return ValidateSketchPrefilter(options.sketch, "mixed sketch");
+    return ValidateBanding(options.numeric_banding, "mixed numeric banding");
   }
 
   explicit MixedShortlistFamily(const Options& options) : options_(options) {
@@ -276,11 +269,6 @@ class MixedShortlistFamily {
   }
 
   const Options& options() const { return options_; }
-
-  /// Sketch prefilter configuration, read by ShortlistProvider::Prepare.
-  const SketchPrefilterOptions& sketch_options() const {
-    return options_.sketch;
-  }
 
  private:
   Options options_;

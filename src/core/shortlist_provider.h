@@ -10,9 +10,9 @@
 ///
 ///  * MinHashShortlistFamily (core/cluster_shortlist_index.h) — Jaccard
 ///    over present tokens, categorical data.
-///  * SimHashShortlistFamily (core/lsh_kmeans.h) — angular similarity,
-///    numeric data.
-///  * MixedShortlistFamily (core/lsh_kprototypes.h) — concatenated
+///  * SimHashShortlistFamily (core/simhash_shortlist_index.h) — angular
+///    similarity, numeric data.
+///  * MixedShortlistFamily (core/mixed_shortlist_index.h) — concatenated
 ///    MinHash + SimHash signatures over a heterogeneous band layout,
 ///    mixed data.
 ///
@@ -38,10 +38,13 @@
 /// The item always shares its buckets with itself, so the shortlist always
 /// contains its current cluster and is never empty.
 ///
-/// Queries are const and take an explicit Scratch, so the engine can run
-/// them from many worker threads at once (one scratch per worker); the
-/// scratch-less overload uses a provider-owned scratch for sequential
-/// callers.
+/// The class meets the engine's one provider contract (see
+/// clustering/engine.h): `kExhaustive = false`, `MakeScratch() const`,
+/// `Prepare(dataset, pool, cancel)` and a const
+/// `GetCandidates(item, assignment, scratch, out)`. Queries take an
+/// explicit Scratch, so the engine runs them from many worker threads at
+/// once (one scratch per worker); the scratch-less overload uses a
+/// provider-owned scratch for sequential callers.
 ///
 /// The family concept:
 /// \code
@@ -52,12 +55,12 @@
 ///     // Row-major n x signature_width() matrix of signature components.
 ///     // Signing is pure per item, so families fan the loop out across
 ///     // `pool` when one is given (nullptr = sequential) — results are
-///     // bit-identical either way. Families may accept a trailing
-///     // `const std::function<bool()>* cancel` and poll it at batch
-///     // boundaries, returning kCancelled (Prepare forwards the engine's
-///     // cooperative-cancel hook to such families).
+///     // bit-identical either way. `cancel` (may be null) is polled at
+///     // batch boundaries; a true answer returns kCancelled (Prepare
+///     // forwards the engine's cooperative-cancel hook).
 ///     Status ComputeSignatures(const Dataset&, std::vector<uint64_t>*,
-///                              ThreadPool* pool);
+///                              ThreadPool* pool,
+///                              const std::function<bool()>* cancel);
 ///     // Rows per band, concatenated over the signature.
 ///     std::vector<uint32_t> BandLayout() const;
 ///     uint32_t signature_width() const;
@@ -76,7 +79,6 @@
 #include <vector>
 
 #include "lsh/banded_index.h"
-#include "lsh/bit_sketch.h"
 #include "util/macros.h"
 #include "util/result.h"
 #include "util/stopwatch.h"
@@ -96,14 +98,10 @@ inline constexpr uint32_t kSignatureChunkSize = 256;
 /// engine makes one per worker thread.
 struct ClusterDedupScratch {
   std::vector<uint32_t> cluster_stamp;
-  /// Second stamp plane for the sketch prefilter: marks clusters that have
-  /// so far only been seen through screened-out peers. A cluster counts as
-  /// pruned only if *every* peer that would have proposed it failed the
-  /// screen (a later surviving peer "resurrects" it).
-  std::vector<uint32_t> pruned_stamp;
   uint32_t epoch = 0;
-  /// Clusters fully pruned by the sketch screen in the most recent query
-  /// through this scratch (0 when screening is off).
+  /// Always 0. Kept only because the benchmark's traced provider
+  /// (perfbench/src/trace.h) still reads it; nothing in the library
+  /// writes it.
   uint64_t last_pruned = 0;
 };
 
@@ -111,12 +109,11 @@ struct ClusterDedupScratch {
 inline ClusterDedupScratch MakeClusterDedupScratch(uint32_t num_clusters) {
   ClusterDedupScratch scratch;
   scratch.cluster_stamp.assign(num_clusters, 0);
-  scratch.pruned_stamp.assign(num_clusters, 0);
   return scratch;
 }
 
 /// Starts a new dedup epoch. After 2^32 queries the epoch counter wraps
-/// into values the stamp arrays may still hold from earlier epochs, which
+/// into values the stamp array may still hold from earlier epochs, which
 /// would make stale stamps read as "already seen" and silently drop
 /// clusters from shortlists — so on wrap the stamps are cleared and the
 /// epoch restarts at 1 (stamp 0 = "never stamped"). Every epoch bump in
@@ -124,7 +121,6 @@ inline ClusterDedupScratch MakeClusterDedupScratch(uint32_t num_clusters) {
 inline void BumpDedupEpoch(ClusterDedupScratch& scratch) {
   if (++scratch.epoch == 0) {
     std::fill(scratch.cluster_stamp.begin(), scratch.cluster_stamp.end(), 0u);
-    std::fill(scratch.pruned_stamp.begin(), scratch.pruned_stamp.end(), 0u);
     scratch.epoch = 1;
   }
 }
@@ -156,42 +152,6 @@ void CollectCandidateClusters(uint32_t item,
       out->push_back(cluster);
     }
   });
-  scratch.last_pruned = 0;
-}
-
-/// CollectCandidateClusters with a per-peer sketch screen: a peer for which
-/// `screen(peer)` returns false does not propose its cluster. The item's
-/// own cluster is still entered unconditionally, and peers of clusters that
-/// already survived skip the screen entirely (their Hamming test could not
-/// change anything). On return `scratch.last_pruned` counts the clusters
-/// whose *every* proposing peer was screened out — exactly the clusters
-/// whose exact distance evaluations were avoided.
-template <typename VisitPeersFn, typename ScreenFn>
-void CollectCandidateClustersScreened(uint32_t item,
-                                      std::span<const uint32_t> assignment,
-                                      ClusterDedupScratch& scratch,
-                                      std::vector<uint32_t>* out,
-                                      VisitPeersFn&& visit_peers,
-                                      ScreenFn&& screen) {
-  out->clear();
-  BumpDedupEpoch(scratch);
-  const uint32_t current = assignment[item];
-  scratch.cluster_stamp[current] = scratch.epoch;
-  out->push_back(current);
-  uint64_t pruned = 0;
-  visit_peers([&](uint32_t other) {
-    const uint32_t cluster = assignment[other];
-    if (scratch.cluster_stamp[cluster] == scratch.epoch) return;
-    if (screen(other)) {
-      scratch.cluster_stamp[cluster] = scratch.epoch;
-      out->push_back(cluster);
-      if (scratch.pruned_stamp[cluster] == scratch.epoch) --pruned;
-    } else if (scratch.pruned_stamp[cluster] != scratch.epoch) {
-      scratch.pruned_stamp[cluster] = scratch.epoch;
-      ++pruned;
-    }
-  });
-  scratch.last_pruned = pruned;
 }
 
 /// \brief Engine provider (see clustering/engine.h) producing LSH cluster
@@ -212,20 +172,16 @@ class ShortlistProvider {
   }
 
   /// Reassembles a provider from persisted parts: a family whose hashers
-  /// were already rebuilt from (options, seed), the dumped banded index,
-  /// and the sketch table (empty when the fit ran unscreened). No signing
-  /// pass runs — `dataset_sign_passes()` stays 0 on the result, which is
-  /// how warm-start loaders prove the saved buckets were adopted verbatim
-  /// rather than re-hashed. The caller is responsible for cross-checking
-  /// index/family shape agreement (persist/model_io.cpp does).
+  /// were already rebuilt from (options, seed) and the dumped banded
+  /// index. No signing pass runs — `dataset_sign_passes()` stays 0 on the
+  /// result, which is how warm-start loaders prove the saved buckets were
+  /// adopted verbatim rather than re-hashed. The caller is responsible for
+  /// cross-checking index/family shape agreement (persist/model_io.cpp
+  /// does).
   static ShortlistProvider FromParts(Family family, uint32_t num_clusters,
-                                     std::unique_ptr<BandedIndex> index,
-                                     BitSketchTable sketches,
-                                     uint64_t sketch_max_hamming) {
+                                     std::unique_ptr<BandedIndex> index) {
     ShortlistProvider provider(std::move(family), num_clusters);
     provider.index_ = std::move(index);
-    provider.sketches_ = std::move(sketches);
-    provider.sketch_max_hamming_ = sketch_max_hamming;
     return provider;
   }
 
@@ -237,36 +193,6 @@ class ShortlistProvider {
 
   /// A fresh scratch sized for this provider's cluster count.
   Scratch MakeScratch() const { return MakeClusterDedupScratch(num_clusters_); }
-
-  /// \brief A shard's handle on the centroid-side shortlist state: a
-  /// read-only view of the banding index + family, carrying no mutable
-  /// provider state (queries go through caller-owned scratch). The engine
-  /// hands one to every shard of its shard plan, so each shard's query
-  /// path owns its state outright. On a single node every replica aliases
-  /// the same index; the handle is the seam where multi-node scale-out
-  /// substitutes a real per-shard copy.
-  class Replica {
-   public:
-    explicit Replica(const ShortlistProvider* provider)
-        : provider_(provider) {}
-
-    /// Same contract as ShortlistProvider::GetCandidates (const overload).
-    void GetCandidates(uint32_t item, std::span<const uint32_t> assignment,
-                       Scratch& scratch, std::vector<uint32_t>* out) const {
-      provider_->GetCandidates(item, assignment, scratch, out);
-    }
-
-    /// A fresh scratch sized for the replicated provider's cluster count.
-    Scratch MakeScratch() const { return provider_->MakeScratch(); }
-
-   private:
-    const ShortlistProvider* provider_;
-  };
-
-  /// A shard replica handle of this provider's read-only query state.
-  /// Valid for the provider's lifetime; Prepare() may run after handles
-  /// were made (the engine creates them before building the index).
-  Replica MakeReplica() const { return Replica(this); }
 
   /// Computes all signatures and builds the banding index (the one-time
   /// pass of Alg. 2). Called by the engine after the initial assignment.
@@ -296,21 +222,8 @@ class ShortlistProvider {
 
     Stopwatch watch;
     std::vector<uint64_t> signatures;
-    if constexpr (requires {
-                    family_.ComputeSignatures(dataset, &signatures, pool,
-                                              cancel);
-                  }) {
-      LSHC_RETURN_NOT_OK(
-          family_.ComputeSignatures(dataset, &signatures, pool, cancel));
-    } else {
-      if (cancel != nullptr && (*cancel)()) {
-        return Status::Cancelled(
-            "index preparation stopped by the cancellation hook before "
-            "signature computation");
-      }
-      LSHC_RETURN_NOT_OK(family_.ComputeSignatures(dataset, &signatures,
-                                                   pool));
-    }
+    LSHC_RETURN_NOT_OK(
+        family_.ComputeSignatures(dataset, &signatures, pool, cancel));
     ++dataset_sign_passes_;
     signature_seconds_ = watch.ElapsedSeconds();
 
@@ -324,18 +237,6 @@ class ShortlistProvider {
     const std::vector<uint32_t> layout = family_.BandLayout();
     index_ = std::make_unique<BandedIndex>(signatures, n, layout);
     index_seconds_ = watch.ElapsedSeconds();
-
-    // The sketch table packs the same signature matrix the index was just
-    // built from — before a family that discards signatures lets go of it —
-    // so enabling the prefilter never adds a signing pass.
-    const SketchPrefilterOptions sketch = SketchOptions();
-    if (sketch.enabled) {
-      sketches_.Build(signatures, n, family_.signature_width());
-      sketch_max_hamming_ =
-          SketchHammingThreshold(sketch, family_.signature_width());
-    } else {
-      sketches_ = BitSketchTable();
-    }
 
     if (family_.keep_signatures()) {
       signatures_ = std::move(signatures);
@@ -351,17 +252,6 @@ class ShortlistProvider {
   void GetCandidates(uint32_t item, std::span<const uint32_t> assignment,
                      Scratch& scratch, std::vector<uint32_t>* out) const {
     LSHC_DCHECK(index_ != nullptr) << "Prepare() must run before queries";
-    if (!sketches_.empty()) {
-      const uint64_t* query_sketch = sketches_.Row(item);
-      CollectCandidateClustersScreened(
-          item, assignment, scratch, out,
-          [&](auto&& sink) { index_->VisitCandidates(item, sink); },
-          [&](uint32_t other) {
-            return sketches_.HammingTo(query_sketch, other) <=
-                   sketch_max_hamming_;
-          });
-      return;
-    }
     CollectCandidateClusters(item, assignment, scratch, out,
                              [&](auto&& sink) {
                                index_->VisitCandidates(item, sink);
@@ -389,31 +279,6 @@ class ShortlistProvider {
     // streaming hot path) never allocate.
     query_signature_.resize(family_.signature_width());
     family_.ComputeQuerySignature(query, query_signature_.data());
-    if (!sketches_.empty()) {
-      // External queries have no own-cluster guarantee, so screening may
-      // empty the shortlist; callers already treat an empty shortlist as
-      // "fall back to the exhaustive scan".
-      query_sketch_.resize(sketches_.words());
-      PackSketchBits(query_signature_.data(), sketches_.width(),
-                     query_sketch_.data());
-      uint64_t pruned = 0;
-      index_->VisitCandidatesOfSignature(
-          query_signature_, [&](uint32_t other) {
-            const uint32_t cluster = assignment[other];
-            if (scratch_.cluster_stamp[cluster] == scratch_.epoch) return;
-            if (sketches_.HammingTo(query_sketch_.data(), other) <=
-                sketch_max_hamming_) {
-              scratch_.cluster_stamp[cluster] = scratch_.epoch;
-              out->push_back(cluster);
-              if (scratch_.pruned_stamp[cluster] == scratch_.epoch) --pruned;
-            } else if (scratch_.pruned_stamp[cluster] != scratch_.epoch) {
-              scratch_.pruned_stamp[cluster] = scratch_.epoch;
-              ++pruned;
-            }
-          });
-      scratch_.last_pruned = pruned;
-      return;
-    }
     index_->VisitCandidatesOfSignature(query_signature_, [&](uint32_t other) {
       const uint32_t cluster = assignment[other];
       if (scratch_.cluster_stamp[cluster] != scratch_.epoch) {
@@ -421,7 +286,6 @@ class ShortlistProvider {
         out->push_back(cluster);
       }
     });
-    scratch_.last_pruned = 0;
   }
 
   /// Historical name of the categorical external query: candidates for a
@@ -443,24 +307,6 @@ class ShortlistProvider {
   /// The underlying banding index (null before Prepare).
   const BandedIndex* index() const { return index_.get(); }
 
-  /// The packed bit-sketch table (empty unless the family's sketch
-  /// prefilter is enabled and Prepare has run).
-  const BitSketchTable& sketches() const { return sketches_; }
-
-  /// True when shortlist queries screen candidates against bit sketches.
-  bool sketch_enabled() const { return !sketches_.empty(); }
-
-  /// The screening threshold: candidates whose sketch Hamming distance to
-  /// the query exceeds this are dropped. Meaningful only when
-  /// sketch_enabled().
-  uint64_t sketch_max_hamming() const { return sketch_max_hamming_; }
-
-  /// Heap footprint of the sketch table alone (0 when disabled) — the
-  /// memory cost of enabling the prefilter, surfaced through IndexHandle.
-  uint64_t SketchMemoryUsageBytes() const {
-    return sketches_.MemoryUsageBytes();
-  }
-
   /// Occupancy statistics of the underlying index.
   BandedIndex::Stats IndexStats() const {
     LSHC_CHECK(index_ != nullptr) << "Prepare() must run before IndexStats";
@@ -473,10 +319,7 @@ class ShortlistProvider {
     if (index_ != nullptr) bytes += index_->MemoryUsageBytes();
     bytes += signatures_.size() * sizeof(uint64_t);
     bytes += scratch_.cluster_stamp.size() * sizeof(uint32_t);
-    bytes += scratch_.pruned_stamp.size() * sizeof(uint32_t);
     bytes += query_signature_.capacity() * sizeof(uint64_t);
-    bytes += query_sketch_.capacity() * sizeof(uint64_t);
-    bytes += sketches_.MemoryUsageBytes();
     bytes += family_.MemoryUsageBytes();
     return bytes;
   }
@@ -501,25 +344,12 @@ class ShortlistProvider {
     scratch_ = MakeScratch();
   }
 
-  /// The family's sketch configuration, when it has one ({} = disabled for
-  /// families predating the prefilter).
-  SketchPrefilterOptions SketchOptions() const {
-    if constexpr (requires { family_.sketch_options(); }) {
-      return family_.sketch_options();
-    } else {
-      return {};
-    }
-  }
-
   Family family_;
   uint32_t num_clusters_;
   std::unique_ptr<BandedIndex> index_;
   std::vector<uint64_t> signatures_;  // kept only if family says so
   Scratch scratch_;                   // for the sequential overloads
   std::vector<uint64_t> query_signature_;  // GetCandidatesForQuery buffer
-  std::vector<uint64_t> query_sketch_;     // its packed sketch twin
-  BitSketchTable sketches_;           // empty unless the prefilter is on
-  uint64_t sketch_max_hamming_ = 0;
 
   double signature_seconds_ = 0;
   double index_seconds_ = 0;

@@ -34,10 +34,6 @@ struct SimHashIndexOptions {
   BandingParams banding = {16, 4};
   /// Hyperplane seed.
   uint64_t seed = 99;
-  /// Bit-sketch prescreen of shortlist candidates (lsh/bit_sketch.h). For
-  /// SimHash the sketch bits are the signature bits themselves, so the
-  /// Hamming screen estimates the angle directly.
-  SketchPrefilterOptions sketch;
 };
 
 /// \brief SimHash/angular signature family over numeric vectors.
@@ -50,8 +46,7 @@ class SimHashShortlistFamily {
   /// door and the legacy entry points check this before constructing the
   /// family; the constructor keeps a debug backstop.
   [[nodiscard]] static Status ValidateOptions(const Options& options) {
-    LSHC_RETURN_NOT_OK(ValidateBanding(options.banding, "SimHash banding"));
-    return ValidateSketchPrefilter(options.sketch, "SimHash sketch");
+    return ValidateBanding(options.banding, "SimHash banding");
   }
 
   explicit SimHashShortlistFamily(const Options& options)
@@ -163,11 +158,6 @@ class SimHashShortlistFamily {
   }
 
   const Options& options() const { return options_; }
-
-  /// Sketch prefilter configuration, read by ShortlistProvider::Prepare.
-  const SketchPrefilterOptions& sketch_options() const {
-    return options_.sketch;
-  }
 
  private:
   Options options_;

@@ -66,18 +66,6 @@ Result<StreamingMHKModes> StreamingMHKModes::Bootstrap(
     stream.index_ = std::make_unique<DynamicBandedIndex>(
         options.bootstrap.index.banding, warmup.num_items());
     stream.index_->InsertBatch(provider.signatures(), warmup.num_items());
-    // Bit-sketch prefilter: pack the warm-up sketches from the same
-    // signature matrix the index just bulk-loaded (streamed items are
-    // appended at insert time, keeping the table aligned with the index).
-    if (options.bootstrap.index.sketch.enabled) {
-      const uint32_t width = options.bootstrap.index.banding.num_hashes();
-      stream.sketch_on_ = true;
-      stream.sketches_.Build(provider.signatures(), warmup.num_items(),
-                             width);
-      stream.sketch_max_hamming_ =
-          SketchHammingThreshold(options.bootstrap.index.sketch, width);
-      stream.query_sketch_.resize(stream.sketches_.words());
-    }
   }
 
   // 3. Stream-time signature machinery: the same family type the provider
@@ -143,29 +131,16 @@ void StreamingMHKModes::SignRow(std::span<const uint32_t> row,
 
 void StreamingMHKModes::ShortlistSignature(
     std::span<const uint64_t> signature, uint32_t skip_item,
-    const uint64_t* query_sketch, ClusterDedupScratch& dedup,
-    std::vector<uint32_t>* shortlist) const {
+    ClusterDedupScratch& dedup, std::vector<uint32_t>* shortlist) const {
   shortlist->clear();
   BumpDedupEpoch(dedup);
-  dedup.last_pruned = 0;
   index_->VisitCandidatesOfSignature(signature, [&](uint32_t other) {
     // Skipping the item's own (already inserted, newest-first) entries
     // reproduces the pre-insert walk exactly.
     if (other == skip_item) return;
     const uint32_t cluster = assignment_[other];
     if (dedup.cluster_stamp[cluster] == dedup.epoch) return;
-    if (query_sketch != nullptr &&
-        sketches_.HammingTo(query_sketch, other) > sketch_max_hamming_) {
-      // Screened out. The cluster stays prunable: a later, closer peer
-      // proposing the same cluster resurrects it below.
-      if (dedup.pruned_stamp[cluster] != dedup.epoch) {
-        dedup.pruned_stamp[cluster] = dedup.epoch;
-        ++dedup.last_pruned;
-      }
-      return;
-    }
     dedup.cluster_stamp[cluster] = dedup.epoch;
-    if (dedup.pruned_stamp[cluster] == dedup.epoch) --dedup.last_pruned;
     shortlist->push_back(cluster);
   });
 }
@@ -202,8 +177,7 @@ uint32_t StreamingMHKModes::ScoreRow(
 
 void StreamingMHKModes::CommitAssignment(std::span<const uint32_t> row,
                                          uint32_t cluster,
-                                         int64_t shortlist_size,
-                                         uint64_t pruned) {
+                                         int64_t shortlist_size) {
   assignment_.push_back(cluster);
   ++stats_.ingested;
   if (shortlist_size < 0) {
@@ -214,7 +188,6 @@ void StreamingMHKModes::CommitAssignment(std::span<const uint32_t> row,
     stats_.exact_distances_evaluated +=
         static_cast<uint64_t>(shortlist_size);
   }
-  stats_.exact_distances_pruned += pruned;
   if (options_.update_modes) {
     UpdateModeWithItem(cluster, row);
   }
@@ -253,21 +226,13 @@ Result<uint32_t> StreamingMHKModes::Ingest(std::span<const uint32_t> row) {
   }
 
   SignRow(row, tokens_, signature_.data());
-  if (sketch_on_) {
-    PackSketchBits(signature_.data(), sketches_.width(),
-                   query_sketch_.data());
-  }
-  ShortlistSignature(signature_, kSkipNone,
-                     sketch_on_ ? query_sketch_.data() : nullptr, dedup_,
-                     &shortlist_);
+  ShortlistSignature(signature_, kSkipNone, dedup_, &shortlist_);
   const uint32_t best = ScoreRow(row, shortlist_);
   index_->Insert(signature_);
-  if (sketch_on_) sketches_.Append(signature_);
   CommitAssignment(row, best,
                    shortlist_.empty()
                        ? -1
-                       : static_cast<int64_t>(shortlist_.size()),
-                   dedup_.last_pruned);
+                       : static_cast<int64_t>(shortlist_.size()));
   return best;
 }
 
@@ -305,12 +270,10 @@ Result<std::span<const uint32_t>> StreamingMHKModes::IngestBatch(
   batch_.signatures.resize(static_cast<size_t>(count) * width);
   batch_.cluster.resize(count);
   batch_.refs.resize(count);
-  batch_.pruned.assign(count, 0);
   if (batch_.worker_shortlists.size() < slots) {
     batch_.worker_shortlists.resize(slots);
     batch_.worker_tokens.resize(slots);
     batch_.worker_current.resize(slots);
-    batch_.worker_sketches.resize(slots);
     // Default-constructed scratches; the stamp arrays are materialised
     // lazily by the first chunk that runs on each slot.
     batch_.worker_dedup.resize(slots);
@@ -334,31 +297,22 @@ Result<std::span<const uint32_t>> StreamingMHKModes::IngestBatch(
     }
     std::vector<uint32_t>& current = batch_.worker_current[slot];
     std::vector<uint32_t>& out = batch_.worker_shortlists[slot];
-    std::vector<uint64_t>& sketch = batch_.worker_sketches[slot];
-    if (sketch_on_ && sketch.size() < sketches_.words()) {
-      sketch.resize(sketches_.words());
-    }
     for (uint32_t i = begin; i < end; ++i) {
       const std::span<const uint32_t> row =
           rows.subspan(static_cast<size_t>(i) * m, m);
       uint64_t* signature =
           batch_.signatures.data() + static_cast<size_t>(i) * width;
       SignRow(row, tokens, signature);
-      if (sketch_on_) {
-        PackSketchBits(signature, sketches_.width(), sketch.data());
-      }
 
       // The same walk the sequential path runs (shared code keeps the
       // provisional and apply phases bit-aligned by construction); the
       // result is stashed in the slot's buffer for the apply phase.
       ShortlistSignature(std::span<const uint64_t>(signature, width),
-                         kSkipNone, sketch_on_ ? sketch.data() : nullptr,
-                         dedup, &current);
+                         kSkipNone, dedup, &current);
       const uint32_t offset = static_cast<uint32_t>(out.size());
       out.insert(out.end(), current.begin(), current.end());
       batch_.refs[i] = {slot, offset,
                         static_cast<uint32_t>(current.size())};
-      batch_.pruned[i] = dedup.last_pruned;
       batch_.cluster[i] = ScoreRow(row, current);
     }
   };
@@ -394,26 +348,16 @@ Result<std::span<const uint32_t>> StreamingMHKModes::IngestBatch(
     bool collided = false;
     const uint32_t id =
         index_->InsertDetectingRecent(signature, frozen_items, &collided);
-    // Appended before any rewalk so in-batch predecessors are screenable
-    // (the rewalk skips the item's own entries, not its sketch row).
-    if (sketch_on_) sketches_.Append(signature);
     const BatchScratch::ShortlistRef ref = batch_.refs[i];
     if (collided) {
       ++stats_.revalidated;
       ++stats_.rewalked;
-      if (sketch_on_) {
-        PackSketchBits(signature.data(), sketches_.width(),
-                       query_sketch_.data());
-      }
-      ShortlistSignature(signature, /*skip_item=*/id,
-                         sketch_on_ ? query_sketch_.data() : nullptr,
-                         dedup_, &shortlist_);
+      ShortlistSignature(signature, /*skip_item=*/id, dedup_, &shortlist_);
       const uint32_t best = ScoreRow(row, shortlist_);
       CommitAssignment(row, best,
                        shortlist_.empty()
                            ? -1
-                           : static_cast<int64_t>(shortlist_.size()),
-                       dedup_.last_pruned);
+                           : static_cast<int64_t>(shortlist_.size()));
       continue;
     }
     const std::span<const uint32_t> provisional(
@@ -437,8 +381,7 @@ Result<std::span<const uint32_t>> StreamingMHKModes::IngestBatch(
       best = ScoreRow(row, provisional);
     }
     CommitAssignment(row, best,
-                     ref.length == 0 ? -1 : static_cast<int64_t>(ref.length),
-                     batch_.pruned[i]);
+                     ref.length == 0 ? -1 : static_cast<int64_t>(ref.length));
   }
 
   return std::span<const uint32_t>(assignment_).subspan(first_new, count);

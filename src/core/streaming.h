@@ -62,7 +62,6 @@
 
 #include "core/mh_kmodes.h"
 #include "core/shortlist_provider.h"
-#include "lsh/bit_sketch.h"
 #include "lsh/dynamic_banded_index.h"
 #include "util/result.h"
 #include "util/thread_pool.h"
@@ -166,11 +165,6 @@ class StreamingMHKModes {
     /// fallback. Revalidations re-score, so their evaluations count the
     /// final (sequential-equivalent) scoring pass only.
     uint64_t exact_distances_evaluated = 0;
-    /// Candidate clusters dropped by the bit-sketch prefilter before
-    /// scoring (0 unless the bootstrap index options enabled the sketch
-    /// prefilter). A cluster counts only when every peer proposing it was
-    /// screened out.
-    uint64_t exact_distances_pruned = 0;
 
     /// Mean shortlist length over the ingests that shortlisted (0 when
     /// every ingest fell back or nothing was ingested).
@@ -195,9 +189,6 @@ class StreamingMHKModes {
   const MinHashShortlistFamily& family() const { return *family_; }
   const DynamicBandedIndex& live_index() const { return *index_; }
   const ModeTable& modes() const { return *modes_; }
-  bool sketch_enabled() const { return sketch_on_; }
-  const BitSketchTable& sketches() const { return sketches_; }
-  uint64_t sketch_max_hamming() const { return sketch_max_hamming_; }
 
   /// Test hook: forces the dedup epoch close to (or at) the wraparound so
   /// tests can exercise the stamp-reset path without 2^32 ingests.
@@ -226,21 +217,15 @@ class StreamingMHKModes {
   /// Shortlists `signature` through the live index into `shortlist` using
   /// `dedup`, optionally skipping `skip_item` (the item itself when it was
   /// already inserted). The visit order matches a pre-insert walk exactly.
-  /// When the sketch prefilter is on, `query_sketch` (the packed sketch of
-  /// `signature`, sketches_.words() words) screens each candidate peer
-  /// before its cluster enters the shortlist; `dedup.last_pruned` reports
-  /// the clusters whose every proposer was screened out.
   void ShortlistSignature(std::span<const uint64_t> signature,
-                          uint32_t skip_item, const uint64_t* query_sketch,
-                          ClusterDedupScratch& dedup,
+                          uint32_t skip_item, ClusterDedupScratch& dedup,
                           std::vector<uint32_t>* shortlist) const;
 
   /// Records `row`'s assignment: appends to assignment_, updates stats
-  /// (`shortlist_size` < 0 means exhaustive fallback; `pruned` is the
-  /// walk's prefilter-dropped cluster count) and, when enabled, the
-  /// assigned cluster's mode.
+  /// (`shortlist_size` < 0 means exhaustive fallback) and, when enabled,
+  /// the assigned cluster's mode.
   void CommitAssignment(std::span<const uint32_t> row, uint32_t cluster,
-                        int64_t shortlist_size, uint64_t pruned);
+                        int64_t shortlist_size);
 
   void UpdateModeWithItem(uint32_t cluster, std::span<const uint32_t> row);
 
@@ -267,17 +252,9 @@ class StreamingMHKModes {
   std::vector<FlatHashMap64> attribute_counts_;  // size m
   std::vector<uint32_t> best_counts_;            // k x m
 
-  // Bit-sketch prefilter state (bootstrap index options' sketch knob):
-  // one packed sketch per item seen so far, appended at index-insert time
-  // so in-batch rewalks screen against in-batch predecessors too.
-  bool sketch_on_ = false;
-  BitSketchTable sketches_;
-  uint64_t sketch_max_hamming_ = 0;
-
   // Query scratch (sequential paths + the batch apply phase).
   ClusterDedupScratch dedup_;
   std::vector<uint64_t> signature_;
-  std::vector<uint64_t> query_sketch_;
   std::vector<uint32_t> tokens_;
   std::vector<uint32_t> shortlist_;
 
@@ -304,10 +281,6 @@ class StreamingMHKModes {
       uint32_t length = 0;
     };
     std::vector<ShortlistRef> refs;
-    /// Clusters the sketch prefilter dropped from item i's provisional
-    /// walk (0 with the prefilter off); committed verbatim unless the
-    /// item re-walks, in which case the rewalk's count replaces it.
-    std::vector<uint64_t> pruned;
     /// Per-(shard, worker) state for the parallel phase, indexed by
     /// slot = shard * workers + worker — shard-local, so a shard's
     /// queries never touch pool-global scratch. Dedup stamp arrays are
@@ -316,7 +289,6 @@ class StreamingMHKModes {
     std::vector<std::vector<uint32_t>> worker_shortlists;
     std::vector<std::vector<uint32_t>> worker_tokens;
     std::vector<std::vector<uint32_t>> worker_current;  // one item's walk
-    std::vector<std::vector<uint64_t>> worker_sketches;  // one query sketch
     std::vector<ClusterDedupScratch> worker_dedup;
   };
   BatchScratch batch_;

@@ -37,8 +37,6 @@ const char* SectionName(uint32_t id) {
       return "family";
     case SectionId::kIndex:
       return "index";
-    case SectionId::kSketches:
-      return "sketches";
     case SectionId::kAssignment:
       return "assignment";
   }
@@ -46,6 +44,20 @@ const char* SectionName(uint32_t id) {
 }
 
 namespace {
+
+/// True for the ids of SectionId; every other id (including the unused 5)
+/// is skipped on load.
+bool IsKnownSection(uint32_t id) {
+  switch (static_cast<SectionId>(id)) {
+    case SectionId::kModelInfo:
+    case SectionId::kCentroids:
+    case SectionId::kFamily:
+    case SectionId::kIndex:
+    case SectionId::kAssignment:
+      return true;
+  }
+  return false;
+}
 
 using serving::internal::FrozenModelImpl;
 using serving::internal::NoFamily;
@@ -104,14 +116,6 @@ template <typename Impl>
 void FillRouted(const Impl& impl, DecodedModel* out) {
   out->has_index = true;
   out->index_raw = impl.index()->ToRaw();
-  const BitSketchTable& sketches = impl.sketches();
-  if (!sketches.empty()) {
-    out->has_sketches = true;
-    out->sketch_width = sketches.width();
-    const auto bits = sketches.packed_bits();
-    out->sketch_bits.assign(bits.begin(), bits.end());
-    out->sketch_max_hamming = impl.sketch_max_hamming();
-  }
   const auto assignment = impl.fit_assignment();
   out->fit_assignment.assign(assignment.begin(), assignment.end());
 }
@@ -214,8 +218,6 @@ std::string EncodeFamily(const DecodedModel& model) {
       AppendLeU8(&payload, static_cast<uint8_t>(options.minhash_mode));
       AppendLeU64(&payload, options.seed);
       AppendLeU8(&payload, options.keep_signatures ? 1 : 0);
-      AppendLeU8(&payload, options.sketch.enabled ? 1 : 0);
-      AppendLeF64(&payload, options.sketch.max_hamming_fraction);
       break;
     }
     case ModelFamilyKind::kSimHash: {
@@ -223,8 +225,6 @@ std::string EncodeFamily(const DecodedModel& model) {
       AppendLeU32(&payload, options.banding.bands);
       AppendLeU32(&payload, options.banding.rows);
       AppendLeU64(&payload, options.seed);
-      AppendLeU8(&payload, options.sketch.enabled ? 1 : 0);
-      AppendLeF64(&payload, options.sketch.max_hamming_fraction);
       AppendLeU32(&payload, model.simhash_dimensions);
       break;
     }
@@ -235,8 +235,6 @@ std::string EncodeFamily(const DecodedModel& model) {
       AppendLeU32(&payload, options.numeric_banding.bands);
       AppendLeU32(&payload, options.numeric_banding.rows);
       AppendLeU64(&payload, options.seed);
-      AppendLeU8(&payload, options.sketch.enabled ? 1 : 0);
-      AppendLeF64(&payload, options.sketch.max_hamming_fraction);
       AppendLeU32(&payload, static_cast<uint32_t>(model.mixed_mean.size()));
       AppendLeArray<double>(&payload, model.mixed_mean);
       break;
@@ -263,17 +261,6 @@ std::string EncodeIndex(const BandedIndex::Raw& raw) {
   return payload;
 }
 
-std::string EncodeSketches(const DecodedModel& model) {
-  std::string payload;
-  const size_t words = (static_cast<size_t>(model.sketch_width) + 63) / 64;
-  AppendLeU32(&payload, model.sketch_width);
-  AppendLeU32(&payload,
-              static_cast<uint32_t>(model.sketch_bits.size() / words));
-  AppendLeU64(&payload, model.sketch_max_hamming);
-  AppendLeArray<uint64_t>(&payload, model.sketch_bits);
-  return payload;
-}
-
 std::string EncodeAssignment(const DecodedModel& model) {
   std::string payload;
   AppendLeU32(&payload, static_cast<uint32_t>(model.fit_assignment.size()));
@@ -292,10 +279,6 @@ std::string EncodeModel(const DecodedModel& model) {
                           EncodeFamily(model));
     sections.emplace_back(static_cast<uint32_t>(SectionId::kIndex),
                           EncodeIndex(model.index_raw));
-    if (model.has_sketches) {
-      sections.emplace_back(static_cast<uint32_t>(SectionId::kSketches),
-                            EncodeSketches(model));
-    }
     sections.emplace_back(static_cast<uint32_t>(SectionId::kAssignment),
                           EncodeAssignment(model));
   }
@@ -484,64 +467,45 @@ Status DecodeFamily(ByteReader& reader, DecodedModel* model) {
       uint8_t algorithm = 0;
       uint8_t minhash_mode = 0;
       uint8_t keep_signatures = 0;
-      uint8_t sketch_enabled = 0;
       if (!reader.ReadU32(&options.banding.bands) ||
           !reader.ReadU32(&options.banding.rows) ||
           !reader.ReadU8(&algorithm) || !reader.ReadU8(&minhash_mode) ||
-          !reader.ReadU64(&options.seed) || !reader.ReadU8(&keep_signatures) ||
-          !reader.ReadU8(&sketch_enabled) ||
-          !reader.ReadF64(&options.sketch.max_hamming_fraction)) {
+          !reader.ReadU64(&options.seed) || !reader.ReadU8(&keep_signatures)) {
         return Truncated(id);
       }
       if (algorithm >
               static_cast<uint8_t>(SignatureAlgorithm::kOnePermutation) ||
           minhash_mode > static_cast<uint8_t>(MinHashMode::kDoubleHashing) ||
-          keep_signatures > 1 || sketch_enabled > 1) {
+          keep_signatures > 1) {
         return Status::InvalidArgument(
             "family section has malformed MinHash option tags");
       }
       options.algorithm = static_cast<SignatureAlgorithm>(algorithm);
       options.minhash_mode = static_cast<MinHashMode>(minhash_mode);
       options.keep_signatures = keep_signatures == 1;
-      options.sketch.enabled = sketch_enabled == 1;
       return Status::OK();
     }
     case ModelFamilyKind::kSimHash: {
       SimHashIndexOptions& options = model->simhash;
-      uint8_t sketch_enabled = 0;
       if (!reader.ReadU32(&options.banding.bands) ||
           !reader.ReadU32(&options.banding.rows) ||
-          !reader.ReadU64(&options.seed) || !reader.ReadU8(&sketch_enabled) ||
-          !reader.ReadF64(&options.sketch.max_hamming_fraction) ||
+          !reader.ReadU64(&options.seed) ||
           !reader.ReadU32(&model->simhash_dimensions)) {
         return Truncated(id);
       }
-      if (sketch_enabled > 1) {
-        return Status::InvalidArgument(
-            "family section has malformed SimHash option tags");
-      }
-      options.sketch.enabled = sketch_enabled == 1;
       return Status::OK();
     }
     case ModelFamilyKind::kMixedConcat: {
       MixedIndexOptions& options = model->mixed;
-      uint8_t sketch_enabled = 0;
       uint32_t mean_size = 0;
       if (!reader.ReadU32(&options.categorical_banding.bands) ||
           !reader.ReadU32(&options.categorical_banding.rows) ||
           !reader.ReadU32(&options.numeric_banding.bands) ||
           !reader.ReadU32(&options.numeric_banding.rows) ||
-          !reader.ReadU64(&options.seed) || !reader.ReadU8(&sketch_enabled) ||
-          !reader.ReadF64(&options.sketch.max_hamming_fraction) ||
-          !reader.ReadU32(&mean_size) ||
+          !reader.ReadU64(&options.seed) || !reader.ReadU32(&mean_size) ||
           !reader.ReadArray(mean_size, &model->mixed_mean)) {
         return Truncated(id);
       }
-      if (sketch_enabled > 1) {
-        return Status::InvalidArgument(
-            "family section has malformed mixed option tags");
-      }
-      options.sketch.enabled = sketch_enabled == 1;
       return Status::OK();
     }
     case ModelFamilyKind::kNone:
@@ -576,31 +540,6 @@ Status DecodeIndex(ByteReader& reader, DecodedModel* model) {
     }
   }
   model->has_index = true;
-  return Status::OK();
-}
-
-Status DecodeSketches(ByteReader& reader, DecodedModel* model) {
-  constexpr uint32_t id = static_cast<uint32_t>(SectionId::kSketches);
-  uint32_t num_items = 0;
-  if (!reader.ReadU32(&model->sketch_width) || !reader.ReadU32(&num_items) ||
-      !reader.ReadU64(&model->sketch_max_hamming)) {
-    return Truncated(id);
-  }
-  if (model->sketch_width < 1) {
-    return Status::InvalidArgument("sketch width must be >= 1");
-  }
-  const size_t words = (static_cast<size_t>(model->sketch_width) + 63) / 64;
-  if (!reader.ReadArray(static_cast<size_t>(num_items) * words,
-                        &model->sketch_bits)) {
-    return Truncated(id);
-  }
-  if (num_items != model->index_raw.num_items) {
-    return Status::InvalidArgument(
-        "sketches cover " + std::to_string(num_items) +
-        " items but the index holds " +
-        std::to_string(model->index_raw.num_items));
-  }
-  model->has_sketches = true;
   return Status::OK();
 }
 
@@ -765,16 +704,6 @@ Status ValidateDecodedModel(const DecodedModel& model) {
           " of a " + std::to_string(model.num_clusters) + "-cluster model");
     }
   }
-  if (model.has_sketches) {
-    uint32_t signature_width = 0;
-    for (const uint32_t rows : layout) signature_width += rows;
-    if (model.sketch_width != signature_width) {
-      return Status::InvalidArgument(
-          "sketches are " + std::to_string(model.sketch_width) +
-          " bits wide; the family signs " + std::to_string(signature_width) +
-          " components");
-    }
-  }
   return Status::OK();
 }
 
@@ -790,7 +719,7 @@ Result<DecodedModel> DecodeModelBytes(std::span<const uint8_t> data) {
       static_cast<uint32_t>(SectionId::kAssignment);
   std::array<const SectionInfo*, kMaxKnownId + 1> known{};
   for (const SectionInfo& section : info.sections) {
-    if (section.id < 1 || section.id > kMaxKnownId) continue;
+    if (!IsKnownSection(section.id)) continue;
     if (known[section.id] != nullptr) {
       return Status::InvalidArgument(
           "duplicate section '" + std::string(SectionName(section.id)) + "'");
@@ -833,8 +762,8 @@ Result<DecodedModel> DecodeModelBytes(std::span<const uint8_t> data) {
       }
     }
   } else {
-    for (const SectionId id : {SectionId::kFamily, SectionId::kIndex,
-                               SectionId::kSketches, SectionId::kAssignment}) {
+    for (const SectionId id :
+         {SectionId::kFamily, SectionId::kIndex, SectionId::kAssignment}) {
       if (present(id)) {
         return Status::InvalidArgument(
             "exhaustive model file carries a " +
@@ -854,10 +783,6 @@ Result<DecodedModel> DecodeModelBytes(std::span<const uint8_t> data) {
     {
       ByteReader reader(payload(SectionId::kIndex));
       LSHC_RETURN_NOT_OK(DecodeIndex(reader, &model));
-    }
-    if (present(SectionId::kSketches)) {
-      ByteReader reader(payload(SectionId::kSketches));
-      LSHC_RETURN_NOT_OK(DecodeSketches(reader, &model));
     }
     {
       ByteReader reader(payload(SectionId::kAssignment));
@@ -918,24 +843,16 @@ Result<CentroidTable> BuildCentroidTable(const DecodedModel& model) {
 
 namespace {
 
-/// Shared tail of the Build*Routing functions: adopt the index and the
-/// sketches from the decoded arrays. `family` already has its hashers
-/// rebuilt. No signature is recomputed anywhere on this path.
+/// Shared tail of the Build*Routing functions: adopt the index from the
+/// decoded arrays. `family` already has its hashers rebuilt. No signature
+/// is recomputed anywhere on this path.
 template <typename Family>
 Result<LoadedRouting<Family>> FinishRouting(Family family,
                                             DecodedModel&& model) {
   LSHC_ASSIGN_OR_RETURN(BandedIndex index,
                         BandedIndex::FromRaw(std::move(model.index_raw)));
-  BitSketchTable sketches;
-  if (model.has_sketches) {
-    LSHC_ASSIGN_OR_RETURN(
-        sketches,
-        BitSketchTable::FromRaw(model.sketch_width, index.num_items(),
-                                std::move(model.sketch_bits)));
-  }
   return LoadedRouting<Family>{
       std::move(family), std::make_unique<BandedIndex>(std::move(index)),
-      std::move(sketches), model.sketch_max_hamming,
       std::move(model.fit_assignment)};
 }
 
@@ -993,8 +910,8 @@ Result<ModelPtr> LoadCategorical(DecodedModel&& model) {
   if (model.family == ModelFamilyKind::kNone) {
     return ModelPtr(std::make_shared<internal::FrozenModelImpl<
                         CategoricalClusteringTraits>>(
-        options, std::move(modes), std::nullopt, nullptr, BitSketchTable(),
-        0, std::vector<uint32_t>(), primary, secondary));
+        options, std::move(modes), std::nullopt, nullptr,
+        std::vector<uint32_t>(), primary, secondary));
   }
   LSHC_ASSIGN_OR_RETURN(auto routing,
                         persist::BuildMinHashRouting(std::move(model)));
@@ -1002,8 +919,7 @@ Result<ModelPtr> LoadCategorical(DecodedModel&& model) {
       std::make_shared<internal::FrozenModelImpl<CategoricalClusteringTraits,
                                                  MinHashShortlistFamily>>(
           options, std::move(modes), std::move(routing.family),
-          std::move(routing.index), std::move(routing.sketches),
-          routing.sketch_max_hamming, std::move(routing.fit_assignment),
+          std::move(routing.index), std::move(routing.fit_assignment),
           primary, secondary));
 }
 
@@ -1018,8 +934,7 @@ Result<ModelPtr> LoadNumeric(DecodedModel&& model) {
     return ModelPtr(
         std::make_shared<internal::FrozenModelImpl<NumericClusteringTraits>>(
             options, std::move(centroids), std::nullopt, nullptr,
-            BitSketchTable(), 0, std::vector<uint32_t>(), primary,
-            secondary));
+            std::vector<uint32_t>(), primary, secondary));
   }
   LSHC_ASSIGN_OR_RETURN(auto routing,
                         persist::BuildSimHashRouting(std::move(model)));
@@ -1027,8 +942,7 @@ Result<ModelPtr> LoadNumeric(DecodedModel&& model) {
       std::make_shared<internal::FrozenModelImpl<NumericClusteringTraits,
                                                  SimHashShortlistFamily>>(
           options, std::move(centroids), std::move(routing.family),
-          std::move(routing.index), std::move(routing.sketches),
-          routing.sketch_max_hamming, std::move(routing.fit_assignment),
+          std::move(routing.index), std::move(routing.fit_assignment),
           primary, secondary));
 }
 
@@ -1047,8 +961,7 @@ Result<ModelPtr> LoadMixed(DecodedModel&& model) {
     return ModelPtr(
         std::make_shared<internal::FrozenModelImpl<MixedClusteringTraits>>(
             options, std::move(prototypes), std::nullopt, nullptr,
-            BitSketchTable(), 0, std::vector<uint32_t>(), primary,
-            secondary));
+            std::vector<uint32_t>(), primary, secondary));
   }
   LSHC_ASSIGN_OR_RETURN(auto routing,
                         persist::BuildMixedRouting(std::move(model)));
@@ -1056,8 +969,7 @@ Result<ModelPtr> LoadMixed(DecodedModel&& model) {
       std::make_shared<internal::FrozenModelImpl<MixedClusteringTraits,
                                                  MixedShortlistFamily>>(
           options, std::move(prototypes), std::move(routing.family),
-          std::move(routing.index), std::move(routing.sketches),
-          routing.sketch_max_hamming, std::move(routing.fit_assignment),
+          std::move(routing.index), std::move(routing.fit_assignment),
           primary, secondary));
 }
 

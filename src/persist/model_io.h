@@ -17,17 +17,20 @@
 /// from these on load; the mixed family additionally persists its
 /// data-dependent centering mean), Index (the raw CSR band/bucket arrays,
 /// dumped verbatim and adopted verbatim — signatures are never re-hashed
-/// on load), Sketches (the packed prefilter bit matrix + threshold) and
-/// Assignment (the fit-time item->cluster array, the routed path's
-/// cluster-reference store). Exhaustive models carry only ModelInfo +
-/// Centroids.
+/// on load) and Assignment (the fit-time item->cluster array, the routed
+/// path's cluster-reference store). Exhaustive models carry only
+/// ModelInfo + Centroids.
 ///
 /// Version / compatibility policy: readers accept exactly
 /// `kModelFormatVersion` and reject other versions with a typed Status.
 /// Within a version, the section framing is the forward-compat seam:
 /// readers skip section ids they do not know and ignore trailing bytes of
 /// known sections, so future writers may append new sections or extend
-/// existing ones without breaking this reader.
+/// existing ones without breaking this reader. A change that removes
+/// bytes from a section is not additive and bumps the version: version 2
+/// dropped 9 option bytes from every Family payload (and section id 5,
+/// which stays unused), so version 1 files are rejected rather than
+/// misread.
 ///
 /// Every load validates hard — truncation anywhere, bad magic, wrong
 /// version, a TOC entry pointing outside the file, a section CRC-32
@@ -46,7 +49,6 @@
 #include "core/mixed_shortlist_index.h"
 #include "core/simhash_shortlist_index.h"
 #include "lsh/banded_index.h"
-#include "lsh/bit_sketch.h"
 #include "serving/frozen_model.h"
 #include "util/result.h"
 
@@ -56,15 +58,15 @@ namespace lshclust::persist {
 inline constexpr char kModelMagic[4] = {'L', 'S', 'H', 'M'};
 
 /// The one format version this build writes and reads.
-inline constexpr uint32_t kModelFormatVersion = 1;
+inline constexpr uint32_t kModelFormatVersion = 2;
 
-/// Section ids of format version 1. Unknown ids are skipped on load.
+/// Section ids of the current format version. Unknown ids are skipped on
+/// load. Id 5 belonged to a version-1 section and is left unused.
 enum class SectionId : uint32_t {
   kModelInfo = 1,
   kCentroids = 2,
   kFamily = 3,
   kIndex = 4,
-  kSketches = 5,
   kAssignment = 6,
 };
 
@@ -112,13 +114,9 @@ struct DecodedModel {
   uint32_t simhash_dimensions = 0;  ///< fitted dims of the SimHash hasher
   std::vector<double> mixed_mean;   ///< mixed family's centering mean
 
-  // Index / Sketches / Assignment sections (routed models only).
+  // Index / Assignment sections (routed models only).
   bool has_index = false;
   BandedIndex::Raw index_raw;
-  bool has_sketches = false;
-  uint32_t sketch_width = 0;
-  std::vector<uint64_t> sketch_bits;
-  uint64_t sketch_max_hamming = 0;
   std::vector<uint32_t> fit_assignment;
 };
 
@@ -162,15 +160,13 @@ Result<ModeTable> BuildModeTable(const DecodedModel& model);
 Result<CentroidTable> BuildCentroidTable(const DecodedModel& model);
 
 /// \brief The routed half of a loaded model: a family with rebuilt
-/// hashers, the adopted (not re-hashed) index, sketches, and the fit
-/// assignment — everything a ShortlistProvider or FrozenModelImpl needs
-/// beyond the centroids.
+/// hashers, the adopted (not re-hashed) index and the fit assignment —
+/// everything a ShortlistProvider or FrozenModelImpl needs beyond the
+/// centroids.
 template <typename Family>
 struct LoadedRouting {
   Family family;
   std::unique_ptr<BandedIndex> index;
-  BitSketchTable sketches;
-  uint64_t sketch_max_hamming = 0;
   std::vector<uint32_t> fit_assignment;
 };
 

@@ -5,8 +5,8 @@
 ///
 /// A `FrozenModel` is a self-contained, deep-copied snapshot of a fitted
 /// clustering model: the centroid/mode table, the LSH family's hashers
-/// (seeds and hyperplanes included), the banded index's CSR arrays, the
-/// bit-sketch prefilter table, and the fit-time assignment. Nothing in it
+/// (seeds and hyperplanes included), the banded index's CSR arrays and
+/// the fit-time assignment. Nothing in it
 /// aliases live `Clusterer` state, so the source may be refit, restarted
 /// or destroyed while the snapshot keeps serving — the deliberate
 /// opposite of `IndexHandle`, which is a *view* that a refit invalidates
@@ -17,15 +17,14 @@
 /// number of threads concurrently. Per-thread mutable state lives in a
 /// caller-owned `RouteScratch` (one per reader thread), so the hot path
 /// allocates nothing once the scratch is warm. Routing follows the exact
-/// `PredictRouted` path — sign query, probe buckets, sketch-screen,
-/// exact-distance the shortlist, exhaustive fallback on an empty probe —
+/// `PredictRouted` path — sign query, probe buckets, exact-distance the
+/// shortlist, exhaustive fallback on an empty probe —
 /// through the same shared kernel (serving/routing.h), so routed results
 /// from a snapshot are bit-identical to `PredictRouted` on the fitted
 /// state it was taken from.
 ///
-/// Memory cost of a snapshot is dominated by the copied CSR arrays plus
-/// the sketch table: `memory_bytes()` reports the total,
-/// `sketch_memory_bytes()` the sketch share.
+/// Memory cost of a snapshot is dominated by the copied CSR arrays:
+/// `memory_bytes()` reports the total.
 ///
 /// Obtain snapshots from `Clusterer::Snapshot()` (any fitted modality;
 /// models fitted with `retain_index = false` or the exhaustive
@@ -105,11 +104,8 @@ class FrozenModel {
   virtual bool has_index() const = 0;
 
   /// Total bytes held by the snapshot's copied state (CSR arrays,
-  /// sketches, hashers, centroids, fit assignment).
+  /// hashers, centroids, fit assignment).
   virtual uint64_t memory_bytes() const = 0;
-
-  /// The bit-sketch table's share of `memory_bytes()`.
-  virtual uint64_t sketch_memory_bytes() const = 0;
 
  protected:
   FrozenModel() = default;

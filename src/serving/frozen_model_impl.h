@@ -7,10 +7,9 @@
 /// routed query touches — engine options (progress/cancel hooks cleared,
 /// a snapshot must not call back into the fit's lifetime), the
 /// centroid/mode table, the signing family (its hashers cloned seeds and
-/// all), the banded index's CSR arrays, the bit sketches, and the
-/// fit-time assignment. `Family = internal::NoFamily` is the exhaustive
-/// specialization: no index, Route degenerates to the exhaustive argmin
-/// (exactly Predict).
+/// all), the banded index's CSR arrays and the fit-time assignment.
+/// `Family = internal::NoFamily` is the exhaustive specialization: no
+/// index, Route degenerates to the exhaustive argmin (exactly Predict).
 ///
 /// This header is internal plumbing for api/clusterer.cpp — applications
 /// program against serving/frozen_model.h and never name these types.
@@ -28,7 +27,6 @@
 #include "data/categorical_dataset.h"
 #include "data/mixed_dataset.h"
 #include "lsh/banded_index.h"
-#include "lsh/bit_sketch.h"
 #include "serving/frozen_model.h"
 #include "serving/routing.h"
 #include "util/macros.h"
@@ -98,15 +96,12 @@ class FrozenModelImpl final : public FrozenModel {
                   typename Traits::Centroids model,
                   std::optional<Family> family,
                   std::unique_ptr<const BandedIndex> index,
-                  BitSketchTable sketches, uint64_t sketch_max_hamming,
                   std::vector<uint32_t> fit_assignment, uint32_t shape_primary,
                   uint32_t shape_secondary)
       : options_(std::move(options)),
         model_(std::move(model)),
         family_(std::move(family)),
         index_(std::move(index)),
-        sketches_(std::move(sketches)),
-        sketch_max_hamming_(sketch_max_hamming),
         fit_assignment_(std::move(fit_assignment)),
         shape_primary_(shape_primary),
         shape_secondary_(shape_secondary) {
@@ -114,9 +109,7 @@ class FrozenModelImpl final : public FrozenModel {
     // must never call back into them.
     options_.progress = nullptr;
     options_.cancel = nullptr;
-    sketch_memory_bytes_ = sketches_.MemoryUsageBytes();
-    memory_bytes_ = sketch_memory_bytes_ +
-                    (index_ != nullptr ? index_->MemoryUsageBytes() : 0) +
+    memory_bytes_ = (index_ != nullptr ? index_->MemoryUsageBytes() : 0) +
                     fit_assignment_.size() * sizeof(uint32_t);
   }
 
@@ -124,8 +117,7 @@ class FrozenModelImpl final : public FrozenModel {
     auto holder = std::make_unique<ScratchHolder>();
     holder->scratch = MakeRoutedScratch(
         options_.num_clusters,
-        index_ != nullptr ? index_->signature_width() : 0,
-        sketches_.empty() ? 0 : sketches_.words());
+        index_ != nullptr ? index_->signature_width() : 0);
     return holder;
   }
 
@@ -164,16 +156,7 @@ class FrozenModelImpl final : public FrozenModel {
       if (s.signature.size() != index_->signature_width()) {
         s.signature.resize(index_->signature_width());
       }
-      const bool sketch_on = !sketches_.empty();
-      if (sketch_on && s.query_sketch.size() != sketches_.words()) {
-        s.query_sketch.resize(sketches_.words());
-      }
-      RoutedStateView view;
-      view.index = index_.get();
-      view.fit_assignment = fit_assignment_;
-      view.sketches = &sketches_;
-      view.sketch_on = sketch_on;
-      view.sketch_max_hamming = sketch_max_hamming_;
+      const RoutedStateView view{index_.get(), fit_assignment_};
       for (uint32_t item = 0; item < n; ++item) {
         SignQuery(queries, item, s);
         out[item] =
@@ -186,9 +169,6 @@ class FrozenModelImpl final : public FrozenModel {
   uint32_t num_clusters() const override { return options_.num_clusters; }
   bool has_index() const override { return index_ != nullptr; }
   uint64_t memory_bytes() const override { return memory_bytes_; }
-  uint64_t sketch_memory_bytes() const override {
-    return sketch_memory_bytes_;
-  }
 
   // Read-only views of the frozen members, for the model-file encoder
   // (persist/model_io.cpp), which dynamic_casts a FrozenModel down to the
@@ -197,8 +177,6 @@ class FrozenModelImpl final : public FrozenModel {
   const typename Traits::Centroids& centroids() const { return model_; }
   const std::optional<Family>& family() const { return family_; }
   const BandedIndex* index() const { return index_.get(); }
-  const BitSketchTable& sketches() const { return sketches_; }
-  uint64_t sketch_max_hamming() const { return sketch_max_hamming_; }
   std::span<const uint32_t> fit_assignment() const { return fit_assignment_; }
   uint32_t shape_primary() const { return shape_primary_; }
   uint32_t shape_secondary() const { return shape_secondary_; }
@@ -226,13 +204,10 @@ class FrozenModelImpl final : public FrozenModel {
   typename Traits::Centroids model_;
   std::optional<Family> family_;
   std::unique_ptr<const BandedIndex> index_;
-  BitSketchTable sketches_;
-  uint64_t sketch_max_hamming_ = 0;
   std::vector<uint32_t> fit_assignment_;
   uint32_t shape_primary_ = 0;
   uint32_t shape_secondary_ = 0;
   uint64_t memory_bytes_ = 0;
-  uint64_t sketch_memory_bytes_ = 0;
 };
 
 }  // namespace lshclust::serving::internal

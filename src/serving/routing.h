@@ -2,8 +2,8 @@
 
 /// \file routing.h
 /// \brief The shared routed-query kernel: sign query -> probe buckets ->
-/// sketch-screen -> exact distance over the shortlist, exhaustive
-/// fallback on an empty probe.
+/// exact distance over the shortlist, exhaustive fallback on an empty
+/// probe.
 ///
 /// This is the per-item body of the facade's PredictRouted factored into
 /// one place so the serving layer's FrozenModel::Route executes *the same
@@ -23,7 +23,6 @@
 #include "clustering/engine.h"
 #include "core/shortlist_provider.h"
 #include "lsh/banded_index.h"
-#include "lsh/bit_sketch.h"
 
 namespace lshclust::serving {
 
@@ -34,45 +33,37 @@ namespace lshclust::serving {
 struct RoutedScratch {
   ClusterDedupScratch dedup;
   std::vector<uint64_t> signature;
-  std::vector<uint64_t> query_sketch;
   std::vector<uint32_t> shortlist;
   std::vector<uint32_t> tokens;
   std::vector<double> centered;
 };
 
-/// A scratch sized for `num_clusters` clusters, a `signature_width`-wide
-/// signature and (when the sketch screen is on) `sketch_words` packed
-/// sketch words. The shortlist/token buffers grow lazily on first use and
+/// A scratch sized for `num_clusters` clusters and a `signature_width`-wide
+/// signature. The shortlist/token buffers grow lazily on first use and
 /// keep their capacity, so steady-state routing through a warmed scratch
 /// performs no allocation.
 inline RoutedScratch MakeRoutedScratch(uint32_t num_clusters,
-                                       uint32_t signature_width,
-                                       uint32_t sketch_words) {
+                                       uint32_t signature_width) {
   RoutedScratch scratch;
   scratch.dedup = MakeClusterDedupScratch(num_clusters);
   scratch.signature.resize(signature_width);
-  scratch.query_sketch.resize(sketch_words);
   return scratch;
 }
 
 /// \brief Read-only view of the routed-query state: the banded buckets
-/// over the fitted items' signatures, the fitted assignment as the
-/// cluster-reference store, and the optional bit-sketch screen. Built by
-/// the facade over its retained provider and by FrozenModel over its
-/// snapshot copies — both views route identically over identical state.
+/// over the fitted items' signatures and the fitted assignment as the
+/// cluster-reference store. Built by the facade over its retained provider
+/// and by FrozenModel over its snapshot copies — both views route
+/// identically over identical state.
 struct RoutedStateView {
   const BandedIndex* index = nullptr;
   std::span<const uint32_t> fit_assignment;
-  const BitSketchTable* sketches = nullptr;  ///< may be empty
-  bool sketch_on = false;
-  uint64_t sketch_max_hamming = 0;
 };
 
 /// Routes one already-signed query (scratch.signature holds the query's
 /// signature) through `view`: probe the fit-time buckets, dereference
-/// candidate clusters through the fitted assignment (screening candidate
-/// peers' packed sketches against the query's when the view carries a
-/// sketch table), and return the nearest candidate — with the engine's
+/// candidate clusters through the fitted assignment, and return the
+/// nearest candidate — with the engine's
 /// exhaustive argmin kernel as the fallback for an empty probe, so no
 /// query goes unanswered. Candidates are scanned in ascending cluster-id
 /// order with strict improvement, which is the exhaustive scan's
@@ -85,21 +76,12 @@ uint32_t RouteSignedQuery(const typename Traits::Dataset& dataset,
                           const RoutedStateView& view, uint32_t item,
                           RoutedScratch& scratch) {
   const uint32_t k = options.num_clusters;
-  if (view.sketch_on) {
-    PackSketchBits(scratch.signature.data(), view.index->signature_width(),
-                   scratch.query_sketch.data());
-  }
   scratch.shortlist.clear();
   BumpDedupEpoch(scratch.dedup);
   view.index->VisitCandidatesOfSignature(
       scratch.signature, [&](uint32_t other) {
         const uint32_t cluster = view.fit_assignment[other];
         if (scratch.dedup.cluster_stamp[cluster] == scratch.dedup.epoch) {
-          return;
-        }
-        if (view.sketch_on &&
-            view.sketches->HammingTo(scratch.query_sketch.data(), other) >
-                view.sketch_max_hamming) {
           return;
         }
         scratch.dedup.cluster_stamp[cluster] = scratch.dedup.epoch;

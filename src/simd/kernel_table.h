@@ -52,11 +52,6 @@ struct KernelTable {
   /// batched token hash of MinHash / one-permutation MinHash signing.
   void (*mix64_batch)(const uint32_t* tokens, uint32_t count, uint64_t seed,
                       uint64_t* out);
-
-  /// Popcount of XOR over `words` 64-bit words: the Hamming distance of two
-  /// packed bit sketches, used by the shortlist prefilter.
-  uint64_t (*hamming_words)(const uint64_t* a, const uint64_t* b,
-                            uint32_t words);
 };
 
 /// Per-tier tables, defined in kernels_scalar.cpp / kernels_sse42.cpp /

@@ -207,9 +207,6 @@ const KernelTable kAvx2Kernels = {
     /*dot=*/Avx2Dot,
     /*minhash_scan=*/Avx2MinHashScan,
     /*mix64_batch=*/Avx2Mix64Batch,
-    // Sketches are a handful of words; hardware popcnt (this TU is built
-    // with -mpopcnt) is already the fast path.
-    /*hamming_words=*/ScalarHammingWords,
 };
 
 }  // namespace lshclust::simd
@@ -228,7 +225,6 @@ const KernelTable kAvx2Kernels = {
     /*dot=*/ScalarDot,
     /*minhash_scan=*/ScalarMinHashScan,
     /*mix64_batch=*/ScalarMix64Batch,
-    /*hamming_words=*/ScalarHammingWords,
 };
 
 }  // namespace lshclust::simd

@@ -5,9 +5,10 @@
 /// CMakeLists.txt); only ever called after dispatch.cpp has confirmed the
 /// host supports all three subsets. The integer kernels go 512-bit wide:
 /// mask-register compares for mismatch counting, `_mm512_min_epu64` for
-/// the permutation scan, `_mm512_mullo_epi64` (the DQ requirement) for
-/// batched Mix64, and `_mm512_popcnt_epi64` (the VPOPCNTDQ requirement)
-/// for sketch Hamming distance. The float kernels are the AVX2 tier's
+/// the permutation scan and `_mm512_mullo_epi64` (the DQ requirement) for
+/// batched Mix64. No kernel uses VPOPCNTDQ any more; the tier still
+/// requires it so the set of CPUs that select this tier stays unchanged.
+/// The float kernels are the AVX2 tier's
 /// 256-bit implementations verbatim: widening them to one 8-lane __m512d
 /// accumulator would change the reduction order and break the cross-tier
 /// bit-identity contract, and the early-exit partial checks keep the
@@ -122,6 +123,18 @@ double Avx512Dot(const double* a, const double* b, uint32_t d) {
   return sum;
 }
 
+// GCC 12 raises -Wuninitialized / -Wmaybe-uninitialized inside
+// avx512fintrin.h for the two kernels below: its unmasked intrinsics pass a
+// deliberately undefined `__Y` vector as the ignored pass-through operand
+// of the masked builtin. The warning is about the header, not this code,
+// so it is silenced for these kernels only and the intrinsics stay as
+// they are. Clang has no such warning and is left alone.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
+
 void Avx512MinHashScan(uint64_t* out, uint32_t n, uint64_t h0, uint64_t step) {
   const __m512i vstep = _mm512_set1_epi64(static_cast<int64_t>(8 * step));
   __m512i v = _mm512_set_epi64(static_cast<int64_t>(h0 + 7 * step),
@@ -171,23 +184,9 @@ void Avx512Mix64Batch(const uint32_t* tokens, uint32_t count, uint64_t seed,
   }
 }
 
-/// The AVX512VPOPCNTDQ requirement: per-lane 64-bit popcount, so sketch
-/// Hamming distance runs 8 words per step instead of one popcnt each.
-uint64_t Avx512HammingWords(const uint64_t* a, const uint64_t* b,
-                            uint32_t words) {
-  __m512i acc = _mm512_setzero_si512();
-  uint32_t w = 0;
-  for (; w + 8 <= words; w += 8) {
-    const __m512i va = _mm512_loadu_si512(a + w);
-    const __m512i vb = _mm512_loadu_si512(b + w);
-    acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(_mm512_xor_si512(va, vb)));
-  }
-  uint64_t total = static_cast<uint64_t>(_mm512_reduce_add_epi64(acc));
-  for (; w < words; ++w) {
-    total += static_cast<uint64_t>(__builtin_popcountll(a[w] ^ b[w]));
-  }
-  return total;
-}
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
 }  // namespace
 
@@ -198,7 +197,6 @@ const KernelTable kAvx512Kernels = {
     /*dot=*/Avx512Dot,
     /*minhash_scan=*/Avx512MinHashScan,
     /*mix64_batch=*/Avx512Mix64Batch,
-    /*hamming_words=*/Avx512HammingWords,
 };
 
 }  // namespace lshclust::simd
@@ -218,7 +216,6 @@ const KernelTable kAvx512Kernels = {
     /*dot=*/ScalarDot,
     /*minhash_scan=*/ScalarMinHashScan,
     /*mix64_batch=*/ScalarMix64Batch,
-    /*hamming_words=*/ScalarHammingWords,
 };
 
 }  // namespace lshclust::simd

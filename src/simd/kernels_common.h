@@ -7,9 +7,8 @@
 /// its *own* copy under its own ISA flags — there is no external symbol the
 /// linker could deduplicate across TUs, which is what makes it safe to
 /// include this header from the -msse4.2 / -mavx2 files (no ODR/ISA leak).
-/// The scalar tier's table points at these directly; the vector tiers fall
-/// back to them for kernels where vectorization does not pay off (e.g.
-/// hamming_words over the handful of sketch words) and override the rest.
+/// The scalar tier's table points at these directly; a vector tier built
+/// without its ISA flags points its whole table at them.
 ///
 /// `ScalarMix64` must match util/rng.h `Mix64` bit-for-bit — it is
 /// re-implemented here (rather than included) to keep the tier TUs off the
@@ -135,15 +134,6 @@ namespace {
   for (uint32_t i = 0; i < count; ++i) {
     out[i] = ScalarMix64(static_cast<uint64_t>(tokens[i]) ^ seed);
   }
-}
-
-[[maybe_unused]] static uint64_t ScalarHammingWords(const uint64_t* a, const uint64_t* b,
-                                   uint32_t words) {
-  uint64_t distance = 0;
-  for (uint32_t w = 0; w < words; ++w) {
-    distance += static_cast<uint64_t>(__builtin_popcountll(a[w] ^ b[w]));
-  }
-  return distance;
 }
 
 }  // namespace

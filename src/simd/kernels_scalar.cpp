@@ -17,7 +17,6 @@ const KernelTable kScalarKernels = {
     /*dot=*/ScalarDot,
     /*minhash_scan=*/ScalarMinHashScan,
     /*mix64_batch=*/ScalarMix64Batch,
-    /*hamming_words=*/ScalarHammingWords,
 };
 
 }  // namespace lshclust::simd

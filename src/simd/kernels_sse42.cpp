@@ -213,9 +213,6 @@ const KernelTable kSse42Kernels = {
     /*dot=*/Sse42Dot,
     /*minhash_scan=*/Sse42MinHashScan,
     /*mix64_batch=*/Sse42Mix64Batch,
-    // Sketches are a handful of words; hardware popcnt (this TU is built
-    // with -mpopcnt) is already the fast path.
-    /*hamming_words=*/ScalarHammingWords,
 };
 
 }  // namespace lshclust::simd
@@ -234,7 +231,6 @@ const KernelTable kSse42Kernels = {
     /*dot=*/ScalarDot,
     /*minhash_scan=*/ScalarMinHashScan,
     /*mix64_batch=*/ScalarMix64Batch,
-    /*hamming_words=*/ScalarHammingWords,
 };
 
 }  // namespace lshclust::simd

@@ -224,9 +224,14 @@ TEST(EdgeCaseTest, ProviderSeesInPlaceAssignmentUpdatesWithinAPass) {
 // local classes cannot carry the static kExhaustive member in C++20).
 struct FrozenProvider {
   static constexpr bool kExhaustive = false;
-  Status Prepare(const CategoricalDataset&) { return Status::OK(); }
+  struct Scratch {};
+  Scratch MakeScratch() const { return {}; }
+  Status Prepare(const CategoricalDataset&, ThreadPool*,
+                 const std::function<bool()>*) {
+    return Status::OK();
+  }
   void GetCandidates(uint32_t item, std::span<const uint32_t> assignment,
-                     std::vector<uint32_t>* out) {
+                     Scratch&, std::vector<uint32_t>* out) const {
     out->assign(1, assignment[item]);
   }
 };

@@ -24,10 +24,15 @@ namespace {
 // proving the shortlist machinery itself introduces no behavioural change.
 struct AllClustersShortlistProvider {
   static constexpr bool kExhaustive = false;
+  struct Scratch {};
   uint32_t num_clusters = 0;
-  Status Prepare(const CategoricalDataset&) { return Status::OK(); }
-  void GetCandidates(uint32_t, std::span<const uint32_t>,
-                     std::vector<uint32_t>* out) {
+  Scratch MakeScratch() const { return {}; }
+  Status Prepare(const CategoricalDataset&, ThreadPool*,
+                 const std::function<bool()>*) {
+    return Status::OK();
+  }
+  void GetCandidates(uint32_t, std::span<const uint32_t>, Scratch&,
+                     std::vector<uint32_t>* out) const {
     out->resize(num_clusters);
     for (uint32_t c = 0; c < num_clusters; ++c) (*out)[c] = c;
   }

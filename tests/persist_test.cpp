@@ -173,13 +173,12 @@ void ExpectRoundTripParity(const ClustererSpec& spec, const Dataset& fit_data,
   EXPECT_EQ(*via_resnapshot, *expected);
 }
 
-ClustererSpec MinHashSpec(uint32_t threads, bool sketch) {
+ClustererSpec MinHashSpec(uint32_t threads) {
   ClustererSpec spec;
   spec.modality = Modality::kCategorical;
   spec.accelerator = Accelerator::kMinHash;
   spec.engine = BaseEngine(8, threads);
   spec.minhash.banding = {8, 2};
-  spec.minhash.sketch.enabled = sketch;
   return spec;
 }
 
@@ -190,10 +189,8 @@ TEST(PersistRoundTripTest, CategoricalMinHashBitIdentical) {
   const auto fit_data = SliceCategorical(all, 0, 300);
   const auto arrivals = SliceCategorical(all, 300, 60);
   for (const uint32_t threads : {1u, 4u}) {
-    for (const bool sketch : {false, true}) {
-      ExpectRoundTripParity(MinHashSpec(threads, sketch), fit_data, arrivals,
-                            TempPath("minhash.lshm"));
-    }
+    ExpectRoundTripParity(MinHashSpec(threads), fit_data, arrivals,
+                          TempPath("minhash.lshm"));
   }
 }
 
@@ -322,7 +319,7 @@ TEST(PersistRoundTripTest, LoadedModelMatchesAcrossSimdTiers) {
   const auto arrivals = SliceCategorical(all, 300, 60);
   const std::string path = TempPath("tiers.lshm");
 
-  auto fitted = Clusterer::Create(MinHashSpec(1, true));
+  auto fitted = Clusterer::Create(MinHashSpec(1));
   ASSERT_TRUE(fitted.ok());
   ASSERT_TRUE(fitted->Fit(fit_data).ok());
   auto snapshot = fitted->Snapshot();
@@ -348,7 +345,7 @@ TEST(PersistRoundTripTest, SaveLoadSaveIsByteIdentical) {
   const std::string first = TempPath("first.lshm");
   const std::string second = TempPath("second.lshm");
 
-  auto fitted = Clusterer::Create(MinHashSpec(1, true));
+  auto fitted = Clusterer::Create(MinHashSpec(1));
   ASSERT_TRUE(fitted.ok());
   ASSERT_TRUE(fitted->Fit(fit_data).ok());
   auto snapshot = fitted->Snapshot();
@@ -369,7 +366,7 @@ class PersistCorruptionTest : public ::testing::Test {
   void SetUp() override {
     const auto all = CategoricalAll();
     const auto fit_data = SliceCategorical(all, 0, 300);
-    auto fitted = Clusterer::Create(MinHashSpec(1, true));
+    auto fitted = Clusterer::Create(MinHashSpec(1));
     ASSERT_TRUE(fitted.ok());
     ASSERT_TRUE(fitted->Fit(fit_data).ok());
     auto snapshot = fitted->Snapshot();
@@ -380,7 +377,8 @@ class PersistCorruptionTest : public ::testing::Test {
     auto info = persist::InspectModelFile(path_);
     ASSERT_TRUE(info.ok());
     info_ = *info;
-    ASSERT_EQ(info_.sections.size(), 6u);  // minhash + sketches: all six
+    // A routed MinHash model carries all five sections.
+    ASSERT_EQ(info_.sections.size(), 5u);
   }
 
   /// Writes `bytes` to a scratch path and expects both load paths to fail
@@ -407,9 +405,26 @@ TEST_F(PersistCorruptionTest, RejectsBadMagicAndWrongVersion) {
   bad_magic[0] = 'X';
   ExpectRejected(bad_magic, "bad magic");
 
-  std::string wrong_version = bytes_;
-  wrong_version[4] = 99;
-  ExpectRejected(wrong_version, "wrong version");
+  // Version 1 files carry a longer Family payload, so they must get the
+  // typed unsupported-version error on every load path, exactly like a
+  // version no build ever wrote.
+  for (const char version : {char{1}, char{99}}) {
+    std::string wrong_version = bytes_;
+    wrong_version[4] = version;
+    ExpectRejected(wrong_version, "wrong version");
+    const std::string path = TempPath("wrong_version.lshm");
+    WriteFileBytes(path, wrong_version);
+    const std::string expected =
+        "unsupported model format version " + std::to_string(version);
+    const Status statuses[] = {persist::DecodeModelFile(path).status(),
+                               serving::LoadFrozenModel(path).status(),
+                               Clusterer::FromSnapshot(path).status()};
+    for (const Status& status : statuses) {
+      EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+      EXPECT_NE(status.message().find(expected), std::string::npos)
+          << status.ToString();
+    }
+  }
 
   ExpectRejected("", "empty file");
   ExpectRejected("LSH", "shorter than the magic");
@@ -493,18 +508,21 @@ TEST_F(PersistCorruptionTest, MissingFileIsACleanError) {
 // ----------------------------------------------------------- inspection ----
 
 TEST_F(PersistCorruptionTest, InspectReportsTheFullTableOfContents) {
-  EXPECT_EQ(info_.format_version, 1u);
+  EXPECT_EQ(info_.format_version, 2u);
   EXPECT_EQ(info_.file_size, bytes_.size());
+  // All five, in id order; id 5 is unused since format version 2.
+  const uint32_t expected_ids[] = {1, 2, 3, 4, 6};
   uint64_t expected_offset = info_.sections.front().offset;
   for (size_t i = 0; i < info_.sections.size(); ++i) {
     const auto& section = info_.sections[i];
-    EXPECT_EQ(section.id, i + 1);  // all six, in id order
+    EXPECT_EQ(section.id, expected_ids[i]);
     EXPECT_EQ(section.offset, expected_offset);
     EXPECT_TRUE(section.crc_ok);
     expected_offset += section.size;
   }
   EXPECT_EQ(expected_offset, bytes_.size());
   EXPECT_STREQ(persist::SectionName(1), "model_info");
+  EXPECT_STREQ(persist::SectionName(5), "unknown");
   EXPECT_STREQ(persist::SectionName(6), "assignment");
   EXPECT_STREQ(persist::SectionName(99), "unknown");
 }

@@ -1,18 +1,13 @@
 // Tests for the src/simd/ runtime-dispatch subsystem: tier selection and
 // forcing, bit-exact parity of every kernel across all supported dispatch
 // tiers (odd lengths, misaligned inputs, empty inputs, early-exit
-// partials), the ScalarMix64 == Mix64 pin the hashing rewires rely on,
-// and the engine-level bit-sketch prefilter golden (identical assignments
-// with strictly fewer exact distance evaluations).
+// partials) and the ScalarMix64 == Mix64 pin the hashing rewires rely on.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <vector>
 
-#include "core/mh_kmodes.h"
-#include "datagen/conjunctive_generator.h"
-#include "lsh/bit_sketch.h"
 #include "simd/dispatch.h"
 #include "simd/kernel_table.h"
 #include "util/rng.h"
@@ -243,111 +238,6 @@ TEST(SimdKernelParityTest, Mix64BatchAllTiersAndMatchesRngMix64) {
       }
     }
   }
-}
-
-TEST(SimdKernelParityTest, HammingWordsAllTiers) {
-  TierGuard guard;
-  const auto tiers = SupportedTiers();
-  for (const uint32_t words : {0u, 1u, 2u, 3u, 7u, 8u, 64u}) {
-    Rng rng(9000 + words);
-    std::vector<uint64_t> a(words), b(words);
-    for (auto& v : a) v = rng.Next();
-    for (auto& v : b) v = rng.Next();
-    uint64_t expected = 0;
-    for (uint32_t w = 0; w < words; ++w) {
-      expected += static_cast<uint64_t>(__builtin_popcountll(a[w] ^ b[w]));
-    }
-    for (const simd::SimdTier tier : tiers) {
-      ASSERT_TRUE(simd::ForceSimdTier(tier));
-      EXPECT_EQ(simd::ActiveKernels().hamming_words(a.data(), b.data(),
-                                                    words),
-                expected)
-          << "tier=" << simd::TierName(tier) << " words=" << words;
-    }
-  }
-}
-
-// ------------------------------------------------- bit-sketch prefilter --
-
-TEST(BitSketchTest, PackAndHammingRoundTrip) {
-  const uint32_t width = 100;
-  Rng rng(31);
-  std::vector<uint64_t> sig_a(width), sig_b(width);
-  for (auto& v : sig_a) v = rng.Next();
-  for (auto& v : sig_b) v = rng.Next();
-
-  BitSketchTable table;
-  table.Reset(width);
-  table.Append(sig_a);
-  table.Append(sig_b);
-  ASSERT_EQ(table.num_items(), 2u);
-  ASSERT_EQ(table.words(), (width + 63) / 64);
-
-  uint64_t expected = 0;
-  for (uint32_t j = 0; j < width; ++j) {
-    expected += (sig_a[j] & 1ull) != (sig_b[j] & 1ull) ? 1 : 0;
-  }
-  EXPECT_EQ(table.HammingTo(table.Row(0), 1), expected);
-  EXPECT_EQ(table.HammingTo(table.Row(0), 0), 0u);
-  EXPECT_EQ(table.HammingTo(table.Row(1), 0), expected);
-}
-
-TEST(BitSketchTest, ValidateSketchPrefilterRejectsBadFraction) {
-  SketchPrefilterOptions options;
-  options.max_hamming_fraction = 1.5;
-  EXPECT_FALSE(ValidateSketchPrefilter(options, "test").ok());
-  options.max_hamming_fraction = -0.1;
-  EXPECT_FALSE(ValidateSketchPrefilter(options, "test").ok());
-  options.max_hamming_fraction = 0.45;
-  EXPECT_TRUE(ValidateSketchPrefilter(options, "test").ok());
-}
-
-// Engine-level golden: the same MH-K-Modes run with the prefilter off and
-// on must produce bit-identical assignments while evaluating strictly
-// fewer exact distances (and reporting what it pruned).
-//
-// Workload note: the screen only has work to do when shortlists contain
-// spurious collisions. A small domain gives unrelated rules ~5% shared
-// attributes (sketch Hamming ~ 49 > threshold 45) while same-rule peers
-// share 80% (Hamming ~ 16) — a wide gap, so pruning is substantial and
-// can never touch a cluster that could win the argmin. Two rows per band
-// keeps the spurious collision rate low but nonzero.
-TEST(SketchPrefilterGoldenTest, IdenticalAssignmentsFewerEvaluations) {
-  ConjunctiveDataOptions data;
-  data.num_items = 3000;
-  data.num_attributes = 100;
-  data.num_clusters = 300;
-  data.domain_size = 20;
-  data.min_rule_fraction = 0.8;
-  data.max_rule_fraction = 0.8;
-  data.seed = 11;
-  const auto dataset = GenerateConjunctiveRuleData(data).ValueOrDie();
-
-  MHKModesOptions options;
-  options.engine.num_clusters = data.num_clusters;
-  options.engine.max_iterations = 8;
-  options.engine.seed = 7;
-  options.engine.compute_cost = false;
-  options.index.banding = {20, 2};
-
-  options.index.sketch.enabled = false;
-  const auto off = RunMHKModes(dataset, options);
-  ASSERT_TRUE(off.ok()) << off.status().ToString();
-  EXPECT_EQ(off->result.exact_distances_pruned, 0u);
-
-  options.index.sketch.enabled = true;
-  const auto on = RunMHKModes(dataset, options);
-  ASSERT_TRUE(on.ok()) << on.status().ToString();
-
-  EXPECT_EQ(on->result.assignment, off->result.assignment);
-  EXPECT_EQ(on->result.iterations.size(), off->result.iterations.size());
-  EXPECT_LT(on->result.exact_distances_evaluated,
-            off->result.exact_distances_evaluated);
-  EXPECT_GT(on->result.exact_distances_pruned, 0u);
-  // Every pruned candidate is an exact evaluation that did not happen.
-  EXPECT_EQ(on->result.exact_distances_evaluated +
-                on->result.exact_distances_pruned,
-            off->result.exact_distances_evaluated);
 }
 
 }  // namespace

@@ -101,12 +101,6 @@ void PrintModel(const DecodedModel& model) {
                 largest);
   }
   std::printf("\nsignature:      %u hashes\n", signature_width);
-  if (model.has_sketches) {
-    std::printf("sketches:       %u bits/item, hamming cutoff %" PRIu64 "\n",
-                model.sketch_width, model.sketch_max_hamming);
-  } else {
-    std::printf("sketches:       none\n");
-  }
   std::printf("assignment:     %zu items\n", model.fit_assignment.size());
 }
 
