@@ -17,7 +17,7 @@
 // flags overheads above 10%.
 //
 // Each LSH cell additionally runs a routed-predict throughput workload:
-// the fitted Clusterer retains its index (spec.retain_index), every item
+// the fitted Clusterer's model keeps its index, every item
 // is then routed out-of-sample through PredictRouted (sign -> probe the
 // fit-time buckets -> nearest-of-shortlist) and through the exhaustive
 // Predict, and the record carries both timings plus their ratio
@@ -154,7 +154,7 @@ void ReportFacade(bench::JsonBenchWriter* writer, const char* family,
 }
 
 /// Routed-vs-exhaustive out-of-sample assignment throughput through the
-/// retained fit-time index: Fit once (retaining the index), then route
+/// fitted model's index: Fit once (the model keeps the index), then route
 /// every item of `arrivals` via PredictRouted and via the exhaustive
 /// Predict. Zero re-signing of the fitted dataset is a hard assertion;
 /// the agreement rate is recorded (routing can differ where the probe
@@ -168,9 +168,8 @@ void ReportRoutedPredict(bench::JsonBenchWriter* writer, const char* family,
   LSHC_CHECK_OK(clusterer.status());
   auto report = clusterer->Fit(fit_data);
   LSHC_CHECK_OK(report.status());
-  LSHC_CHECK(report->index_retained)
-      << "routed-predict workload needs a retained index (" << family
-      << ")";
+  LSHC_CHECK(report->has_index)
+      << "routed-predict workload needs a fitted index (" << family << ")";
 
   Stopwatch watch;
   auto routed = clusterer->PredictRouted(arrivals);

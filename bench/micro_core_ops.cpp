@@ -164,9 +164,10 @@ void BM_ShortlistQuery(benchmark::State& state) {
   std::vector<uint32_t> assignment(n);
   for (uint32_t i = 0; i < n; ++i) assignment[i] = i % k;
   std::vector<uint32_t> shortlist;
+  auto scratch = provider.MakeScratch();
   uint32_t item = 0;
   for (auto _ : state) {
-    provider.GetCandidates(item, assignment, &shortlist);
+    provider.GetCandidates(item, assignment, scratch, &shortlist);
     benchmark::DoNotOptimize(shortlist.data());
     item = (item + 1) % n;
   }

@@ -9,8 +9,8 @@
 // categorical attributes (brand, category, colour, ...); near-duplicate
 // listings must be grouped. The demo clusters the catalog through the
 // lshclust::Clusterer front door and then *routes newly arriving
-// listings* through the very index the fit built: Fit retains its
-// shortlist state (spec.retain_index, on by default), so
+// listings* through the very index the fit built: the fitted model keeps
+// its shortlist index, so
 // Clusterer::PredictRouted signs each arrival, probes the fit-time
 // buckets and compares only against the candidate groups — no second
 // signing pass over the catalog, no standalone re-built index (the
@@ -82,8 +82,8 @@ int main(int argc, char** argv) {
   spec.engine.num_clusters = static_cast<uint32_t>(groups);
   spec.engine.seed = static_cast<uint64_t>(seed);
   spec.minhash.banding = {20, 5};
-  // spec.retain_index defaults to true: Fit keeps the index it built,
-  // which is what the routed arrivals below run against.
+  // The fitted model keeps the index Fit built, which is what the routed
+  // arrivals below run against.
 
   Stopwatch watch;
   auto clusterer = Clusterer::Create(spec);
@@ -91,8 +91,8 @@ int main(int argc, char** argv) {
   auto report = clusterer->Fit(*catalog);
   LSHC_CHECK_OK(report.status());
   const ClusteringResult& result = report->result;
-  LSHC_CHECK(report->index_retained)
-      << "fit should have retained its shortlist index";
+  LSHC_CHECK(report->has_index)
+      << "fit should have built its shortlist index";
   std::printf("clustered in %.2fs (%zu iterations, %s), mean shortlist "
               "%.2f of %lld groups\n",
               watch.ElapsedSeconds(), result.iterations.size(),
@@ -100,14 +100,14 @@ int main(int argc, char** argv) {
               result.iterations.back().mean_shortlist,
               static_cast<long long>(groups));
 
-  // The retained fit-time index, as a live handle: occupancy stats for
+  // The fit-time index, as a handle on the fitted model: occupancy stats for
   // capacity planning, and direct near-duplicate candidate enumeration —
   // the pairs the banding S-curve considers similar, with zero distance
   // computations.
   auto handle = clusterer->index();
   LSHC_CHECK_OK(handle.status());
   const BandedIndex::Stats occupancy = handle->ComputeStats();
-  std::printf("retained index: %llu buckets (largest %llu, mean %.2f), "
+  std::printf("fitted index: %llu buckets (largest %llu, mean %.2f), "
               "%.1f MiB\n",
               static_cast<unsigned long long>(occupancy.total_buckets),
               static_cast<unsigned long long>(occupancy.largest_bucket),
@@ -132,10 +132,8 @@ int main(int argc, char** argv) {
   LSHC_CHECK_OK(routed.status());
   const double routing_seconds = watch.ElapsedSeconds();
 
-  // The dedup decisions must come from the retained index alone: the
+  // The dedup decisions must come from the fitted index alone: the
   // catalog was signed exactly once (by Fit), routing added nothing.
-  // (The counter is snapshotted at handle creation, so re-fetch a fresh
-  // handle to observe the post-routing value.)
   LSHC_CHECK(clusterer->index()->dataset_sign_passes() == 1)
       << "routing re-signed the fitted catalog";
   // Routing is deterministic: a second pass decides identically.
@@ -155,7 +153,7 @@ int main(int argc, char** argv) {
     agree += (*routed)[arrival] == (*exhaustive)[arrival] ? 1 : 0;
   }
 
-  std::printf("routed %lld arrivals in %.3fs via the retained fit-time "
+  std::printf("routed %lld arrivals in %.3fs via the fit-time "
               "index vs %.3fs exhaustively (%.1fx); %.1f%% routed to the "
               "exhaustive scan's group\n",
               static_cast<long long>(arrivals), routing_seconds,

@@ -4,11 +4,11 @@
 #include <cmath>
 #include <memory>
 #include <optional>
+#include <type_traits>
 #include <utility>
 
 #include "persist/model_io.h"
 #include "serving/frozen_model_impl.h"
-#include "serving/routing.h"
 #include "shard/shard_executor.h"
 #include "shard/shard_plan.h"
 #include "util/macros.h"
@@ -172,43 +172,24 @@ namespace internal {
 
 namespace {
 
+using serving::internal::FrozenModelImpl;
+
 /// Runs the engine and folds the outcome into a FitReport: cancellation
-/// becomes FitReport::status = kCancelled (the partial result stays), and
-/// banding-index providers contribute their diagnostics. `retain` mirrors
-/// the dispatcher's retention decision: occupancy stats and the memory
-/// footprint are reported only for an index that stays alive (the
-/// dispatcher commits exactly the providers this marks retained), so the
-/// report can never describe freed state.
+/// becomes FitReport::status = kCancelled (the partial result stays).
 template <typename Traits, typename Provider>
 Result<FitReport> RunToReport(const typename Traits::Dataset& dataset,
                               const typename Traits::Options& options,
                               Provider& provider,
-                              typename Traits::Centroids* model,
-                              bool retain = false) {
+                              typename Traits::Centroids* centroids) {
   FitReport report;
   LSHC_ASSIGN_OR_RETURN(report.result,
                         (ClusteringEngine<Traits, Provider>::Run(
-                            dataset, options, provider, model)));
+                            dataset, options, provider, centroids)));
   if (report.result.cancelled) {
     report.status = Status::Cancelled(
         "run stopped by the cancellation hook after " +
         std::to_string(report.result.iterations.size()) +
         " completed refinement iteration(s); the report holds that state");
-  }
-  if constexpr (requires {
-                  provider.index();
-                  provider.IndexStats();
-                }) {
-    if (provider.index() != nullptr) {
-      report.has_index = true;
-      report.signature_seconds = provider.signature_seconds();
-      report.index_seconds = provider.index_seconds();
-      if (retain) {
-        report.index_retained = true;
-        report.index_stats = provider.IndexStats();
-        report.index_memory_bytes = provider.MemoryUsageBytes();
-      }
-    }
   }
   return report;
 }
@@ -217,7 +198,7 @@ Result<FitReport> RunToReport(const typename Traits::Dataset& dataset,
 /// literally the engine's exhaustive argmin kernel
 /// (BestClusterExhaustive, seed cluster 0), so ties resolve identically
 /// to a Fit pass by construction. Chunked across a worker pool when the
-/// spec's num_threads asks for one; per-item pure, so bit-identical
+/// options' num_threads asks for one; per-item pure, so bit-identical
 /// either way.
 template <typename Traits>
 std::vector<uint32_t> AssignNearest(const typename Traits::Dataset& dataset,
@@ -248,78 +229,108 @@ std::vector<uint32_t> AssignNearest(const typename Traits::Dataset& dataset,
   return assignment;
 }
 
-/// The per-worker scratch and per-item routing kernel live in
-/// serving/routing.h, shared with FrozenModel::Route so the serving
-/// layer's snapshots are bit-identical to PredictRouted by construction.
-using RoutedScratch = serving::RoutedScratch;
-
-/// Routed nearest-centroid assignment through a retained fit-time index:
-/// per item, sign the query (`sign_query(dataset, item, scratch)` fills
-/// scratch.signature) and hand it to the shared routing kernel — probe
-/// the fit-time buckets, dereference candidate clusters through the
-/// fitted assignment, take the nearest candidate, exhaustive fallback on
-/// an empty probe (see serving::RouteSignedQuery for the
-/// tie-breaking contract). Shard-chunked through the same ShardPlan the
-/// engine uses; per-item work is pure, so every (threads x shards)
-/// setting is bit-identical, and like AssignNearest the pool is spawned
-/// per call so small arrival batches stay sequential.
-template <typename Traits, typename Provider, typename SignQueryFn>
-std::vector<uint32_t> AssignRouted(const typename Traits::Dataset& dataset,
-                                   const typename Traits::Centroids& model,
-                                   const typename Traits::Options& options,
-                                   const Provider& provider,
-                                   std::span<const uint32_t> fit_assignment,
-                                   const SignQueryFn& sign_query) {
+/// PredictRouted: the model's own sign-and-route loop
+/// (FrozenModelImpl::RouteRange, the code RouteInto runs), shard-chunked
+/// through the same ShardPlan the engine uses. Per-item work is pure, so
+/// every (threads x shards) setting is bit-identical, and like
+/// AssignNearest the pool is spawned per call so small arrival batches
+/// stay sequential.
+template <typename Traits, typename Family>
+std::vector<uint32_t> AssignRouted(const FrozenModelImpl<Traits, Family>& model,
+                                   const typename Traits::Dataset& dataset) {
+  const typename Traits::Options& options = model.options();
   const uint32_t n = dataset.num_items();
-  const uint32_t k = options.num_clusters;
-  const BandedIndex& index = *provider.index();
-  const serving::RoutedStateView view{&index, fit_assignment};
   std::vector<uint32_t> assignment(n, 0);
-
-  const auto route_range = [&](uint32_t begin, uint32_t end,
-                               RoutedScratch& scratch) {
-    for (uint32_t item = begin; item < end; ++item) {
-      sign_query(dataset, item, scratch);
-      assignment[item] = serving::RouteSignedQuery<Traits>(
-          dataset, model, options, view, item, scratch);
-    }
-  };
-
   const ShardPlan plan =
       ShardPlan::Clamped(n, options.num_shards, options.chunk_size);
-  const auto make_scratch = [&] {
-    return serving::MakeRoutedScratch(k, index.signature_width());
-  };
   const uint32_t num_threads = ResolveThreadCount(options.num_threads);
   if (num_threads <= 1 || n < 4096u) {
-    RoutedScratch scratch = make_scratch();
+    serving::RoutedScratch scratch = model.NewRoutedScratch();
     ForEachShardChunk(plan, nullptr,
                       [&](const ShardPlan::Chunk& chunk, uint32_t, uint32_t) {
-                        route_range(chunk.begin, chunk.end, scratch);
+                        model.RouteRange(dataset, chunk.begin, chunk.end,
+                                         scratch, assignment);
                       });
   } else {
     ThreadPool pool(num_threads);
     // Scratches are materialised lazily on the worker that first runs a
     // chunk; their contents never influence results (every query
     // epoch-resets the dedup and overwrites the signature buffer).
-    std::vector<std::optional<RoutedScratch>> scratches(num_threads);
+    std::vector<std::optional<serving::RoutedScratch>> scratches(num_threads);
     ForEachShardChunk(
         plan, &pool,
         [&](const ShardPlan::Chunk& chunk, uint32_t, uint32_t worker) {
-          std::optional<RoutedScratch>& scratch = scratches[worker];
-          if (!scratch.has_value()) scratch.emplace(make_scratch());
-          route_range(chunk.begin, chunk.end, *scratch);
+          std::optional<serving::RoutedScratch>& scratch = scratches[worker];
+          if (!scratch.has_value()) scratch.emplace(model.NewRoutedScratch());
+          model.RouteRange(dataset, chunk.begin, chunk.end, *scratch,
+                           assignment);
         });
   }
   return assignment;
 }
 
+/// The (primary, secondary) shape a FrozenModelImpl records for a dataset.
+std::pair<uint32_t, uint32_t> ShapeOf(const CategoricalDataset& dataset) {
+  return {dataset.num_attributes(), 0};
+}
+std::pair<uint32_t, uint32_t> ShapeOf(const NumericDataset& dataset) {
+  return {dataset.dimensions(), 0};
+}
+std::pair<uint32_t, uint32_t> ShapeOf(const MixedDataset& dataset) {
+  return {dataset.num_categorical(), dataset.num_numeric()};
+}
+
+/// The per-modality facts a Dispatcher needs: the engine traits, the
+/// banding accelerator and its family, and how the spec maps onto the
+/// engine options and the family options.
+struct CategoricalCell {
+  using Traits = CategoricalClusteringTraits;
+  using Family = MinHashShortlistFamily;
+  static constexpr Accelerator kBanding = Accelerator::kMinHash;
+  static EngineOptions Options(const ClustererSpec& spec) {
+    return spec.engine;
+  }
+  static const ShortlistIndexOptions& IndexOptions(const ClustererSpec& spec) {
+    return spec.minhash;
+  }
+};
+
+struct NumericCell {
+  using Traits = NumericClusteringTraits;
+  using Family = SimHashShortlistFamily;
+  static constexpr Accelerator kBanding = Accelerator::kSimHash;
+  static KMeansOptions Options(const ClustererSpec& spec) {
+    KMeansOptions options;
+    static_cast<EngineOptions&>(options) = spec.engine;
+    return options;
+  }
+  static const SimHashIndexOptions& IndexOptions(const ClustererSpec& spec) {
+    return spec.simhash;
+  }
+};
+
+struct MixedCell {
+  using Traits = MixedClusteringTraits;
+  using Family = MixedShortlistFamily;
+  static constexpr Accelerator kBanding = Accelerator::kMixedConcat;
+  static KPrototypesOptions Options(const ClustererSpec& spec) {
+    KPrototypesOptions options;
+    static_cast<EngineOptions&>(options) = spec.engine;
+    options.gamma = spec.gamma;
+    return options;
+  }
+  static const MixedIndexOptions& IndexOptions(const ClustererSpec& spec) {
+    return spec.mixed_index;
+  }
+};
+
 }  // namespace
 
 /// \brief The type-erasure seam: one virtual Fit/Predict per dataset
-/// shape, overridden by the dispatcher of the spec's modality. The base
-/// implementations reject mismatched dataset shapes with an actionable
-/// error, so every concrete dispatcher only overrides its own shape.
+/// shape, overridden by the Dispatcher of the spec's modality, over the
+/// one fitted model the base holds. The base implementations reject
+/// mismatched dataset shapes with an actionable error, so every concrete
+/// dispatcher only overrides its own shape.
 class EngineDispatcher {
  public:
   explicit EngineDispatcher(const ClustererSpec& spec) : spec_(spec) {}
@@ -360,20 +371,28 @@ class EngineDispatcher {
     return WrongShape("a mixed");
   }
 
-  /// Handle on the retained fit-time index; overridden by dispatchers
-  /// that can retain one.
-  virtual Result<IndexHandle> RetainedIndex() const {
-    return NoRetainedIndex();
+  /// Handle on the fitted model's shortlist index.
+  virtual Result<IndexHandle> Index() const = 0;
+
+  /// The fitted model itself — Snapshot is a refcount copy.
+  Result<std::shared_ptr<const serving::FrozenModel>> Snapshot() const {
+    if (model_ == nullptr) {
+      return Status::InvalidArgument(
+          "Snapshot requires a fitted model; call Fit first");
+    }
+    return model_;
   }
 
-  /// Immutable deep-copied snapshot of the fitted state for the serving
-  /// layer; overridden by every concrete dispatcher.
-  virtual Result<std::shared_ptr<const serving::FrozenModel>> Snapshot()
-      const {
-    return NotFittedSnapshot();
-  }
+  bool fitted() const { return model_ != nullptr; }
 
-  virtual bool fitted() const = 0;
+  /// Makes `model` the fitted model (Clusterer::FromSnapshot). Its
+  /// concrete type must be this dispatcher's modality, which
+  /// persist::BuildFrozenModel guarantees for a spec rebuilt from the
+  /// same file.
+  void Install(std::shared_ptr<const serving::FrozenModel> model) {
+    model_ = std::move(model);
+    sign_passes_ = 0;
+  }
 
   /// The validated spec this dispatcher was built from — the single
   /// stored copy (Clusterer::spec() reads it through here).
@@ -389,41 +408,21 @@ class EngineDispatcher {
         "matches the dataset");
   }
 
-  Status NotFitted() const {
+  Status NoIndex() const {
     return Status::InvalidArgument(
-        "Predict requires a fitted model; call Fit first");
+        "no shortlist index: either no Fit with a banding accelerator "
+        "(minhash | simhash | mixed-concat) has succeeded yet, or the fit "
+        "was cancelled before its index was built");
   }
 
-  Status NotFittedSnapshot() const {
-    return Status::InvalidArgument(
-        "Snapshot requires a fitted model; call Fit first");
-  }
-
-  Status NoRetainedIndex() const {
-    return Status::InvalidArgument(
-        "no retained shortlist index: either no Fit with a banding "
-        "accelerator (minhash | simhash | mixed-concat) has succeeded "
-        "yet, spec.retain_index is false, or the fit was cancelled "
-        "before its index was built");
-  }
-
-  /// IndexHandle's constructor is private to this seam; dispatchers that
-  /// retain an index build their handles through here. Handles carry the
-  /// dispatcher's fit-generation token so they can report (and, in debug
-  /// builds, assert) staleness after a refit — see api/index_handle.h.
+  /// IndexHandle's constructor is private to this seam. The handle
+  /// shares ownership of the fitted model that holds `index` and
+  /// `assignment`, so it stays valid for as long as the caller keeps it.
   IndexHandle MakeHandle(const BandedIndex* index,
-                         std::span<const uint32_t> assignment,
-                         uint64_t memory_bytes,
-                         uint64_t dataset_sign_passes) const {
-    return IndexHandle(index, assignment, memory_bytes, dataset_sign_passes,
-                       generation_, *generation_);
+                         std::span<const uint32_t> assignment) const {
+    return IndexHandle(std::shared_ptr<const BandedIndex>(model_, index),
+                       assignment, model_->memory_bytes(), sign_passes_);
   }
-
-  /// Called by each dispatcher at the commit point of a successful Fit:
-  /// the retained state handles pointed at is being replaced, so every
-  /// outstanding IndexHandle flips to !valid(). FrozenModel snapshots are
-  /// deep copies and are deliberately unaffected.
-  void BumpGeneration() { ++*generation_; }
 
   Status UnsupportedAccelerator() const {
     // Unreachable after ValidateClustererSpec; kept as a real error (not
@@ -436,494 +435,148 @@ class EngineDispatcher {
   }
 
   ClustererSpec spec_;
-
- private:
-  /// Fit-generation cell shared with every handle this dispatcher makes.
-  std::shared_ptr<uint64_t> generation_ = std::make_shared<uint64_t>(0);
+  /// The one fitted model (null before the first successful Fit):
+  /// centroids, family, banded index and fitted assignment in one
+  /// immutable object that Snapshot, index() handles and serving readers
+  /// share. A successful Fit swaps in a new one; a rejected Fit never
+  /// touches it.
+  std::shared_ptr<const serving::FrozenModel> model_;
+  /// Full-dataset signing passes that built model_'s index (0 when
+  /// loaded from a file), for IndexHandle::dataset_sign_passes.
+  uint64_t sign_passes_ = 0;
 };
 
 namespace {
 
-/// K-Modes cell (kCategorical and kTextBinarized): exhaustive, MinHash
-/// shortlists, or canopy shortlists over a CategoricalDataset. The
-/// MinHash cell retains its prepared provider (spec.retain_index) as the
-/// model's routed-query state.
-class CategoricalDispatcher final : public EngineDispatcher {
+/// One modality's cell (see CategoricalCell etc.): exhaustive, the
+/// modality's banding accelerator or — categorical only — canopy
+/// shortlists. A banding fit moves its prepared family and index into
+/// the routed model; every other fit (and a banding fit cancelled before
+/// its index was built) yields the exhaustive model.
+template <typename Cell>
+class Dispatcher final : public EngineDispatcher {
  public:
+  using Traits = typename Cell::Traits;
+  using Family = typename Cell::Family;
+  using Dataset = typename Traits::Dataset;
+  using RoutedModel = FrozenModelImpl<Traits, Family>;
+  using ExhaustiveModel = FrozenModelImpl<Traits>;
+
   using EngineDispatcher::EngineDispatcher;
 
-  Result<FitReport> Fit(const CategoricalDataset& dataset) override {
-    // Built into locals and only moved into the members on success: a
-    // rejected Fit leaves the previously fitted model — and any retained
-    // index with outstanding handles — usable.
-    ModeTable modes(spec_.engine.num_clusters, dataset.num_attributes());
-    std::unique_ptr<ClusterShortlistProvider> retained;
+  Result<FitReport> Fit(const Dataset& dataset) override {
+    const typename Traits::Options options = Cell::Options(spec_);
+    typename Traits::Centroids centroids =
+        Traits::MakeCentroids(dataset, options);
+    const auto [primary, secondary] = ShapeOf(dataset);
+    const uint32_t k = spec_.engine.num_clusters;
+    const auto run = [&](auto& provider) {
+      return RunToReport<Traits>(dataset, options, provider, &centroids);
+    };
     FitReport report;
-    switch (spec_.accelerator) {
-      case Accelerator::kExhaustive: {
-        ExhaustiveProvider provider;
-        LSHC_ASSIGN_OR_RETURN(
-            report, (RunToReport<CategoricalClusteringTraits>(
-                        dataset, spec_.engine, provider, &modes)));
-        break;
+    std::shared_ptr<const serving::FrozenModel> model;
+    uint64_t sign_passes = 0;
+    if (spec_.accelerator == Cell::kBanding) {
+      ShortlistProvider<Family> provider(Cell::IndexOptions(spec_), k);
+      LSHC_ASSIGN_OR_RETURN(report, run(provider));
+      // A cancelled Prepare installs no index; the model is then
+      // exhaustive.
+      if (provider.index() != nullptr) {
+        report.has_index = true;
+        report.signature_seconds = provider.signature_seconds();
+        report.index_seconds = provider.index_seconds();
+        sign_passes = provider.dataset_sign_passes();
+        auto [family, index] = std::move(provider).Release();
+        auto routed = std::make_shared<const RoutedModel>(
+            options, std::move(centroids), std::move(family),
+            std::move(index), report.result.assignment, primary, secondary);
+        report.index_stats = routed->index()->ComputeStats();
+        report.index_memory_bytes = routed->memory_bytes();
+        model = std::move(routed);
       }
-      case Accelerator::kMinHash: {
-        auto provider = std::make_unique<ClusterShortlistProvider>(
-            spec_.minhash, spec_.engine.num_clusters);
-        LSHC_ASSIGN_OR_RETURN(
-            report, (RunToReport<CategoricalClusteringTraits>(
-                        dataset, spec_.engine, *provider, &modes,
-                        spec_.retain_index)));
-        // A cancelled Prepare installs no index; never retain a provider
-        // without one.
-        if (spec_.retain_index && provider->index() != nullptr) {
-          retained = std::move(provider);
-        }
-        break;
-      }
-      case Accelerator::kCanopy: {
-        CanopyShortlistProvider provider(spec_.canopy,
-                                         spec_.engine.num_clusters);
-        LSHC_ASSIGN_OR_RETURN(
-            report, (RunToReport<CategoricalClusteringTraits>(
-                        dataset, spec_.engine, provider, &modes)));
-        break;
-      }
-      default:
+    } else if (spec_.accelerator == Accelerator::kExhaustive) {
+      ExhaustiveProvider provider;
+      LSHC_ASSIGN_OR_RETURN(report, run(provider));
+    } else if (spec_.accelerator == Accelerator::kCanopy) {
+      if constexpr (std::is_same_v<Dataset, CategoricalDataset>) {
+        CanopyShortlistProvider provider(spec_.canopy, k);
+        LSHC_ASSIGN_OR_RETURN(report, run(provider));
+      } else {
         return UnsupportedAccelerator();
-    }
-    num_attributes_ = dataset.num_attributes();
-    modes_ = std::move(modes);
-    retained_ = std::move(retained);
-    BumpGeneration();  // outstanding handles now point at replaced state
-    // The fitted assignment is the routed queries' cluster-reference
-    // store; without a retained index nothing can read it, so don't
-    // hold an n-sized copy for the model's lifetime.
-    if (retained_ != nullptr) {
-      fit_assignment_ = report.result.assignment;
+      }
     } else {
-      fit_assignment_ = {};
+      return UnsupportedAccelerator();
     }
+    if (model == nullptr) {
+      model = std::make_shared<const ExhaustiveModel>(
+          options, std::move(centroids), std::nullopt, nullptr,
+          std::vector<uint32_t>(), primary, secondary);
+    }
+    model_ = std::move(model);
+    sign_passes_ = sign_passes;
     return report;
   }
 
-  /// Installs a decoded model file as this dispatcher's fitted state
-  /// (Clusterer::FromSnapshot): modes rebuilt from the dump, the shortlist
-  /// provider reassembled from parts — hashers from persisted options +
-  /// seeds, the index adopted verbatim, zero re-signing.
-  Status Adopt(persist::DecodedModel&& model) {
-    LSHC_ASSIGN_OR_RETURN(ModeTable modes, persist::BuildModeTable(model));
-    num_attributes_ = model.shape_primary;
-    if (model.family == persist::ModelFamilyKind::kMinHash) {
-      LSHC_ASSIGN_OR_RETURN(auto routing,
-                            persist::BuildMinHashRouting(std::move(model)));
-      fit_assignment_ = std::move(routing.fit_assignment);
-      retained_ = std::make_unique<ClusterShortlistProvider>(
-          ClusterShortlistProvider::FromParts(
-              std::move(routing.family), spec_.engine.num_clusters,
-              std::move(routing.index)));
-    } else {
-      retained_ = nullptr;
-      fit_assignment_ = {};
-    }
-    modes_ = std::move(modes);
-    BumpGeneration();
-    return Status::OK();
-  }
-
   Result<std::vector<uint32_t>> Predict(
-      const CategoricalDataset& dataset) const override {
+      const Dataset& dataset) const override {
     LSHC_RETURN_NOT_OK(CheckPredictable(dataset));
-    return AssignNearest<CategoricalClusteringTraits>(dataset, *modes_,
-                                                      spec_.engine);
+    return Visit([&](const auto& model) {
+      return AssignNearest<Traits>(dataset, model.centroids(),
+                                   model.options());
+    });
   }
 
   Result<std::vector<uint32_t>> PredictRouted(
-      const CategoricalDataset& dataset) const override {
+      const Dataset& dataset) const override {
     LSHC_RETURN_NOT_OK(CheckPredictable(dataset));
-    if (retained_ == nullptr) {
-      return AssignNearest<CategoricalClusteringTraits>(dataset, *modes_,
-                                                        spec_.engine);
-    }
-    return AssignRouted<CategoricalClusteringTraits>(
-        dataset, *modes_, spec_.engine, *retained_, fit_assignment_,
-        [this](const CategoricalDataset& queries, uint32_t item,
-               RoutedScratch& scratch) {
-          queries.PresentTokens(item, &scratch.tokens);
-          retained_->family().ComputeQuerySignature(
-              scratch.tokens, scratch.signature.data());
-        });
+    return Visit(
+        [&](const auto& model) { return AssignRouted(model, dataset); });
   }
 
-  Result<IndexHandle> RetainedIndex() const override {
-    if (retained_ == nullptr) return NoRetainedIndex();
-    return MakeHandle(retained_->index(), fit_assignment_,
-                      retained_->MemoryUsageBytes(),
-                      retained_->dataset_sign_passes());
+  Result<IndexHandle> Index() const override {
+    const auto* routed = dynamic_cast<const RoutedModel*>(model_.get());
+    if (routed == nullptr) return NoIndex();
+    return MakeHandle(routed->index(), routed->fit_assignment());
   }
-
-  Result<std::shared_ptr<const serving::FrozenModel>> Snapshot()
-      const override {
-    if (!modes_.has_value()) return NotFittedSnapshot();
-    if (retained_ == nullptr) {
-      return std::shared_ptr<const serving::FrozenModel>(
-          std::make_shared<serving::internal::FrozenModelImpl<
-              CategoricalClusteringTraits>>(
-              spec_.engine, *modes_, std::nullopt, nullptr,
-              std::vector<uint32_t>(), num_attributes_, 0));
-    }
-    return std::shared_ptr<const serving::FrozenModel>(
-        std::make_shared<serving::internal::FrozenModelImpl<
-            CategoricalClusteringTraits, MinHashShortlistFamily>>(
-            spec_.engine, *modes_, retained_->family(),
-            std::make_unique<BandedIndex>(*retained_->index()),
-            fit_assignment_, num_attributes_, 0));
-  }
-
-  bool fitted() const override { return modes_.has_value(); }
 
  private:
-  Status CheckPredictable(const CategoricalDataset& dataset) const {
-    if (!modes_.has_value()) return NotFitted();
+  /// Calls `fn` with the concrete fitted model: the routed instantiation
+  /// when the fit built an index, else the exhaustive one.
+  template <typename Fn>
+  auto Visit(const Fn& fn) const {
+    if (const auto* routed = dynamic_cast<const RoutedModel*>(model_.get())) {
+      return fn(*routed);
+    }
+    LSHC_DCHECK(dynamic_cast<const ExhaustiveModel*>(model_.get()) != nullptr)
+        << "fitted model of another modality";
+    return fn(static_cast<const ExhaustiveModel&>(*model_));
+  }
+
+  /// The one query check of Predict and PredictRouted.
+  Status CheckPredictable(const Dataset& dataset) const {
+    if (model_ == nullptr) {
+      return Status::InvalidArgument(
+          "Predict requires a fitted model; call Fit first");
+    }
     if (dataset.num_items() == 0) {
       return Status::InvalidArgument("dataset is empty");
     }
-    if (dataset.num_attributes() != num_attributes_) {
-      return Status::InvalidArgument(
-          "Predict dataset has " + std::to_string(dataset.num_attributes()) +
-          " attributes; the fitted model expects " +
-          std::to_string(num_attributes_));
-    }
-    return Status::OK();
+    return Visit([&](const auto& model) { return model.CheckShape(dataset); });
   }
-
-  std::optional<ModeTable> modes_;
-  uint32_t num_attributes_ = 0;
-  // Retained fit-time shortlist state (kMinHash + retain_index): the
-  // provider that prepared the index during Fit, plus the fitted
-  // assignment as the cluster-reference store routed queries dereference.
-  // Heap-allocated so handles and routed queries survive Clusterer moves.
-  std::unique_ptr<ClusterShortlistProvider> retained_;
-  std::vector<uint32_t> fit_assignment_;
 };
 
-/// K-Means cell (kNumeric): exhaustive or SimHash shortlists over a
-/// NumericDataset. The SimHash cell retains its prepared provider
-/// (spec.retain_index) as the model's routed-query state.
-class NumericDispatcher final : public EngineDispatcher {
- public:
-  using EngineDispatcher::EngineDispatcher;
-
-  Result<FitReport> Fit(const NumericDataset& dataset) override {
-    // The engine writes centroids_ only when it returns a result — and
-    // the retained provider is committed only then too — so a rejected
-    // Fit leaves the previously fitted model usable.
-    const KMeansOptions options = Options();
-    std::unique_ptr<SimHashShortlistProvider> retained;
-    FitReport report;
-    switch (spec_.accelerator) {
-      case Accelerator::kExhaustive: {
-        ExhaustiveProvider provider;
-        LSHC_ASSIGN_OR_RETURN(report,
-                              (RunToReport<NumericClusteringTraits>(
-                                  dataset, options, provider, &centroids_)));
-        break;
-      }
-      case Accelerator::kSimHash: {
-        auto provider = std::make_unique<SimHashShortlistProvider>(
-            spec_.simhash, spec_.engine.num_clusters);
-        LSHC_ASSIGN_OR_RETURN(report,
-                              (RunToReport<NumericClusteringTraits>(
-                                  dataset, options, *provider, &centroids_,
-                                  spec_.retain_index)));
-        if (spec_.retain_index && provider->index() != nullptr) {
-          retained = std::move(provider);
-        }
-        break;
-      }
-      default:
-        return UnsupportedAccelerator();
-    }
-    dimensions_ = dataset.dimensions();
-    fitted_ = true;
-    retained_ = std::move(retained);
-    BumpGeneration();  // outstanding handles now point at replaced state
-    // The fitted assignment is the routed queries' cluster-reference
-    // store; without a retained index nothing can read it, so don't
-    // hold an n-sized copy for the model's lifetime.
-    if (retained_ != nullptr) {
-      fit_assignment_ = report.result.assignment;
-    } else {
-      fit_assignment_ = {};
-    }
-    return report;
+std::unique_ptr<EngineDispatcher> MakeDispatcher(const ClustererSpec& spec) {
+  switch (spec.modality) {
+    case Modality::kCategorical:
+    case Modality::kTextBinarized:
+      return std::make_unique<Dispatcher<CategoricalCell>>(spec);
+    case Modality::kNumeric:
+      return std::make_unique<Dispatcher<NumericCell>>(spec);
+    case Modality::kMixed:
+      return std::make_unique<Dispatcher<MixedCell>>(spec);
   }
-
-  /// Installs a decoded model file as this dispatcher's fitted state
-  /// (Clusterer::FromSnapshot); see CategoricalDispatcher::Adopt.
-  Status Adopt(persist::DecodedModel&& model) {
-    LSHC_ASSIGN_OR_RETURN(centroids_, persist::BuildCentroidTable(model));
-    dimensions_ = model.shape_primary;
-    if (model.family == persist::ModelFamilyKind::kSimHash) {
-      LSHC_ASSIGN_OR_RETURN(auto routing,
-                            persist::BuildSimHashRouting(std::move(model)));
-      fit_assignment_ = std::move(routing.fit_assignment);
-      retained_ = std::make_unique<SimHashShortlistProvider>(
-          SimHashShortlistProvider::FromParts(
-              std::move(routing.family), spec_.engine.num_clusters,
-              std::move(routing.index)));
-    } else {
-      retained_ = nullptr;
-      fit_assignment_ = {};
-    }
-    fitted_ = true;
-    BumpGeneration();
-    return Status::OK();
-  }
-
-  Result<std::vector<uint32_t>> Predict(
-      const NumericDataset& dataset) const override {
-    LSHC_RETURN_NOT_OK(CheckPredictable(dataset));
-    return AssignNearest<NumericClusteringTraits>(dataset, centroids_,
-                                                  Options());
-  }
-
-  Result<std::vector<uint32_t>> PredictRouted(
-      const NumericDataset& dataset) const override {
-    LSHC_RETURN_NOT_OK(CheckPredictable(dataset));
-    if (retained_ == nullptr) {
-      return AssignNearest<NumericClusteringTraits>(dataset, centroids_,
-                                                    Options());
-    }
-    return AssignRouted<NumericClusteringTraits>(
-        dataset, centroids_, Options(), *retained_, fit_assignment_,
-        [this](const NumericDataset& queries, uint32_t item,
-               RoutedScratch& scratch) {
-          retained_->family().ComputeQuerySignature(
-              queries.Row(item), scratch.signature.data());
-        });
-  }
-
-  Result<IndexHandle> RetainedIndex() const override {
-    if (retained_ == nullptr) return NoRetainedIndex();
-    return MakeHandle(retained_->index(), fit_assignment_,
-                      retained_->MemoryUsageBytes(),
-                      retained_->dataset_sign_passes());
-  }
-
-  Result<std::shared_ptr<const serving::FrozenModel>> Snapshot()
-      const override {
-    if (!fitted_) return NotFittedSnapshot();
-    if (retained_ == nullptr) {
-      return std::shared_ptr<const serving::FrozenModel>(
-          std::make_shared<
-              serving::internal::FrozenModelImpl<NumericClusteringTraits>>(
-              Options(), centroids_, std::nullopt, nullptr,
-              std::vector<uint32_t>(), dimensions_, 0));
-    }
-    return std::shared_ptr<const serving::FrozenModel>(
-        std::make_shared<serving::internal::FrozenModelImpl<
-            NumericClusteringTraits, SimHashShortlistFamily>>(
-            Options(), centroids_, retained_->family(),
-            std::make_unique<BandedIndex>(*retained_->index()),
-            fit_assignment_, dimensions_, 0));
-  }
-
-  bool fitted() const override { return fitted_; }
-
- private:
-  KMeansOptions Options() const {
-    KMeansOptions options;
-    static_cast<EngineOptions&>(options) = spec_.engine;
-    return options;
-  }
-
-  Status CheckPredictable(const NumericDataset& dataset) const {
-    if (!fitted_) return NotFitted();
-    if (dataset.num_items() == 0) {
-      return Status::InvalidArgument("dataset is empty");
-    }
-    if (dataset.dimensions() != dimensions_) {
-      return Status::InvalidArgument(
-          "Predict dataset has " + std::to_string(dataset.dimensions()) +
-          " dimensions; the fitted model expects " +
-          std::to_string(dimensions_));
-    }
-    return Status::OK();
-  }
-
-  CentroidTable centroids_{0, 0};
-  uint32_t dimensions_ = 0;
-  bool fitted_ = false;
-  std::unique_ptr<SimHashShortlistProvider> retained_;
-  std::vector<uint32_t> fit_assignment_;
-};
-
-/// K-Prototypes cell (kMixed): exhaustive or concatenated MinHash+SimHash
-/// shortlists over a MixedDataset. The mixed-concat cell retains its
-/// prepared provider (spec.retain_index) as the model's routed-query
-/// state.
-class MixedDispatcher final : public EngineDispatcher {
- public:
-  using EngineDispatcher::EngineDispatcher;
-
-  Result<FitReport> Fit(const MixedDataset& dataset) override {
-    // Built into locals and only moved into the members on success: a
-    // rejected Fit leaves the previously fitted model usable.
-    const KPrototypesOptions options = Options();
-    MixedClusteringTraits::Centroids prototypes{
-        ModeTable(spec_.engine.num_clusters, dataset.num_categorical()),
-        CentroidTable(spec_.engine.num_clusters, dataset.num_numeric())};
-    std::unique_ptr<MixedShortlistProvider> retained;
-    FitReport report;
-    switch (spec_.accelerator) {
-      case Accelerator::kExhaustive: {
-        ExhaustiveProvider provider;
-        LSHC_ASSIGN_OR_RETURN(report,
-                              (RunToReport<MixedClusteringTraits>(
-                                  dataset, options, provider, &prototypes)));
-        break;
-      }
-      case Accelerator::kMixedConcat: {
-        auto provider = std::make_unique<MixedShortlistProvider>(
-            spec_.mixed_index, spec_.engine.num_clusters);
-        LSHC_ASSIGN_OR_RETURN(report,
-                              (RunToReport<MixedClusteringTraits>(
-                                  dataset, options, *provider, &prototypes,
-                                  spec_.retain_index)));
-        if (spec_.retain_index && provider->index() != nullptr) {
-          retained = std::move(provider);
-        }
-        break;
-      }
-      default:
-        return UnsupportedAccelerator();
-    }
-    num_categorical_ = dataset.num_categorical();
-    num_numeric_ = dataset.num_numeric();
-    prototypes_ = std::move(prototypes);
-    retained_ = std::move(retained);
-    BumpGeneration();  // outstanding handles now point at replaced state
-    // The fitted assignment is the routed queries' cluster-reference
-    // store; without a retained index nothing can read it, so don't
-    // hold an n-sized copy for the model's lifetime.
-    if (retained_ != nullptr) {
-      fit_assignment_ = report.result.assignment;
-    } else {
-      fit_assignment_ = {};
-    }
-    return report;
-  }
-
-  /// Installs a decoded model file as this dispatcher's fitted state
-  /// (Clusterer::FromSnapshot); see CategoricalDispatcher::Adopt.
-  Status Adopt(persist::DecodedModel&& model) {
-    LSHC_ASSIGN_OR_RETURN(ModeTable modes, persist::BuildModeTable(model));
-    LSHC_ASSIGN_OR_RETURN(CentroidTable centroids,
-                          persist::BuildCentroidTable(model));
-    num_categorical_ = model.shape_primary;
-    num_numeric_ = model.shape_secondary;
-    if (model.family == persist::ModelFamilyKind::kMixedConcat) {
-      LSHC_ASSIGN_OR_RETURN(auto routing,
-                            persist::BuildMixedRouting(std::move(model)));
-      fit_assignment_ = std::move(routing.fit_assignment);
-      retained_ = std::make_unique<MixedShortlistProvider>(
-          MixedShortlistProvider::FromParts(
-              std::move(routing.family), spec_.engine.num_clusters,
-              std::move(routing.index)));
-    } else {
-      retained_ = nullptr;
-      fit_assignment_ = {};
-    }
-    prototypes_ = MixedClusteringTraits::Centroids{std::move(modes),
-                                                   std::move(centroids)};
-    BumpGeneration();
-    return Status::OK();
-  }
-
-  Result<std::vector<uint32_t>> Predict(
-      const MixedDataset& dataset) const override {
-    LSHC_RETURN_NOT_OK(CheckPredictable(dataset));
-    return AssignNearest<MixedClusteringTraits>(dataset, *prototypes_,
-                                                Options());
-  }
-
-  Result<std::vector<uint32_t>> PredictRouted(
-      const MixedDataset& dataset) const override {
-    LSHC_RETURN_NOT_OK(CheckPredictable(dataset));
-    if (retained_ == nullptr) {
-      return AssignNearest<MixedClusteringTraits>(dataset, *prototypes_,
-                                                  Options());
-    }
-    return AssignRouted<MixedClusteringTraits>(
-        dataset, *prototypes_, Options(), *retained_, fit_assignment_,
-        [this](const MixedDataset& queries, uint32_t item,
-               RoutedScratch& scratch) {
-          queries.categorical().PresentTokens(item, &scratch.tokens);
-          retained_->family().ComputeQuerySignature(
-              scratch.tokens, queries.numeric().Row(item),
-              &scratch.centered, scratch.signature.data());
-        });
-  }
-
-  Result<IndexHandle> RetainedIndex() const override {
-    if (retained_ == nullptr) return NoRetainedIndex();
-    return MakeHandle(retained_->index(), fit_assignment_,
-                      retained_->MemoryUsageBytes(),
-                      retained_->dataset_sign_passes());
-  }
-
-  Result<std::shared_ptr<const serving::FrozenModel>> Snapshot()
-      const override {
-    if (!prototypes_.has_value()) return NotFittedSnapshot();
-    if (retained_ == nullptr) {
-      return std::shared_ptr<const serving::FrozenModel>(
-          std::make_shared<
-              serving::internal::FrozenModelImpl<MixedClusteringTraits>>(
-              Options(), *prototypes_, std::nullopt, nullptr,
-              std::vector<uint32_t>(), num_categorical_, num_numeric_));
-    }
-    return std::shared_ptr<const serving::FrozenModel>(
-        std::make_shared<serving::internal::FrozenModelImpl<
-            MixedClusteringTraits, MixedShortlistFamily>>(
-            Options(), *prototypes_, retained_->family(),
-            std::make_unique<BandedIndex>(*retained_->index()),
-            fit_assignment_, num_categorical_, num_numeric_));
-  }
-
-  bool fitted() const override { return prototypes_.has_value(); }
-
- private:
-  KPrototypesOptions Options() const {
-    KPrototypesOptions options;
-    static_cast<EngineOptions&>(options) = spec_.engine;
-    options.gamma = spec_.gamma;
-    return options;
-  }
-
-  Status CheckPredictable(const MixedDataset& dataset) const {
-    if (!prototypes_.has_value()) return NotFitted();
-    if (dataset.num_items() == 0) {
-      return Status::InvalidArgument("dataset is empty");
-    }
-    if (dataset.num_categorical() != num_categorical_ ||
-        dataset.num_numeric() != num_numeric_) {
-      return Status::InvalidArgument(
-          "Predict dataset has " + std::to_string(dataset.num_categorical()) +
-          " categorical + " + std::to_string(dataset.num_numeric()) +
-          " numeric attributes; the fitted model expects " +
-          std::to_string(num_categorical_) + " + " +
-          std::to_string(num_numeric_));
-    }
-    return Status::OK();
-  }
-
-  std::optional<MixedClusteringTraits::Centroids> prototypes_;
-  uint32_t num_categorical_ = 0;
-  uint32_t num_numeric_ = 0;
-  std::unique_ptr<MixedShortlistProvider> retained_;
-  std::vector<uint32_t> fit_assignment_;
-};
+  return nullptr;
+}
 
 }  // namespace
 }  // namespace internal
@@ -982,34 +635,20 @@ Clusterer& Clusterer::operator=(Clusterer&&) noexcept = default;
 
 Result<Clusterer> Clusterer::Create(const ClustererSpec& spec) {
   LSHC_RETURN_NOT_OK(ValidateClustererSpec(spec));
-  std::unique_ptr<internal::EngineDispatcher> dispatcher;
-  switch (spec.modality) {
-    case Modality::kCategorical:
-    case Modality::kTextBinarized:
-      dispatcher = std::make_unique<internal::CategoricalDispatcher>(spec);
-      break;
-    case Modality::kNumeric:
-      dispatcher = std::make_unique<internal::NumericDispatcher>(spec);
-      break;
-    case Modality::kMixed:
-      dispatcher = std::make_unique<internal::MixedDispatcher>(spec);
-      break;
-  }
-  return Clusterer(std::move(dispatcher));
+  return Clusterer(internal::MakeDispatcher(spec));
 }
 
 Result<Clusterer> Clusterer::FromSnapshot(const std::string& path) {
-  LSHC_ASSIGN_OR_RETURN(persist::DecodedModel model,
+  LSHC_ASSIGN_OR_RETURN(persist::DecodedModel decoded,
                         persist::DecodeModelFile(path));
   // Reconstruct the spec the persisted model implies. Only what routing
   // reads matters: modality/accelerator, k, gamma and the index options.
   // Init-method / seeds are fit-time-only knobs a loaded model never
   // touches — pinned to kRandom so the spec validates for every modality.
   ClustererSpec spec;
-  spec.engine.num_clusters = model.num_clusters;
+  spec.engine.num_clusters = decoded.num_clusters;
   spec.engine.init_method = InitMethod::kRandom;
-  spec.retain_index = true;
-  switch (model.modality) {
+  switch (decoded.modality) {
     case persist::ModelModality::kCategorical:
       spec.modality = Modality::kCategorical;
       break;
@@ -1018,52 +657,34 @@ Result<Clusterer> Clusterer::FromSnapshot(const std::string& path) {
       break;
     case persist::ModelModality::kMixed:
       spec.modality = Modality::kMixed;
-      spec.gamma = model.gamma;
+      spec.gamma = decoded.gamma;
       break;
   }
-  switch (model.family) {
+  switch (decoded.family) {
     case persist::ModelFamilyKind::kNone:
       spec.accelerator = Accelerator::kExhaustive;
       break;
     case persist::ModelFamilyKind::kMinHash:
       spec.accelerator = Accelerator::kMinHash;
-      spec.minhash = model.minhash;
+      spec.minhash = decoded.minhash;
       break;
     case persist::ModelFamilyKind::kSimHash:
       spec.accelerator = Accelerator::kSimHash;
-      spec.simhash = model.simhash;
+      spec.simhash = decoded.simhash;
       break;
     case persist::ModelFamilyKind::kMixedConcat:
       spec.accelerator = Accelerator::kMixedConcat;
-      spec.mixed_index = model.mixed;
+      spec.mixed_index = decoded.mixed;
       break;
   }
-  LSHC_RETURN_NOT_OK(
-      ValidateClustererSpec(spec).WithContext("model file '" + path + "'"));
-  std::unique_ptr<internal::EngineDispatcher> dispatcher;
-  Status adopted = Status::OK();
-  switch (model.modality) {
-    case persist::ModelModality::kCategorical: {
-      auto d = std::make_unique<internal::CategoricalDispatcher>(spec);
-      adopted = d->Adopt(std::move(model));
-      dispatcher = std::move(d);
-      break;
-    }
-    case persist::ModelModality::kNumeric: {
-      auto d = std::make_unique<internal::NumericDispatcher>(spec);
-      adopted = d->Adopt(std::move(model));
-      dispatcher = std::move(d);
-      break;
-    }
-    case persist::ModelModality::kMixed: {
-      auto d = std::make_unique<internal::MixedDispatcher>(spec);
-      adopted = d->Adopt(std::move(model));
-      dispatcher = std::move(d);
-      break;
-    }
-  }
-  LSHC_RETURN_NOT_OK(adopted.WithContext("model file '" + path + "'"));
-  return Clusterer(std::move(dispatcher));
+  const std::string context = "model file '" + path + "'";
+  LSHC_RETURN_NOT_OK(ValidateClustererSpec(spec).WithContext(context));
+  Result<std::shared_ptr<const serving::FrozenModel>> model =
+      persist::BuildFrozenModel(std::move(decoded));
+  LSHC_RETURN_NOT_OK(model.status().WithContext(context));
+  Clusterer clusterer(internal::MakeDispatcher(spec));
+  clusterer.dispatcher_->Install(std::move(model).ValueOrDie());
+  return clusterer;
 }
 
 const ClustererSpec& Clusterer::spec() const { return dispatcher_->spec(); }
@@ -1104,9 +725,7 @@ Result<std::vector<uint32_t>> Clusterer::PredictRouted(
   return dispatcher_->PredictRouted(dataset);
 }
 
-Result<IndexHandle> Clusterer::index() const {
-  return dispatcher_->RetainedIndex();
-}
+Result<IndexHandle> Clusterer::index() const { return dispatcher_->Index(); }
 
 Result<std::shared_ptr<const serving::FrozenModel>> Clusterer::Snapshot()
     const {

@@ -138,15 +138,6 @@ struct ClustererSpec {
   /// Weight of the numeric squared distance against categorical
   /// mismatches (kMixed only).
   double gamma = 1.0;
-  /// Retain the fitted shortlist state (signatures machinery + banded
-  /// buckets + the fitted assignment) inside the Clusterer after Fit —
-  /// the model keeps the index it built instead of discarding it, which
-  /// is what powers PredictRouted and index(). Costs the index's memory
-  /// for the model's lifetime; switch off for fit-and-forget batch jobs
-  /// (PredictRouted then degenerates to the exhaustive Predict and
-  /// index() reports no retained index). Only the banding accelerators
-  /// (kMinHash / kSimHash / kMixedConcat) build an index to retain.
-  bool retain_index = true;
   /// MinHash index configuration (kMinHash only).
   ShortlistIndexOptions minhash;
   /// SimHash index configuration (kSimHash only).
@@ -177,22 +168,16 @@ struct FitReport {
   /// initial pass completed).
   Status status;
   /// True when an accelerator built a banding index this run (kMinHash /
-  /// kSimHash / kMixedConcat) — false if a cancel landed during index
-  /// preparation (a partial index is never installed, so there is none to
-  /// describe). The timing split below is valid only when set.
+  /// kSimHash / kMixedConcat) — the fitted model then carries it, and
+  /// Clusterer::index() / PredictRouted use it. False for the other
+  /// accelerators and if a cancel landed during index preparation (a
+  /// partial index is never installed). The fields below are valid (and
+  /// non-zero) only when set.
   bool has_index = false;
-  /// True when that index was retained on the Clusterer
-  /// (spec.retain_index) and `index_stats` / `index_memory_bytes` below
-  /// describe *live* state reachable through Clusterer::index() and
-  /// PredictRouted. When retention is disabled the index is gone by the
-  /// time Fit returns, so those two fields are zero — the report never
-  /// describes freed state.
-  bool index_retained = false;
-  /// Bucket occupancy of the retained banding index (zero when
-  /// !index_retained).
+  /// Bucket occupancy of the fitted model's banding index.
   BandedIndex::Stats index_stats;
-  /// Approximate footprint of the retained shortlist state (zero when
-  /// !index_retained).
+  /// Approximate footprint of the fitted model's shortlist state (banded
+  /// index + fitted assignment; FrozenModel::memory_bytes()).
   uint64_t index_memory_bytes = 0;
   /// Prepare() split: signature computation vs index construction.
   double signature_seconds = 0;
@@ -304,8 +289,15 @@ class EngineDispatcher;
 /// (which validates the spec), then Fit a dataset of the spec's modality;
 /// Predict assigns out-of-sample items against the fitted centroids, and
 /// MakeStreamingSession opens an online session (categorical + minhash
-/// specs). Move-only; one Clusterer may Fit repeatedly — each successful
-/// Fit replaces the fitted model, a rejected one leaves it untouched.
+/// specs). Move-only; one Clusterer may Fit repeatedly.
+///
+/// The fitted state is one immutable `serving::FrozenModel`: centroids,
+/// the LSH family, the banded index built once after the initial
+/// assignment, and the fitted assignment as the cluster-reference store.
+/// Predict, PredictRouted, Snapshot and index() all read that one object;
+/// each successful Fit builds a new one and swaps it in, a rejected Fit
+/// leaves the current one in place. Objects already handed out
+/// (snapshots, index handles) keep the model they were taken from alive.
 class Clusterer {
  public:
   /// Validates `spec` (see ValidateClustererSpec) and builds the engine
@@ -313,18 +305,22 @@ class Clusterer {
   static Result<Clusterer> Create(const ClustererSpec& spec);
 
   /// Warm-starts a Clusterer from a model file saved by
-  /// serving::SaveFrozenModel (persist/model_io.h) — the fitted state is
-  /// reconstructed without re-clustering or re-signing anything: centroids
-  /// come back verbatim, the family's hashers rebuild deterministically
-  /// from their persisted options + seeds, and the banded index adopts the
-  /// raw CSR dump. The returned Clusterer reports fitted(), its spec()
-  /// mirrors the persisted model (modality, accelerator, k, gamma, index
-  /// options; everything else defaulted), and Predict / PredictRouted /
-  /// Snapshot / index() behave exactly as after the Fit that produced the
-  /// file — PredictRouted routes bit-identically to the saving process,
-  /// across SIMD tiers and thread counts. Fit remains usable and replaces
-  /// the loaded model like any refit. Corrupt or truncated files come back
-  /// as typed Status errors, never a partially loaded model.
+  /// serving::SaveFrozenModel (persist/model_io.h). The file is decoded
+  /// once and its model built by persist::BuildFrozenModel — the same
+  /// path serving::LoadFrozenModel takes — without re-clustering or
+  /// re-signing anything: centroids come back verbatim, the family's
+  /// hashers rebuild deterministically from their persisted options +
+  /// seeds, and the banded index adopts the raw CSR dump. That model
+  /// becomes the Clusterer's fitted model. The returned Clusterer reports
+  /// fitted(), its spec() mirrors the persisted model (modality,
+  /// accelerator, k, gamma, index options; everything else defaulted),
+  /// and Predict / PredictRouted / Snapshot / index() behave exactly as
+  /// after the Fit that produced the file — PredictRouted routes
+  /// bit-identically to the saving process, across SIMD tiers and thread
+  /// counts, and Snapshot saves back to the same bytes. Fit remains
+  /// usable and replaces the loaded model like any refit. Corrupt or
+  /// truncated files come back as typed Status errors, never a partially
+  /// loaded model.
   static Result<Clusterer> FromSnapshot(const std::string& path);
 
   ~Clusterer();
@@ -350,7 +346,7 @@ class Clusterer {
   Result<std::vector<uint32_t>> Predict(const NumericDataset& dataset) const;
   Result<std::vector<uint32_t>> Predict(const MixedDataset& dataset) const;
 
-  /// LSH-routed out-of-sample assignment through the retained fit-time
+  /// LSH-routed out-of-sample assignment through the fitted model's
   /// index — the paper's shortlist idea applied to the query side. Per
   /// item: sign the query with the fitted family's hashers, probe the
   /// fit-time buckets, dereference the co-bucketed fitted items' clusters
@@ -361,13 +357,15 @@ class Clusterer {
   /// order, so ties resolve to the lowest id exactly as Predict does —
   /// whenever the probe contains the true nearest cluster the routed
   /// answer is bit-identical to Predict's. The fitted dataset is never
-  /// re-signed (see IndexHandle::dataset_sign_passes). Batch-parallel and
-  /// shard-chunked through the spec's ShardPlan; per-item work is pure,
-  /// so every (threads x shards) setting is bit-identical. Requires a
-  /// prior successful Fit of matching shape; with no retained index
-  /// (non-banding accelerators, spec.retain_index = false, or a fit
-  /// cancelled before its index was built) every item takes the fallback
-  /// and PredictRouted returns exactly Predict's assignment.
+  /// re-signed (see IndexHandle::dataset_sign_passes). This is the
+  /// model's own sign-and-route loop — the code FrozenModel::RouteInto
+  /// runs on a Snapshot() of this fit — batch-parallel and shard-chunked
+  /// through the spec's ShardPlan; per-item work is pure, so every
+  /// (threads x shards) setting is bit-identical and equal to the
+  /// snapshot's Route. Requires a prior successful Fit of matching shape;
+  /// a model without an index (non-banding accelerators, or a fit
+  /// cancelled before its index was built) routes every item through the
+  /// fallback, so PredictRouted returns exactly Predict's assignment.
   Result<std::vector<uint32_t>> PredictRouted(
       const CategoricalDataset& dataset) const;
   Result<std::vector<uint32_t>> PredictRouted(
@@ -375,24 +373,25 @@ class Clusterer {
   Result<std::vector<uint32_t>> PredictRouted(
       const MixedDataset& dataset) const;
 
-  /// An immutable deep-copied FrozenModel of the fitted state for the
-  /// lock-free serving layer (serving/frozen_model.h): centroids/modes,
-  /// the family's hashers, the banded index's CSR arrays and the fitted
-  /// assignment. The snapshot is self-contained — refitting or
-  /// destroying this Clusterer leaves it routing unchanged (the opposite
-  /// of index(), whose handles a refit invalidates). Its Route is
-  /// bit-identical to PredictRouted on the fitted state it was taken
-  /// from; with no retained index (non-banding accelerators or
-  /// spec.retain_index = false) the snapshot still works, routing as an
-  /// exhaustive Predict. Requires a prior successful Fit.
+  /// The fitted model itself, for the lock-free serving layer
+  /// (serving/frozen_model.h): a shared pointer to the immutable
+  /// FrozenModel this Clusterer routes with, so taking a snapshot is a
+  /// refcount copy and two calls on one fit return the same pointer.
+  /// Refitting swaps a new model into the Clusterer and leaves this one
+  /// unchanged, and destroying the Clusterer frees it only when the last
+  /// snapshot is dropped. Its Route is bit-identical to PredictRouted on
+  /// the fit it came from; a model without an index (non-banding
+  /// accelerators) routes as an exhaustive Predict. Requires a prior
+  /// successful Fit.
   Result<std::shared_ptr<const serving::FrozenModel>> Snapshot() const;
 
-  /// A read-only handle on the retained fit-time shortlist index: bucket
+  /// A read-only handle on the fitted model's shortlist index: bucket
   /// occupancy, memory, the dataset-signing counter, and candidate
-  /// enumeration for dedup workloads (see api/index_handle.h for the
-  /// lifetime contract — valid until the next Fit or destruction).
-  /// kInvalidArgument when nothing is retained: no successful Fit yet, a
-  /// non-banding accelerator, retention disabled, or the fit was
+  /// enumeration for dedup workloads. The handle shares ownership of the
+  /// model, so it stays valid through refits and past this Clusterer's
+  /// destruction, always describing the fit it was taken from (see
+  /// api/index_handle.h). kInvalidArgument when the model has no index:
+  /// no successful Fit yet, a non-banding accelerator, or the fit was
   /// cancelled before its index was built.
   Result<IndexHandle> index() const;
 

@@ -33,7 +33,6 @@ class CanopyShortlistProvider {
   CanopyShortlistProvider(const CanopyOptions& options, uint32_t num_clusters)
       : options_(options), num_clusters_(num_clusters) {
     LSHC_DCHECK(num_clusters >= 1) << "need at least one cluster";
-    scratch_ = MakeScratch();
   }
 
   static constexpr bool kExhaustive = false;
@@ -75,12 +74,6 @@ class CanopyShortlistProvider {
                              });
   }
 
-  /// Sequential convenience overload using the provider-owned scratch.
-  void GetCandidates(uint32_t item, std::span<const uint32_t> assignment,
-                     std::vector<uint32_t>* out) {
-    GetCandidates(item, assignment, scratch_, out);
-  }
-
   /// The canopy cover (null before Prepare).
   const CanopyIndex* index() const { return index_.get(); }
 
@@ -88,7 +81,6 @@ class CanopyShortlistProvider {
   CanopyOptions options_;
   uint32_t num_clusters_;
   std::unique_ptr<CanopyIndex> index_;
-  Scratch scratch_;
 };
 
 }  // namespace lshclust

@@ -63,7 +63,7 @@ class MinHashShortlistFamily {
 
   /// Deep copy: clones the live hasher (seeds included) so the copy signs
   /// queries bit-identically and independently of the source's lifetime —
-  /// this is what FrozenModel snapshots rely on.
+  /// this is what StreamingSession snapshots rely on.
   MinHashShortlistFamily(const MinHashShortlistFamily& other);
   MinHashShortlistFamily& operator=(const MinHashShortlistFamily& other);
   MinHashShortlistFamily(MinHashShortlistFamily&&) noexcept = default;
@@ -92,7 +92,8 @@ class MinHashShortlistFamily {
   bool keep_signatures() const { return options_.keep_signatures; }
 
   /// Signature of an external token set (tokens in the dataset's code
-  /// space) — enables GetCandidatesForTokens on the provider.
+  /// space) — enables GetCandidatesForQuery on the provider and routed
+  /// queries on a fitted model.
   void ComputeQuerySignature(std::span<const uint32_t> tokens,
                              uint64_t* out) const;
 

@@ -68,27 +68,8 @@ class MixedShortlistFamily {
         << "invalid mixed index options; call ValidateOptions first";
   }
 
-  /// Deep copy: clones both fitted hashers and the centering mean so the
-  /// copy signs queries bit-identically and independently of the source's
-  /// lifetime — this is what FrozenModel snapshots rely on.
-  MixedShortlistFamily(const MixedShortlistFamily& other)
-      : options_(other.options_),
-        categorical_hasher_(
-            other.categorical_hasher_ != nullptr
-                ? std::make_unique<MinHasher>(*other.categorical_hasher_)
-                : nullptr),
-        numeric_hasher_(other.numeric_hasher_ != nullptr
-                            ? std::make_unique<SimHasher>(
-                                  *other.numeric_hasher_)
-                            : nullptr),
-        mean_(other.mean_) {}
-  MixedShortlistFamily& operator=(const MixedShortlistFamily& other) {
-    if (this != &other) {
-      MixedShortlistFamily copy(other);
-      *this = std::move(copy);
-    }
-    return *this;
-  }
+  /// Move-only: a fitted model takes the family over from the provider
+  /// that prepared it (ShortlistProvider::Release), never a copy.
   MixedShortlistFamily(MixedShortlistFamily&&) noexcept = default;
   MixedShortlistFamily& operator=(MixedShortlistFamily&&) noexcept = default;
 

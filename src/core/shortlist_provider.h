@@ -43,8 +43,7 @@
 /// `Prepare(dataset, pool, cancel)` and a const
 /// `GetCandidates(item, assignment, scratch, out)`. Queries take an
 /// explicit Scratch, so the engine runs them from many worker threads at
-/// once (one scratch per worker); the scratch-less overload uses a
-/// provider-owned scratch for sequential callers.
+/// once (one scratch per worker).
 ///
 /// The family concept:
 /// \code
@@ -76,6 +75,7 @@
 #include <functional>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "lsh/banded_index.h"
@@ -171,20 +171,6 @@ class ShortlistProvider {
     scratch_ = MakeScratch();
   }
 
-  /// Reassembles a provider from persisted parts: a family whose hashers
-  /// were already rebuilt from (options, seed) and the dumped banded
-  /// index. No signing pass runs — `dataset_sign_passes()` stays 0 on the
-  /// result, which is how warm-start loaders prove the saved buckets were
-  /// adopted verbatim rather than re-hashed. The caller is responsible for
-  /// cross-checking index/family shape agreement (persist/model_io.cpp
-  /// does).
-  static ShortlistProvider FromParts(Family family, uint32_t num_clusters,
-                                     std::unique_ptr<BandedIndex> index) {
-    ShortlistProvider provider(std::move(family), num_clusters);
-    provider.index_ = std::move(index);
-    return provider;
-  }
-
   /// Engine contract: shortlists instead of exhaustive scans.
   static constexpr bool kExhaustive = false;
 
@@ -258,12 +244,6 @@ class ShortlistProvider {
                              });
   }
 
-  /// Sequential convenience overload using the provider-owned scratch.
-  void GetCandidates(uint32_t item, std::span<const uint32_t> assignment,
-                     std::vector<uint32_t>* out) {
-    GetCandidates(item, assignment, scratch_, out);
-  }
-
   /// As GetCandidates but for an external item given by its
   /// family-specific query representation (e.g. a token set for MinHash, a
   /// vector for SimHash) — a new item arriving after clustering. Only
@@ -288,16 +268,16 @@ class ShortlistProvider {
     });
   }
 
-  /// Historical name of the categorical external query: candidates for a
-  /// token set in the dataset's code space.
-  void GetCandidatesForTokens(std::span<const uint32_t> tokens,
-                              std::span<const uint32_t> assignment,
-                              std::vector<uint32_t>* out) {
-    GetCandidatesForQuery(tokens, assignment, out);
-  }
-
   /// The hash family (hashers + configuration).
   const Family& family() const { return family_; }
+
+  /// Moves the family and the prepared index out, leaving the provider
+  /// spent. Clusterer::Fit builds its fitted model from them, so the
+  /// index built once after the initial assignment is the one that model
+  /// routes with — never a copy.
+  std::pair<Family, std::unique_ptr<BandedIndex>> Release() && {
+    return {std::move(family_), std::move(index_)};
+  }
 
   /// The per-item signature matrix computed by Prepare — non-empty only
   /// when the family keeps signatures. Lets callers (e.g. the streaming
@@ -337,18 +317,11 @@ class ShortlistProvider {
   uint64_t dataset_sign_passes() const { return dataset_sign_passes_; }
 
  private:
-  /// For FromParts: adopts an already-built family without signing.
-  ShortlistProvider(Family family, uint32_t num_clusters)
-      : family_(std::move(family)), num_clusters_(num_clusters) {
-    LSHC_DCHECK(num_clusters >= 1) << "need at least one cluster";
-    scratch_ = MakeScratch();
-  }
-
   Family family_;
   uint32_t num_clusters_;
   std::unique_ptr<BandedIndex> index_;
   std::vector<uint64_t> signatures_;  // kept only if family says so
-  Scratch scratch_;                   // for the sequential overloads
+  Scratch scratch_;                   // for GetCandidatesForQuery
   std::vector<uint64_t> query_signature_;  // GetCandidatesForQuery buffer
 
   double signature_seconds_ = 0;

@@ -55,21 +55,8 @@ class SimHashShortlistFamily {
         << "invalid SimHash index options; call ValidateOptions first";
   }
 
-  /// Deep copy: clones the fitted hasher (hyperplanes included) so the
-  /// copy signs queries bit-identically and independently of the source's
-  /// lifetime — this is what FrozenModel snapshots rely on.
-  SimHashShortlistFamily(const SimHashShortlistFamily& other)
-      : options_(other.options_),
-        hasher_(other.hasher_ != nullptr
-                    ? std::make_unique<SimHasher>(*other.hasher_)
-                    : nullptr) {}
-  SimHashShortlistFamily& operator=(const SimHashShortlistFamily& other) {
-    if (this != &other) {
-      SimHashShortlistFamily copy(other);
-      *this = std::move(copy);
-    }
-    return *this;
-  }
+  /// Move-only: a fitted model takes the family over from the provider
+  /// that prepared it (ShortlistProvider::Release), never a copy.
   SimHashShortlistFamily(SimHashShortlistFamily&&) noexcept = default;
   SimHashShortlistFamily& operator=(SimHashShortlistFamily&&) noexcept =
       default;

@@ -48,11 +48,18 @@ Result<CategoricalDataset> CategoricalDataset::FromCodes(
     return Status::InvalidArgument(
         "absent_codes must be empty or one flag per code");
   }
-  for (const uint32_t code : codes) {
-    if (code >= num_codes) {
-      return Status::OutOfRange("code " + std::to_string(code) +
-                                " >= num_codes " + std::to_string(num_codes));
-    }
+  // A branch-free max reduction vectorizes; a per-code early exit does
+  // not, and its one-compare loop body then runs at whatever speed its
+  // code alignment allows. The first offending code is looked up only for
+  // the error message.
+  uint32_t max_code = 0;
+  for (const uint32_t code : codes) max_code = std::max(max_code, code);
+  if (!codes.empty() && max_code >= num_codes) {
+    const uint32_t code = *std::find_if(
+        codes.begin(), codes.end(),
+        [num_codes](uint32_t c) { return c >= num_codes; });
+    return Status::OutOfRange("code " + std::to_string(code) +
+                              " >= num_codes " + std::to_string(num_codes));
   }
   CategoricalDataset dataset;
   dataset.num_items_ = num_items;

@@ -18,12 +18,12 @@
 /// headers directly for faster builds; include this one for exploration
 /// and prototyping.
 
-// The front door (clusterer.h pulls in index_handle.h — the retained
-// fit-time index Fit hands back for routed prediction and dedup probes).
+// The front door (clusterer.h pulls in index_handle.h — a handle on the
+// fitted model's index, for diagnostics and dedup probes).
 #include "api/clusterer.h"  // IWYU pragma: export
 #include "api/index_handle.h"  // IWYU pragma: export
 
-// The serving layer: immutable FrozenModel snapshots (Clusterer::Snapshot
+// The serving layer: immutable FrozenModel models (Clusterer::Snapshot
 // / StreamingSession::Snapshot) published to lock-free readers through a
 // ModelServer.
 #include "serving/frozen_model.h"  // IWYU pragma: export

@@ -1,9 +1,8 @@
 /// \file model_io.cpp
 /// \brief Implementation of the model persistence subsystem: the section
 /// codec (see model_io.h for the layout), the FrozenModel extractor, and
-/// the two reconstruction paths (LoadFrozenModel here,
-/// Clusterer::FromSnapshot in api/clusterer.cpp on top of the Build*
-/// helpers).
+/// the one reconstruction path, BuildFrozenModel, behind both
+/// LoadFrozenModel and Clusterer::FromSnapshot.
 
 #include "persist/model_io.h"
 
@@ -889,91 +888,75 @@ Result<LoadedRouting<MixedShortlistFamily>> BuildMixedRouting(
   return FinishRouting(std::move(family), std::move(model));
 }
 
-}  // namespace lshclust::persist
-
-namespace lshclust::serving {
-
 namespace {
 
-using persist::DecodedModel;
-using persist::ModelFamilyKind;
-using persist::ModelModality;
+using ModelPtr = std::shared_ptr<const serving::FrozenModel>;
 
-using ModelPtr = std::shared_ptr<const FrozenModel>;
-
-Result<ModelPtr> LoadCategorical(DecodedModel&& model) {
-  EngineOptions options;
+/// Assembles the model of one modality from its decoded options and
+/// centroids: an exhaustive model for a family-less file, else a routed
+/// one whose family and index `build_routing` rebuilds from `model`.
+template <typename Traits, typename Family, typename BuildRoutingFn>
+Result<ModelPtr> Assemble(typename Traits::Options options,
+                          typename Traits::Centroids centroids,
+                          DecodedModel&& model,
+                          BuildRoutingFn build_routing) {
   options.num_clusters = model.num_clusters;
-  LSHC_ASSIGN_OR_RETURN(ModeTable modes, persist::BuildModeTable(model));
-  const uint32_t primary = model.shape_primary;
-  const uint32_t secondary = model.shape_secondary;
-  if (model.family == ModelFamilyKind::kNone) {
-    return ModelPtr(std::make_shared<internal::FrozenModelImpl<
-                        CategoricalClusteringTraits>>(
-        options, std::move(modes), std::nullopt, nullptr,
-        std::vector<uint32_t>(), primary, secondary));
-  }
-  LSHC_ASSIGN_OR_RETURN(auto routing,
-                        persist::BuildMinHashRouting(std::move(model)));
-  return ModelPtr(
-      std::make_shared<internal::FrozenModelImpl<CategoricalClusteringTraits,
-                                                 MinHashShortlistFamily>>(
-          options, std::move(modes), std::move(routing.family),
-          std::move(routing.index), std::move(routing.fit_assignment),
-          primary, secondary));
-}
-
-Result<ModelPtr> LoadNumeric(DecodedModel&& model) {
-  KMeansOptions options;
-  options.num_clusters = model.num_clusters;
-  LSHC_ASSIGN_OR_RETURN(CentroidTable centroids,
-                        persist::BuildCentroidTable(model));
   const uint32_t primary = model.shape_primary;
   const uint32_t secondary = model.shape_secondary;
   if (model.family == ModelFamilyKind::kNone) {
     return ModelPtr(
-        std::make_shared<internal::FrozenModelImpl<NumericClusteringTraits>>(
-            options, std::move(centroids), std::nullopt, nullptr,
+        std::make_shared<serving::internal::FrozenModelImpl<Traits>>(
+            std::move(options), std::move(centroids), std::nullopt, nullptr,
             std::vector<uint32_t>(), primary, secondary));
   }
-  LSHC_ASSIGN_OR_RETURN(auto routing,
-                        persist::BuildSimHashRouting(std::move(model)));
+  LSHC_ASSIGN_OR_RETURN(LoadedRouting<Family> routing,
+                        build_routing(std::move(model)));
   return ModelPtr(
-      std::make_shared<internal::FrozenModelImpl<NumericClusteringTraits,
-                                                 SimHashShortlistFamily>>(
-          options, std::move(centroids), std::move(routing.family),
-          std::move(routing.index), std::move(routing.fit_assignment),
-          primary, secondary));
-}
-
-Result<ModelPtr> LoadMixed(DecodedModel&& model) {
-  KPrototypesOptions options;
-  options.num_clusters = model.num_clusters;
-  options.gamma = model.gamma;
-  LSHC_ASSIGN_OR_RETURN(ModeTable modes, persist::BuildModeTable(model));
-  LSHC_ASSIGN_OR_RETURN(CentroidTable centroids,
-                        persist::BuildCentroidTable(model));
-  MixedClusteringTraits::Centroids prototypes{std::move(modes),
-                                              std::move(centroids)};
-  const uint32_t primary = model.shape_primary;
-  const uint32_t secondary = model.shape_secondary;
-  if (model.family == ModelFamilyKind::kNone) {
-    return ModelPtr(
-        std::make_shared<internal::FrozenModelImpl<MixedClusteringTraits>>(
-            options, std::move(prototypes), std::nullopt, nullptr,
-            std::vector<uint32_t>(), primary, secondary));
-  }
-  LSHC_ASSIGN_OR_RETURN(auto routing,
-                        persist::BuildMixedRouting(std::move(model)));
-  return ModelPtr(
-      std::make_shared<internal::FrozenModelImpl<MixedClusteringTraits,
-                                                 MixedShortlistFamily>>(
-          options, std::move(prototypes), std::move(routing.family),
+      std::make_shared<serving::internal::FrozenModelImpl<Traits, Family>>(
+          std::move(options), std::move(centroids), std::move(routing.family),
           std::move(routing.index), std::move(routing.fit_assignment),
           primary, secondary));
 }
 
 }  // namespace
+
+Result<std::shared_ptr<const serving::FrozenModel>> BuildFrozenModel(
+    DecodedModel&& model) {
+  switch (model.modality) {
+    case ModelModality::kCategorical: {
+      LSHC_ASSIGN_OR_RETURN(ModeTable modes, BuildModeTable(model));
+      return Assemble<CategoricalClusteringTraits, MinHashShortlistFamily>(
+          EngineOptions{}, std::move(modes), std::move(model),
+          BuildMinHashRouting);
+    }
+    case ModelModality::kNumeric: {
+      LSHC_ASSIGN_OR_RETURN(CentroidTable centroids,
+                            BuildCentroidTable(model));
+      return Assemble<NumericClusteringTraits, SimHashShortlistFamily>(
+          KMeansOptions{}, std::move(centroids), std::move(model),
+          BuildSimHashRouting);
+    }
+    case ModelModality::kMixed: {
+      LSHC_ASSIGN_OR_RETURN(ModeTable modes, BuildModeTable(model));
+      LSHC_ASSIGN_OR_RETURN(CentroidTable centroids,
+                            BuildCentroidTable(model));
+      KPrototypesOptions options;
+      options.gamma = model.gamma;
+      return Assemble<MixedClusteringTraits, MixedShortlistFamily>(
+          options,
+          MixedClusteringTraits::Centroids{std::move(modes),
+                                           std::move(centroids)},
+          std::move(model), BuildMixedRouting);
+    }
+  }
+  return Status::InvalidArgument("unknown model modality");
+}
+
+}  // namespace lshclust::persist
+
+namespace lshclust::serving {
+
+using persist::DecodedModel;
 
 Status SaveFrozenModel(const FrozenModel& model, const std::string& path) {
   LSHC_ASSIGN_OR_RETURN(DecodedModel decoded, persist::ExtractModel(model));
@@ -993,15 +976,7 @@ Status SaveFrozenModel(const FrozenModel& model, const std::string& path) {
 Result<std::shared_ptr<const FrozenModel>> LoadFrozenModel(
     const std::string& path) {
   LSHC_ASSIGN_OR_RETURN(DecodedModel model, persist::DecodeModelFile(path));
-  switch (model.modality) {
-    case ModelModality::kCategorical:
-      return LoadCategorical(std::move(model));
-    case ModelModality::kNumeric:
-      return LoadNumeric(std::move(model));
-    case ModelModality::kMixed:
-      return LoadMixed(std::move(model));
-  }
-  return Status::InvalidArgument("unknown model modality");
+  return persist::BuildFrozenModel(std::move(model));
 }
 
 Result<uint64_t> ModelServer::PublishFromFile(const std::string& path) {

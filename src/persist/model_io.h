@@ -90,9 +90,8 @@ enum class ModelFamilyKind : uint8_t {
 };
 
 /// \brief A fully decoded + cross-validated model file: plain arrays and
-/// option structs, ready for either reconstruction path (LoadFrozenModel
-/// or Clusterer::FromSnapshot). Only the fields matching `modality` /
-/// `family` are meaningful.
+/// option structs, ready for BuildFrozenModel. Only the fields matching
+/// `modality` / `family` are meaningful.
 struct DecodedModel {
   ModelModality modality = ModelModality::kCategorical;
   ModelFamilyKind family = ModelFamilyKind::kNone;
@@ -161,8 +160,7 @@ Result<CentroidTable> BuildCentroidTable(const DecodedModel& model);
 
 /// \brief The routed half of a loaded model: a family with rebuilt
 /// hashers, the adopted (not re-hashed) index and the fit assignment —
-/// everything a ShortlistProvider or FrozenModelImpl needs beyond the
-/// centroids.
+/// everything a routed FrozenModelImpl needs beyond the centroids.
 template <typename Family>
 struct LoadedRouting {
   Family family;
@@ -180,6 +178,14 @@ Result<LoadedRouting<MinHashShortlistFamily>> BuildMinHashRouting(
 Result<LoadedRouting<SimHashShortlistFamily>> BuildSimHashRouting(
     DecodedModel&& model);
 Result<LoadedRouting<MixedShortlistFamily>> BuildMixedRouting(
+    DecodedModel&& model);
+
+/// The one DecodedModel -> FrozenModel path, behind both
+/// serving::LoadFrozenModel and Clusterer::FromSnapshot: the centroids
+/// rebuilt by BuildModeTable / BuildCentroidTable, and for a routed model
+/// the family and index from the matching Build*Routing. Consumes
+/// `model`'s arrays.
+Result<std::shared_ptr<const serving::FrozenModel>> BuildFrozenModel(
     DecodedModel&& model);
 
 }  // namespace lshclust::persist

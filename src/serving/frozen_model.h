@@ -1,36 +1,40 @@
 #pragma once
 
 /// \file frozen_model.h
-/// \brief Immutable model snapshots for the lock-free serving layer.
+/// \brief The immutable fitted model, shared by the Clusterer that fitted
+/// it and the lock-free serving layer.
 ///
-/// A `FrozenModel` is a self-contained, deep-copied snapshot of a fitted
-/// clustering model: the centroid/mode table, the LSH family's hashers
-/// (seeds and hyperplanes included), the banded index's CSR arrays and
-/// the fit-time assignment. Nothing in it
-/// aliases live `Clusterer` state, so the source may be refit, restarted
-/// or destroyed while the snapshot keeps serving — the deliberate
-/// opposite of `IndexHandle`, which is a *view* that a refit invalidates
-/// (see api/index_handle.h for that contract).
+/// A `FrozenModel` is one fitted clustering model: the centroid/mode
+/// table, the LSH family's hashers (seeds and hyperplanes included), the
+/// banded index built once after the initial assignment and the fit-time
+/// assignment that serves as its cluster-reference store. A `Clusterer`
+/// holds its fitted state as exactly one of these, and
+/// `Clusterer::Snapshot()` returns that same object — a refcount copy,
+/// not a deep one. Nothing in it changes after construction, so the
+/// Clusterer may refit (swapping in a new model), move or be destroyed
+/// while a snapshot keeps serving; `IndexHandle`s share the model the
+/// same way (see api/index_handle.h).
 ///
-/// Snapshots are immutable after construction: `Route` / `RouteInto` are
-/// const, touch no shared mutable state, and are safe to call from any
-/// number of threads concurrently. Per-thread mutable state lives in a
-/// caller-owned `RouteScratch` (one per reader thread), so the hot path
-/// allocates nothing once the scratch is warm. Routing follows the exact
-/// `PredictRouted` path — sign query, probe buckets, exact-distance the
-/// shortlist, exhaustive fallback on an empty probe —
-/// through the same shared kernel (serving/routing.h), so routed results
-/// from a snapshot are bit-identical to `PredictRouted` on the fitted
-/// state it was taken from.
+/// Models are immutable: `Route` / `RouteInto` are const, touch no
+/// shared mutable state, and are safe to call from any number of threads
+/// concurrently — including while the owning Clusterer runs
+/// `PredictRouted` over the same object. Per-thread mutable state lives
+/// in a caller-owned `RouteScratch` (one per reader thread), so the hot
+/// path allocates nothing once the scratch is warm. Routing follows the
+/// exact `PredictRouted` path — sign query, probe buckets,
+/// exact-distance the shortlist, exhaustive fallback on an empty probe —
+/// through the same loop (FrozenModelImpl::RouteRange), so routed results
+/// are bit-identical to `PredictRouted` on the fit the model came from.
 ///
-/// Memory cost of a snapshot is dominated by the copied CSR arrays:
-/// `memory_bytes()` reports the total.
+/// `memory_bytes()` reports the model's shortlist state (banded index +
+/// fitted assignment).
 ///
-/// Obtain snapshots from `Clusterer::Snapshot()` (any fitted modality;
-/// models fitted with `retain_index = false` or the exhaustive
-/// accelerator snapshot too, routing as a plain exhaustive Predict) or
-/// from `StreamingSession::Snapshot()` (live MinHash k-modes state).
-/// Publish them to readers through a `ModelServer` (model_server.h).
+/// Obtain models from `Clusterer::Snapshot()` (any fitted modality;
+/// models of the exhaustive or canopy accelerators route as a plain
+/// exhaustive Predict), from `serving::LoadFrozenModel` (a saved model
+/// file) or from `StreamingSession::Snapshot()` (a deep copy of the live,
+/// mutable MinHash k-modes state). Publish them to readers through a
+/// `ModelServer` (model_server.h).
 
 #include <atomic>
 #include <cstdint>
@@ -46,7 +50,7 @@ namespace lshclust::serving {
 
 class ModelServer;
 
-/// Immutable snapshot of a fitted model; see the file comment.
+/// Immutable fitted model; see the file comment.
 class FrozenModel {
  public:
   /// Opaque per-thread routing scratch. Create one per reader thread with
@@ -91,20 +95,23 @@ class FrozenModel {
   Result<std::vector<uint32_t>> Route(const NumericDataset& queries) const;
   Result<std::vector<uint32_t>> Route(const MixedDataset& queries) const;
 
-  /// Version stamped by the `ModelServer` that published this snapshot
-  /// (versions start at 1 and increase monotonically per server);
-  /// 0 for a snapshot that has not been published.
+  /// The stamp of this object's most recent publish, on any
+  /// `ModelServer` (versions start at 1 and increase monotonically per
+  /// server); 0 for a model that has not been published. One model may be
+  /// published several times or to several servers, so this is the
+  /// latest such stamp — a server's own current version is
+  /// `ModelServer::version()`.
   uint64_t version() const { return version_.load(std::memory_order_acquire); }
 
   /// Number of clusters the model routes into.
   virtual uint32_t num_clusters() const = 0;
 
-  /// True when the snapshot carries a banded index (routed path); false
-  /// for exhaustive snapshots, whose Route equals a plain Predict.
+  /// True when the model carries a banded index (routed path); false for
+  /// exhaustive models, whose Route equals a plain Predict.
   virtual bool has_index() const = 0;
 
-  /// Total bytes held by the snapshot's copied state (CSR arrays,
-  /// hashers, centroids, fit assignment).
+  /// Bytes held by the model's shortlist state: the banded index's CSR
+  /// arrays plus the fit assignment (0 for an exhaustive model).
   virtual uint64_t memory_bytes() const = 0;
 
  protected:
@@ -112,9 +119,9 @@ class FrozenModel {
 
  private:
   friend class ModelServer;
-  /// Written once by ModelServer::Publish (release) before the snapshot
-  /// becomes visible to readers; mutable so servers can stamp
-  /// `shared_ptr<const FrozenModel>` snapshots.
+  /// Written by every ModelServer::Publish of this model (release, before
+  /// the model becomes visible to that server's readers); mutable so
+  /// servers can stamp `shared_ptr<const FrozenModel>` models.
   mutable std::atomic<uint64_t> version_{0};
 };
 

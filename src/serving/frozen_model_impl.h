@@ -1,18 +1,27 @@
 #pragma once
 
 /// \file frozen_model_impl.h
-/// \brief Internal: the templated FrozenModel implementation.
+/// \brief Internal: the templated FrozenModel implementation — the one
+/// representation of a fitted model.
 ///
-/// `FrozenModelImpl<Traits, Family>` owns deep copies of everything a
-/// routed query touches — engine options (progress/cancel hooks cleared,
-/// a snapshot must not call back into the fit's lifetime), the
-/// centroid/mode table, the signing family (its hashers cloned seeds and
-/// all), the banded index's CSR arrays and the fit-time assignment.
+/// `FrozenModelImpl<Traits, Family>` owns everything a fitted model is:
+/// the engine options (progress/cancel hooks cleared — a model must never
+/// call back into the Fit that produced it), the centroid/mode table, the
+/// signing family (hashers, seeds and all), the banded index and the
+/// fit-time assignment that serves as the cluster-reference store. It is
+/// immutable once built. A `Clusterer` holds its fitted state as one of
+/// these behind a `shared_ptr<const FrozenModel>`, so `Snapshot()` hands
+/// out that same object, `IndexHandle`s share it, and `PredictRouted` and
+/// `RouteInto` run the same sign-and-route code (RouteRange) over it.
 /// `Family = internal::NoFamily` is the exhaustive specialization: no
-/// index, Route degenerates to the exhaustive argmin (exactly Predict).
+/// index, routing degenerates to the exhaustive argmin (exactly Predict).
 ///
-/// This header is internal plumbing for api/clusterer.cpp — applications
-/// program against serving/frozen_model.h and never name these types.
+/// Models are built in three places: `Clusterer::Fit` (moving the
+/// prepared provider's family and index in), `persist::BuildFrozenModel`
+/// (the one load path, shared by `LoadFrozenModel` and
+/// `Clusterer::FromSnapshot`) and `StreamingSession::Snapshot` (a copy of
+/// the live session's state). Applications program against
+/// serving/frozen_model.h and never name these types.
 
 #include <cstdint>
 #include <memory>
@@ -34,7 +43,7 @@
 
 namespace lshclust::serving::internal {
 
-/// Family tag for exhaustive snapshots (no index, no signing).
+/// Family tag for exhaustive models (no index, no signing).
 struct NoFamily {};
 
 /// The one concrete RouteScratch type every FrozenModelImpl hands out and
@@ -47,49 +56,52 @@ class ScratchHolder final : public FrozenModel::RouteScratch {
   RoutedScratch scratch;
 };
 
+/// kInvalidArgument unless `queries` has the fitted model's shape
+/// (`primary`/`secondary` as FrozenModelImpl stores them).
 [[nodiscard]] inline Status CheckQueryShape(const CategoricalDataset& queries,
-                              uint32_t primary, uint32_t /*secondary*/) {
+                                            uint32_t primary,
+                                            uint32_t /*secondary*/) {
   if (queries.num_attributes() != primary) {
     return Status::InvalidArgument(
         "query dataset has " + std::to_string(queries.num_attributes()) +
-        " attributes but the snapshot was taken from a model over " +
-        std::to_string(primary));
+        " attributes; the fitted model expects " + std::to_string(primary));
   }
   return Status::OK();
 }
 
-[[nodiscard]] inline Status CheckQueryShape(const NumericDataset& queries, uint32_t primary,
-                              uint32_t /*secondary*/) {
+[[nodiscard]] inline Status CheckQueryShape(const NumericDataset& queries,
+                                            uint32_t primary,
+                                            uint32_t /*secondary*/) {
   if (queries.dimensions() != primary) {
     return Status::InvalidArgument(
         "query dataset has " + std::to_string(queries.dimensions()) +
-        " dimensions but the snapshot was taken from a model over " +
-        std::to_string(primary));
+        " dimensions; the fitted model expects " + std::to_string(primary));
   }
   return Status::OK();
 }
 
-[[nodiscard]] inline Status CheckQueryShape(const MixedDataset& queries, uint32_t primary,
-                              uint32_t secondary) {
+[[nodiscard]] inline Status CheckQueryShape(const MixedDataset& queries,
+                                            uint32_t primary,
+                                            uint32_t secondary) {
   if (queries.num_categorical() != primary ||
       queries.num_numeric() != secondary) {
     return Status::InvalidArgument(
         "query dataset has " + std::to_string(queries.num_categorical()) +
         " categorical + " + std::to_string(queries.num_numeric()) +
-        " numeric attributes but the snapshot was taken from a model over " +
+        " numeric attributes; the fitted model expects " +
         std::to_string(primary) + " + " + std::to_string(secondary));
   }
   return Status::OK();
 }
 
-/// Deep-copied snapshot for one (Traits, Family) pair; see file comment.
+/// The fitted model for one (Traits, Family) pair; see the file comment.
 template <typename Traits, typename Family = NoFamily>
 class FrozenModelImpl final : public FrozenModel {
  public:
   static constexpr bool kRouted = !std::is_same_v<Family, NoFamily>;
 
-  /// Takes ownership of already-copied state. `index` may be null only
-  /// when `Family` is NoFamily; `family` must be engaged iff routed.
+  /// Takes ownership of the model's state. `index` may be null only when
+  /// `Family` is NoFamily; `family` must be engaged iff routed.
   /// `shape_primary`/`shape_secondary` are the modality's shape
   /// (attributes / dimensions / categorical+numeric).
   FrozenModelImpl(typename Traits::Options options,
@@ -105,8 +117,8 @@ class FrozenModelImpl final : public FrozenModel {
         fit_assignment_(std::move(fit_assignment)),
         shape_primary_(shape_primary),
         shape_secondary_(shape_secondary) {
-    // A snapshot outlives the Fit call whose hooks these were; routing
-    // must never call back into them.
+    // A model outlives the Fit call whose hooks these were; routing must
+    // never call back into them.
     options_.progress = nullptr;
     options_.cancel = nullptr;
     memory_bytes_ = (index_ != nullptr ? index_->MemoryUsageBytes() : 0) +
@@ -115,17 +127,21 @@ class FrozenModelImpl final : public FrozenModel {
 
   std::unique_ptr<RouteScratch> MakeScratch() const override {
     auto holder = std::make_unique<ScratchHolder>();
-    holder->scratch = MakeRoutedScratch(
+    holder->scratch = NewRoutedScratch();
+    return holder;
+  }
+
+  /// A RouteRange scratch sized for this model.
+  RoutedScratch NewRoutedScratch() const {
+    return MakeRoutedScratch(
         options_.num_clusters,
         index_ != nullptr ? index_->signature_width() : 0);
-    return holder;
   }
 
   [[nodiscard]] Status RouteInto(const typename Traits::Dataset& queries,
                    RouteScratch& scratch,
                    std::span<uint32_t> out) const override {
-    LSHC_RETURN_NOT_OK(
-        CheckQueryShape(queries, shape_primary_, shape_secondary_));
+    LSHC_RETURN_NOT_OK(CheckShape(queries));
     if (out.size() != queries.num_items()) {
       return Status::InvalidArgument(
           "output span holds " + std::to_string(out.size()) +
@@ -137,42 +153,61 @@ class FrozenModelImpl final : public FrozenModel {
           "scratch was not created by FrozenModel::MakeScratch");
     }
     RoutedScratch& s = holder->scratch;
-    const uint32_t n = queries.num_items();
-    const uint32_t k = options_.num_clusters;
-    if constexpr (!kRouted) {
-      for (uint32_t item = 0; item < n; ++item) {
-        out[item] = BestClusterExhaustive<Traits, /*EarlyExit=*/true>(
-            queries, model_, options_, item, /*seed_cluster=*/0, k);
-      }
-      return Status::OK();
-    } else {
+    if constexpr (kRouted) {
       // Re-fit the scratch to this model; every branch is a no-op once
       // the scratch is warm, preserving the zero-allocation hot path.
       // Stale stamp contents from a previous model are harmless: the
       // stamps are epoch-compared, and the epoch wrap clears them.
-      if (s.dedup.cluster_stamp.size() < k) {
-        s.dedup = MakeClusterDedupScratch(k);
+      if (s.dedup.cluster_stamp.size() < options_.num_clusters) {
+        s.dedup = MakeClusterDedupScratch(options_.num_clusters);
       }
       if (s.signature.size() != index_->signature_width()) {
         s.signature.resize(index_->signature_width());
       }
-      const RoutedStateView view{index_.get(), fit_assignment_};
-      for (uint32_t item = 0; item < n; ++item) {
-        SignQuery(queries, item, s);
-        out[item] =
-            RouteSignedQuery<Traits>(queries, model_, options_, view, item, s);
-      }
-      return Status::OK();
     }
+    RouteRange(queries, 0, queries.num_items(), s, out);
+    return Status::OK();
+  }
+
+  /// Routes queries [begin, end) into out[begin, end): per item, sign the
+  /// query with the family's hashers and hand it to the shared routing
+  /// kernel (serving/routing.h) — or, for an exhaustive model, take the
+  /// exhaustive argmin. `scratch` must be sized for this model
+  /// (NewRoutedScratch). Pure per
+  /// item, so any decomposition of the item range gives the same answers;
+  /// RouteInto and Clusterer::PredictRouted both route through here.
+  void RouteRange(const typename Traits::Dataset& queries, uint32_t begin,
+                  uint32_t end, RoutedScratch& scratch,
+                  std::span<uint32_t> out) const {
+    const uint32_t k = options_.num_clusters;
+    if constexpr (!kRouted) {
+      for (uint32_t item = begin; item < end; ++item) {
+        out[item] = BestClusterExhaustive<Traits, /*EarlyExit=*/true>(
+            queries, model_, options_, item, /*seed_cluster=*/0, k);
+      }
+    } else {
+      const RoutedStateView view{index_.get(), fit_assignment_};
+      for (uint32_t item = begin; item < end; ++item) {
+        SignQuery(queries, item, scratch);
+        out[item] = RouteSignedQuery<Traits>(queries, model_, options_, view,
+                                             item, scratch);
+      }
+    }
+  }
+
+  /// kInvalidArgument unless `queries` has this model's shape.
+  [[nodiscard]] Status CheckShape(
+      const typename Traits::Dataset& queries) const {
+    return CheckQueryShape(queries, shape_primary_, shape_secondary_);
   }
 
   uint32_t num_clusters() const override { return options_.num_clusters; }
   bool has_index() const override { return index_ != nullptr; }
   uint64_t memory_bytes() const override { return memory_bytes_; }
 
-  // Read-only views of the frozen members, for the model-file encoder
-  // (persist/model_io.cpp), which dynamic_casts a FrozenModel down to the
-  // concrete instantiation and dumps exactly what the snapshot holds.
+  // Read-only views of the model's members, for the Clusterer (Predict,
+  // index()) and the model-file encoder (persist/model_io.cpp), which
+  // dynamic_cast a FrozenModel down to the concrete instantiation.
   const typename Traits::Options& options() const { return options_; }
   const typename Traits::Centroids& centroids() const { return model_; }
   const std::optional<Family>& family() const { return family_; }

@@ -102,23 +102,38 @@ class ModelServer {
     /// The latest published snapshot (nullptr before the first Publish).
     /// While the server's version is unchanged since the last call this
     /// is one atomic load and no control-block traffic; on a version
-    /// change it refreshes the cache via `Acquire` (amortized once per
-    /// publish).
+    /// change it refreshes the cache under the slot mutex (amortized once
+    /// per publish). The cached version is this server's own, read with
+    /// the slot — never the model's stamp, which a publish of the same
+    /// model to another server may since have overwritten.
     const std::shared_ptr<const FrozenModel>& Current() {
       if (server_->version() != cached_version_) {
-        cached_ = server_->Acquire();
-        cached_version_ = cached_ == nullptr ? 0 : cached_->version();
+        server_->Refresh(&cached_, &cached_version_);
+        ++refreshes_;
       }
       return cached_;
     }
+
+    /// Number of times Current() refreshed its cache — one per observed
+    /// publish.
+    uint64_t refreshes() const { return refreshes_; }
 
    private:
     const ModelServer* server_;
     std::shared_ptr<const FrozenModel> cached_;
     uint64_t cached_version_ = 0;
+    uint64_t refreshes_ = 0;
   };
 
  private:
+  /// Copies the slot and the version it was published at, together.
+  void Refresh(std::shared_ptr<const FrozenModel>* model,
+               uint64_t* version) const LSHC_LOCKS_EXCLUDED(mutex_) {
+    MutexLock lock(mutex_);
+    *model = slot_;
+    *version = published_version_.load(std::memory_order_relaxed);
+  }
+
   /// Guards slot_ (readers refresh rarely; writers swap rarely). The
   /// per-query path never takes it — see Reader.
   mutable Mutex mutex_;

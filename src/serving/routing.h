@@ -5,11 +5,10 @@
 /// exact distance over the shortlist, exhaustive fallback on an empty
 /// probe.
 ///
-/// This is the per-item body of the facade's PredictRouted factored into
-/// one place so the serving layer's FrozenModel::Route executes *the same
-/// code* against its snapshotted state — routed results from a snapshot
-/// are bit-identical to PredictRouted on the live Clusterer by
-/// construction, not by parallel maintenance of two loops.
+/// FrozenModelImpl::RouteRange signs each query and calls this kernel;
+/// both FrozenModel::RouteInto and Clusterer::PredictRouted route through
+/// that one loop over the one fitted model, so their answers agree by
+/// construction.
 ///
 /// The kernel is pure per item and reads only immutable state through
 /// RoutedStateView, so any number of threads may route concurrently as
@@ -52,9 +51,7 @@ inline RoutedScratch MakeRoutedScratch(uint32_t num_clusters,
 
 /// \brief Read-only view of the routed-query state: the banded buckets
 /// over the fitted items' signatures and the fitted assignment as the
-/// cluster-reference store. Built by the facade over its retained provider
-/// and by FrozenModel over its snapshot copies — both views route
-/// identically over identical state.
+/// cluster-reference store, as a FrozenModelImpl holds them.
 struct RoutedStateView {
   const BandedIndex* index = nullptr;
   std::span<const uint32_t> fit_assignment;

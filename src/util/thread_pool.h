@@ -85,7 +85,7 @@ class ThreadPool {
     total_chunks_ =
         (static_cast<uint64_t>(end) - begin + chunk_size - 1) / chunk_size;
     fn_ = &fn;
-    ++generation_;
+    ++job_epoch_;
     work_cv_.NotifyAll();
     while (completed_ != total_chunks_) done_cv_.Wait(mutex_);
     fn_ = nullptr;
@@ -93,12 +93,12 @@ class ThreadPool {
 
  private:
   void WorkerLoop(uint32_t worker_index) LSHC_LOCKS_EXCLUDED(mutex_) {
-    uint64_t seen_generation = 0;
+    uint64_t seen_epoch = 0;
     mutex_.Lock();
     while (true) {
-      while (!stop_ && generation_ == seen_generation) work_cv_.Wait(mutex_);
+      while (!stop_ && job_epoch_ == seen_epoch) work_cv_.Wait(mutex_);
       if (stop_) break;
-      seen_generation = generation_;
+      seen_epoch = job_epoch_;
       while (next_ < end_) {
         const uint32_t chunk_begin = next_;
         const uint32_t chunk_end =
@@ -127,7 +127,7 @@ class ThreadPool {
   uint32_t next_ LSHC_GUARDED_BY(mutex_) = 0;
   uint64_t completed_ LSHC_GUARDED_BY(mutex_) = 0;
   uint64_t total_chunks_ LSHC_GUARDED_BY(mutex_) = 0;
-  uint64_t generation_ LSHC_GUARDED_BY(mutex_) = 0;
+  uint64_t job_epoch_ LSHC_GUARDED_BY(mutex_) = 0;
   bool stop_ LSHC_GUARDED_BY(mutex_) = false;
 };
 

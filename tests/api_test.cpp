@@ -847,7 +847,7 @@ void ExpectRoutedParity(const ClustererSpec& base_spec,
   auto report = clusterer->Fit(fit_data);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   ASSERT_EQ(report->result.assignment, reference_run->assignment);
-  ASSERT_TRUE(report->index_retained);
+  ASSERT_TRUE(report->has_index);
 
   auto handle = clusterer->index();
   ASSERT_TRUE(handle.ok()) << handle.status().ToString();
@@ -937,8 +937,8 @@ TEST(RoutedPredictTest, CategoricalMinHashMatchesStandaloneProbe) {
         },
         [&](uint32_t item, std::span<const uint32_t> fit_assignment) {
           arrivals.PresentTokens(item, &tokens);
-          standalone.GetCandidatesForTokens(tokens, fit_assignment,
-                                            &candidates);
+          standalone.GetCandidatesForQuery(tokens, fit_assignment,
+                                           &candidates);
           return candidates;
         });
   }
@@ -1057,7 +1057,7 @@ TEST(RoutedPredictTest, DegeneratesToPredictWithoutARetainedIndex) {
     ASSERT_TRUE(clusterer.ok());
     auto report = clusterer->Fit(dataset);
     ASSERT_TRUE(report.ok());
-    EXPECT_FALSE(report->index_retained);
+    EXPECT_FALSE(report->has_index);
     auto routed = clusterer->PredictRouted(dataset);
     auto predicted = clusterer->Predict(dataset);
     ASSERT_TRUE(routed.ok());
@@ -1066,37 +1066,6 @@ TEST(RoutedPredictTest, DegeneratesToPredictWithoutARetainedIndex) {
     EXPECT_EQ(clusterer->index().status().code(),
               StatusCode::kInvalidArgument);
   }
-}
-
-TEST(RoutedPredictTest, RetentionDisabledReportsNoIndexStateAndFallsBack) {
-  const CategoricalDataset dataset = CategoricalFixture();
-  ClustererSpec spec;
-  spec.modality = Modality::kCategorical;
-  spec.accelerator = Accelerator::kMinHash;
-  spec.engine = BaseEngine(8, 1, 1);
-  spec.minhash.banding = {8, 2};
-  spec.retain_index = false;
-  auto clusterer = Clusterer::Create(spec);
-  ASSERT_TRUE(clusterer.ok());
-  auto report = clusterer->Fit(dataset);
-  ASSERT_TRUE(report.ok());
-  // The index existed during the run (the run was accelerated, and its
-  // timing split is honest)...
-  EXPECT_TRUE(report->has_index);
-  // ...but it is gone now, so the report must not describe it: no stats,
-  // no memory, no retained flag — diagnostics never reference freed
-  // state.
-  EXPECT_FALSE(report->index_retained);
-  EXPECT_EQ(report->index_memory_bytes, 0u);
-  EXPECT_EQ(report->index_stats.total_buckets, 0u);
-  EXPECT_EQ(clusterer->index().status().code(),
-            StatusCode::kInvalidArgument);
-
-  auto routed = clusterer->PredictRouted(dataset);
-  auto predicted = clusterer->Predict(dataset);
-  ASSERT_TRUE(routed.ok());
-  ASSERT_TRUE(predicted.ok());
-  EXPECT_EQ(*routed, *predicted);
 }
 
 TEST(RoutedPredictTest, EmptyProbeFallsBackExhaustively) {
@@ -1130,8 +1099,8 @@ TEST(RoutedPredictTest, EmptyProbeFallsBackExhaustively) {
   ASSERT_TRUE(standalone.Prepare(fit_data).ok());
   std::vector<uint32_t> tokens, candidates;
   arrivals.PresentTokens(0, &tokens);
-  standalone.GetCandidatesForTokens(tokens, report->result.assignment,
-                                    &candidates);
+  standalone.GetCandidatesForQuery(tokens, report->result.assignment,
+                                   &candidates);
   ASSERT_TRUE(candidates.empty())
       << "fixture drift: the arrival collided with a fitted bucket";
 
@@ -1264,7 +1233,6 @@ TEST(RoutedPredictTest, CancelDuringPrepareInstallsNoIndex) {
   EXPECT_EQ(report->result.assignment, base->result.assignment);
   // ...but no partial index leaks into the report or the model.
   EXPECT_FALSE(report->has_index);
-  EXPECT_FALSE(report->index_retained);
   EXPECT_EQ(report->index_memory_bytes, 0u);
   EXPECT_EQ(report->index_stats.total_buckets, 0u);
   EXPECT_EQ(clusterer->index().status().code(),

@@ -50,8 +50,9 @@ TEST(ShortlistProviderTest, ShortlistAlwaysContainsCurrentCluster) {
     cluster = static_cast<uint32_t>(rng.Below(20));
   }
   std::vector<uint32_t> shortlist;
+  auto scratch = provider.MakeScratch();
   for (uint32_t item = 0; item < dataset.num_items(); ++item) {
-    provider.GetCandidates(item, assignment, &shortlist);
+    provider.GetCandidates(item, assignment, scratch, &shortlist);
     ASSERT_FALSE(shortlist.empty());
     EXPECT_NE(std::find(shortlist.begin(), shortlist.end(), assignment[item]),
               shortlist.end())
@@ -99,10 +100,10 @@ TEST(ShortlistProviderTest, ExternalQueryReusesProviderBuffers) {
   }
   std::vector<uint32_t> tokens, first, again;
   dataset.PresentTokens(7, &tokens);
-  provider.GetCandidatesForTokens(tokens, assignment, &first);
+  provider.GetCandidatesForQuery(tokens, assignment, &first);
   ASSERT_FALSE(first.empty());  // item 7 collides with itself
   for (uint32_t repeat = 0; repeat < 3; ++repeat) {
-    provider.GetCandidatesForTokens(tokens, assignment, &again);
+    provider.GetCandidatesForQuery(tokens, assignment, &again);
     EXPECT_EQ(again, first) << "repeat " << repeat;
   }
   std::set<uint32_t> unique(first.begin(), first.end());
@@ -120,8 +121,9 @@ TEST(ShortlistProviderTest, ShortlistIsDeduplicatedAndInRange) {
   std::vector<uint32_t> assignment(dataset.num_items());
   for (uint32_t i = 0; i < dataset.num_items(); ++i) assignment[i] = i % 10;
   std::vector<uint32_t> shortlist;
+  auto scratch = provider.MakeScratch();
   for (uint32_t item = 0; item < dataset.num_items(); item += 7) {
-    provider.GetCandidates(item, assignment, &shortlist);
+    provider.GetCandidates(item, assignment, scratch, &shortlist);
     std::set<uint32_t> unique(shortlist.begin(), shortlist.end());
     EXPECT_EQ(unique.size(), shortlist.size()) << "duplicates in shortlist";
     for (const uint32_t cluster : shortlist) EXPECT_LT(cluster, 10u);
@@ -145,7 +147,8 @@ TEST(ShortlistProviderTest, ShortlistContainsClustersOfIdenticalItems) {
 
   const std::vector<uint32_t> assignment{0, 1, 2, 3};
   std::vector<uint32_t> shortlist;
-  provider.GetCandidates(0, assignment, &shortlist);
+  auto scratch = provider.MakeScratch();
+  provider.GetCandidates(0, assignment, scratch, &shortlist);
   EXPECT_NE(std::find(shortlist.begin(), shortlist.end(), 1u),
             shortlist.end())
       << "identical item's cluster missing from shortlist";
@@ -164,11 +167,12 @@ TEST(ShortlistProviderTest, ReflectsLiveAssignmentUpdates) {
 
   std::vector<uint32_t> assignment{0, 3};
   std::vector<uint32_t> shortlist;
-  provider.GetCandidates(0, assignment, &shortlist);
+  auto scratch = provider.MakeScratch();
+  provider.GetCandidates(0, assignment, scratch, &shortlist);
   EXPECT_NE(std::find(shortlist.begin(), shortlist.end(), 3u),
             shortlist.end());
   assignment[1] = 4;  // the move: just a reference update
-  provider.GetCandidates(0, assignment, &shortlist);
+  provider.GetCandidates(0, assignment, scratch, &shortlist);
   EXPECT_NE(std::find(shortlist.begin(), shortlist.end(), 4u),
             shortlist.end());
   EXPECT_EQ(std::find(shortlist.begin(), shortlist.end(), 3u),
@@ -189,7 +193,7 @@ TEST(ShortlistProviderTest, ExternalTokenQueryFindsSimilarItems) {
   std::vector<uint32_t> tokens;
   dataset.PresentTokens(0, &tokens);
   std::vector<uint32_t> shortlist;
-  provider.GetCandidatesForTokens(tokens, assignment, &shortlist);
+  provider.GetCandidatesForQuery(tokens, assignment, &shortlist);
   EXPECT_NE(std::find(shortlist.begin(), shortlist.end(), assignment[0]),
             shortlist.end());
 }
@@ -204,7 +208,8 @@ TEST(ShortlistProviderTest, OnePermutationBackendWorks) {
   std::vector<uint32_t> assignment(dataset.num_items());
   for (uint32_t i = 0; i < dataset.num_items(); ++i) assignment[i] = i % 8;
   std::vector<uint32_t> shortlist;
-  provider.GetCandidates(0, assignment, &shortlist);
+  auto scratch = provider.MakeScratch();
+  provider.GetCandidates(0, assignment, scratch, &shortlist);
   EXPECT_FALSE(shortlist.empty());
   EXPECT_GT(provider.IndexStats().total_buckets, 0u);
 }
@@ -341,6 +346,7 @@ TEST_P(ErrorBoundConformanceTest, EmpiricalMissRateBelowBound) {
 
   uint32_t misses = 0;
   std::vector<uint32_t> shortlist;
+  auto scratch = provider.MakeScratch();
   for (uint32_t item = 0; item < dataset.num_items(); ++item) {
     // The true best cluster by exhaustive search.
     uint32_t best_cluster = 0;
@@ -353,7 +359,7 @@ TEST_P(ErrorBoundConformanceTest, EmpiricalMissRateBelowBound) {
         best_cluster = cluster;
       }
     }
-    provider.GetCandidates(item, assignment, &shortlist);
+    provider.GetCandidates(item, assignment, scratch, &shortlist);
     if (std::find(shortlist.begin(), shortlist.end(), best_cluster) ==
         shortlist.end()) {
       ++misses;

@@ -210,11 +210,12 @@ TEST(EdgeCaseTest, ProviderSeesInPlaceAssignmentUpdatesWithinAPass) {
 
   std::vector<uint32_t> assignment{0, 1, 2};
   std::vector<uint32_t> shortlist;
-  provider.GetCandidates(1, assignment, &shortlist);
+  auto scratch = provider.MakeScratch();
+  provider.GetCandidates(1, assignment, scratch, &shortlist);
   EXPECT_NE(std::find(shortlist.begin(), shortlist.end(), 0u),
             shortlist.end());
   assignment[0] = 2;  // item 0 moves
-  provider.GetCandidates(1, assignment, &shortlist);
+  provider.GetCandidates(1, assignment, scratch, &shortlist);
   EXPECT_NE(std::find(shortlist.begin(), shortlist.end(), 2u),
             shortlist.end());
   EXPECT_EQ(std::count(shortlist.begin(), shortlist.end(), 0u), 0);

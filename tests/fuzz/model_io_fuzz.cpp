@@ -6,8 +6,8 @@
 // Status — never crash, never over-read, never construct a half-valid
 // model. This harness feeds it raw bytes and, whenever a mutated image
 // still decodes, pushes the result through the downstream reconstruction
-// paths (mode/centroid tables, per-family routing rebuild) which must
-// likewise fail closed.
+// paths (mode/centroid tables, the whole-model build, per-family routing
+// rebuild) which must likewise fail closed.
 //
 // Two build modes (CMake: LSHCLUST_FUZZER_ENGINE):
 //  * libFuzzer (clang, -fsanitize=fuzzer): CI's static-analysis job runs
@@ -40,6 +40,10 @@ void DriveDecoder(std::span<const uint8_t> data) {
   lshclust::persist::DecodedModel model = std::move(decoded).ValueOrDie();
   (void)lshclust::persist::BuildModeTable(model);
   (void)lshclust::persist::BuildCentroidTable(model);
+  // The whole load path (LoadFrozenModel / Clusterer::FromSnapshot), on a
+  // copy so the per-family builders below still see the decoded arrays.
+  (void)lshclust::persist::BuildFrozenModel(
+      lshclust::persist::DecodedModel(model));
   switch (model.family) {
     case lshclust::persist::ModelFamilyKind::kMinHash:
       (void)lshclust::persist::BuildMinHashRouting(std::move(model));

@@ -185,7 +185,8 @@ TEST(LshKPrototypesTest, EitherModalityCanSupplyCandidates) {
   ASSERT_TRUE(provider.Prepare(dataset).ok());
   const std::vector<uint32_t> assignment{0, 1};
   std::vector<uint32_t> shortlist;
-  provider.GetCandidates(0, assignment, &shortlist);
+  auto scratch = provider.MakeScratch();
+  provider.GetCandidates(0, assignment, scratch, &shortlist);
   EXPECT_NE(std::find(shortlist.begin(), shortlist.end(), 1u),
             shortlist.end())
       << "numeric similarity failed to contribute candidates";

@@ -356,6 +356,16 @@ TEST(PersistRoundTripTest, SaveLoadSaveIsByteIdentical) {
   ASSERT_TRUE(model.ok()) << model.status().ToString();
   ASSERT_TRUE(serving::SaveFrozenModel(**model, second).ok());
   EXPECT_EQ(ReadFileBytes(first), ReadFileBytes(second));
+
+  // The facade's load path builds the same model: its Snapshot saves back
+  // to the first file's bytes.
+  const std::string third = TempPath("third.lshm");
+  auto loaded = Clusterer::FromSnapshot(first);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  auto resnapshot = loaded->Snapshot();
+  ASSERT_TRUE(resnapshot.ok()) << resnapshot.status().ToString();
+  ASSERT_TRUE(serving::SaveFrozenModel(**resnapshot, third).ok());
+  EXPECT_EQ(ReadFileBytes(first), ReadFileBytes(third));
 }
 
 // ----------------------------------------------------------- corruption ----

@@ -4,13 +4,18 @@
 //    on the fitted state it snapshotted, for every index-carrying
 //    accelerator family and at fit threads {1, 4}; exhaustive snapshots
 //    equal plain Predict.
-//  * Lifetime: a snapshot is a deep copy — it keeps routing identically
-//    after the Clusterer refits (while the IndexHandle from the old fit
-//    observably invalidates) and after the Clusterer is destroyed.
+//  * Lifetime: a snapshot is the Clusterer's fitted model itself (two
+//    calls return one pointer; a refit swaps in a new one, a rejected fit
+//    keeps it). Snapshots and IndexHandles share that immutable model, so
+//    they keep describing and routing their fit after a refit and after
+//    the Clusterer is destroyed.
 //  * ModelServer: Publish stamps strictly monotone versions; Acquire
-//    returns the latest snapshot; a concurrent reader/writer pileup (the
-//    TSan target) sees coherent, per-version bit-identical results with
-//    zero locks on the query path.
+//    returns the latest snapshot; one model published to two servers
+//    keeps each Reader on its own server's version; concurrent
+//    reader/writer pileups (the TSan targets, one of them routing the
+//    Clusterer's own model while it predicts and refits) see coherent,
+//    per-version bit-identical results with zero locks on the query
+//    path.
 //  * Streaming: the publish-every-N-ingests hook fires at the documented
 //    cadence.
 //  * bench::Percentile (bench/common.h), used by bench/serving_qps.cpp.
@@ -20,6 +25,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <thread>
@@ -237,10 +243,10 @@ TEST(ServingGoldenTest, ExhaustiveSnapshotMatchesPredict) {
 
 // ------------------------------------------------------------- lifetime ----
 
-TEST(ServingLifetimeTest, SnapshotSurvivesRefitWhileHandleInvalidates) {
+TEST(ServingLifetimeTest, SnapshotAndHandleOutliveRefitAndClusterer) {
   const auto all = CategoricalAll();
   const auto fit_a = SliceCategorical(all, 0, 200);
-  const auto fit_b = SliceCategorical(all, 100, 200);
+  const auto fit_b = SliceCategorical(all, 50, 250);
   const auto arrivals = SliceCategorical(all, 300, 60);
 
   ClustererSpec spec;
@@ -248,13 +254,26 @@ TEST(ServingLifetimeTest, SnapshotSurvivesRefitWhileHandleInvalidates) {
   spec.accelerator = Accelerator::kMinHash;
   spec.engine = BaseEngine(8, 1);
   spec.minhash.banding = {8, 2};
-  auto clusterer = Clusterer::Create(spec);
-  ASSERT_TRUE(clusterer.ok());
+  auto created = Clusterer::Create(spec);
+  ASSERT_TRUE(created.ok());
+  std::optional<Clusterer> clusterer(std::move(*created));
   ASSERT_TRUE(clusterer->Fit(fit_a).ok());
 
   auto handle = clusterer->index();
   ASSERT_TRUE(handle.ok());
-  EXPECT_TRUE(handle->valid());
+  EXPECT_EQ(handle->num_indexed_items(), 200u);
+  const std::vector<uint32_t> probes = {0u, 57u, 199u};
+  std::vector<std::vector<uint32_t>> candidates;
+  for (const uint32_t item : probes) {
+    candidates.push_back(handle->CandidateClustersOf(item));
+  }
+  const auto expect_fit_a_handle = [&] {
+    EXPECT_EQ(handle->num_indexed_items(), 200u);
+    for (size_t i = 0; i < probes.size(); ++i) {
+      EXPECT_EQ(handle->CandidateClustersOf(probes[i]), candidates[i])
+          << "item " << probes[i];
+    }
+  };
 
   auto snapshot = clusterer->Snapshot();
   ASSERT_TRUE(snapshot.ok());
@@ -262,20 +281,55 @@ TEST(ServingLifetimeTest, SnapshotSurvivesRefitWhileHandleInvalidates) {
   ASSERT_TRUE(before.ok());
   EXPECT_EQ(*before, *clusterer->PredictRouted(arrivals));
 
-  // Refit on different data: the view invalidates, the copy keeps serving
-  // the old fit's answers.
+  // Refit on different data: the Clusterer swaps in a new model; the
+  // handle and the snapshot keep describing and routing fit A.
   ASSERT_TRUE(clusterer->Fit(fit_b).ok());
-  EXPECT_FALSE(handle->valid());
+  auto fresh = clusterer->index();
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_EQ(fresh->num_indexed_items(), 250u);
+  expect_fit_a_handle();
   auto after = (*snapshot)->Route(arrivals);
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(*after, *before);
 
-  // A rejected fit (k > n) must invalidate nothing.
-  auto fresh = clusterer->index();
-  ASSERT_TRUE(fresh.ok());
-  const auto tiny = SliceCategorical(all, 0, 4);
-  ASSERT_FALSE(clusterer->Fit(tiny).ok());
-  EXPECT_TRUE(fresh->valid());
+  // Destroying the Clusterer frees nothing the handle and snapshot hold
+  // (ASan would flag a dangling view here).
+  clusterer.reset();
+  expect_fit_a_handle();
+  auto orphaned = (*snapshot)->Route(arrivals);
+  ASSERT_TRUE(orphaned.ok());
+  EXPECT_EQ(*orphaned, *before);
+}
+
+TEST(ServingLifetimeTest, SnapshotIsTheFittedModelItself) {
+  const auto all = CategoricalAll();
+  ClustererSpec spec;
+  spec.modality = Modality::kCategorical;
+  spec.accelerator = Accelerator::kMinHash;
+  spec.engine = BaseEngine(8, 1);
+  spec.minhash.banding = {8, 2};
+  auto clusterer = Clusterer::Create(spec);
+  ASSERT_TRUE(clusterer.ok());
+  ASSERT_TRUE(clusterer->Fit(SliceCategorical(all, 0, 200)).ok());
+
+  // Two snapshots of one fit are one object: Snapshot is a refcount copy.
+  auto first = clusterer->Snapshot();
+  auto second = clusterer->Snapshot();
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(first->get(), second->get());
+
+  // A rejected fit (k > n) keeps the fitted model.
+  ASSERT_FALSE(clusterer->Fit(SliceCategorical(all, 0, 4)).ok());
+  auto after_rejected = clusterer->Snapshot();
+  ASSERT_TRUE(after_rejected.ok());
+  EXPECT_EQ(after_rejected->get(), first->get());
+
+  // A successful refit builds a new model.
+  ASSERT_TRUE(clusterer->Fit(SliceCategorical(all, 100, 200)).ok());
+  auto refit = clusterer->Snapshot();
+  ASSERT_TRUE(refit.ok());
+  EXPECT_NE(refit->get(), first->get());
 }
 
 TEST(ServingLifetimeTest, SnapshotOutlivesItsClusterer) {
@@ -484,6 +538,150 @@ TEST(ModelServerTest, ConcurrentReadersSeeCoherentBitIdenticalVersions) {
 
   EXPECT_EQ(mismatches.load(), 0);
   EXPECT_EQ(version_regressions.load(), 0);
+}
+
+// One model published to two servers: the model's own stamp is that of
+// its latest publish on either server, so each Reader must gate on its
+// server's version, refreshing exactly once per publish it observes.
+TEST(ModelServerTest, OneModelOnTwoServersRefreshesOncePerPublish) {
+  const auto all = CategoricalAll();
+  ClustererSpec spec;
+  spec.modality = Modality::kCategorical;
+  spec.accelerator = Accelerator::kMinHash;
+  spec.engine = BaseEngine(8, 1);
+  spec.minhash.banding = {8, 2};
+  auto clusterer = Clusterer::Create(spec);
+  ASSERT_TRUE(clusterer.ok());
+  ASSERT_TRUE(clusterer->Fit(SliceCategorical(all, 100, 200)).ok());
+  const std::shared_ptr<const FrozenModel> other = *clusterer->Snapshot();
+  ASSERT_TRUE(clusterer->Fit(SliceCategorical(all, 0, 200)).ok());
+  const std::shared_ptr<const FrozenModel> model = *clusterer->Snapshot();
+
+  ModelServer server_a;
+  ModelServer server_b;
+  EXPECT_EQ(server_b.Publish(other), 1u);
+  EXPECT_EQ(server_a.Publish(model), 1u);
+  EXPECT_EQ(server_b.Publish(model), 2u);
+  EXPECT_EQ(model->version(), 2u);  // the stamp of its latest publish
+
+  ModelServer::Reader reader_a(server_a);
+  ModelServer::Reader reader_b(server_b);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(reader_a.Current().get(), model.get());
+    EXPECT_EQ(reader_b.Current().get(), model.get());
+  }
+  EXPECT_EQ(reader_a.refreshes(), 1u);
+  EXPECT_EQ(reader_b.refreshes(), 1u);
+
+  // A publish on one server refreshes only that server's readers, once.
+  EXPECT_EQ(server_a.Publish(other), 2u);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(reader_a.Current().get(), other.get());
+    EXPECT_EQ(reader_b.Current().get(), model.get());
+  }
+  EXPECT_EQ(reader_a.refreshes(), 2u);
+  EXPECT_EQ(reader_b.refreshes(), 1u);
+}
+
+/// `rows` repeated `copies` times.
+CategoricalDataset Tile(const CategoricalDataset& rows, uint32_t copies) {
+  std::vector<uint32_t> codes;
+  for (uint32_t c = 0; c < copies; ++c) {
+    codes.insert(codes.end(), rows.codes().begin(), rows.codes().end());
+  }
+  return CategoricalDataset::FromCodes(rows.num_items() * copies,
+                                       rows.num_attributes(), rows.num_codes(),
+                                       std::move(codes))
+      .ValueOrDie();
+}
+
+// The TSan target for the shared model: readers route the Clusterer's own
+// model through a ModelServer while the owning thread runs PredictRouted
+// (with a worker pool) and index() over that same object, then refits and
+// publishes the new model. Every reader batch must equal the routes of
+// the version it acquired, precomputed on a twin Clusterer.
+TEST(ModelServerTest, ReadersShareTheClusterersModelWhileItRoutesAndRefits) {
+  const auto all = CategoricalAll();
+  const auto fit_a = SliceCategorical(all, 0, 250);
+  const auto fit_b = SliceCategorical(all, 50, 250);
+  const auto arrivals = SliceCategorical(all, 300, 60);
+  // Large enough for PredictRouted to fan out over its worker pool.
+  constexpr uint32_t kCopies = 70;
+  const auto tiled = Tile(arrivals, kCopies);
+  ASSERT_GE(tiled.num_items(), 4096u);
+
+  ClustererSpec spec;
+  spec.modality = Modality::kCategorical;
+  spec.accelerator = Accelerator::kMinHash;
+  spec.engine = BaseEngine(8, 4);
+  spec.minhash.banding = {8, 2};
+  std::vector<std::vector<uint32_t>> expected;
+  {
+    auto twin = Clusterer::Create(spec);
+    ASSERT_TRUE(twin.ok());
+    for (const CategoricalDataset* data : {&fit_a, &fit_b}) {
+      ASSERT_TRUE(twin->Fit(*data).ok());
+      expected.push_back(*twin->PredictRouted(arrivals));
+    }
+  }
+  const auto tiled_expected = [&](size_t version) {
+    std::vector<uint32_t> routes;
+    for (uint32_t c = 0; c < kCopies; ++c) {
+      routes.insert(routes.end(), expected[version].begin(),
+                    expected[version].end());
+    }
+    return routes;
+  };
+
+  auto clusterer = Clusterer::Create(spec);
+  ASSERT_TRUE(clusterer.ok());
+  ASSERT_TRUE(clusterer->Fit(fit_a).ok());
+  ModelServer server;
+  server.Publish(*clusterer->Snapshot());
+
+  constexpr int kReaders = 3;
+  std::atomic<bool> stop{false};
+  std::atomic<int> mismatches{0};
+  std::atomic<int> batches{0};
+  std::vector<std::thread> readers;
+  readers.reserve(kReaders);
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&] {
+      ModelServer::Reader reader(server);
+      std::unique_ptr<FrozenModel::RouteScratch> scratch;
+      std::vector<uint32_t> out(arrivals.num_items());
+      while (!stop.load(std::memory_order_acquire)) {
+        const std::shared_ptr<const FrozenModel>& model = reader.Current();
+        const uint64_t version = model->version();
+        if (scratch == nullptr) scratch = model->MakeScratch();
+        if (version < 1 || version > expected.size() ||
+            !model->RouteInto(arrivals, *scratch, out).ok() ||
+            out != expected[version - 1]) {
+          mismatches.fetch_add(1);
+        }
+        batches.fetch_add(1);
+      }
+    });
+  }
+
+  // The owner routes and inspects the very model the readers hold...
+  for (int round = 0; round < 2; ++round) {
+    EXPECT_EQ(*clusterer->PredictRouted(tiled), tiled_expected(0));
+    auto handle = clusterer->index();
+    ASSERT_TRUE(handle.ok());
+    EXPECT_EQ(handle->num_indexed_items(), fit_a.num_items());
+    EXPECT_FALSE(handle->CandidateClustersOf(0).empty());
+  }
+  // ...then refits and publishes the new model while readers still route
+  // the old one.
+  ASSERT_TRUE(clusterer->Fit(fit_b).ok());
+  server.Publish(*clusterer->Snapshot());
+  EXPECT_EQ(*clusterer->PredictRouted(tiled), tiled_expected(1));
+  while (batches.load() < 4 * kReaders) std::this_thread::yield();
+  stop.store(true, std::memory_order_release);
+  for (std::thread& reader : readers) reader.join();
+
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 // ------------------------------------------------------------ streaming ----
