@@ -43,13 +43,27 @@
 ///    initial assignment. `pool` (may be null) is the run's worker pool,
 ///    `cancel` (may be null) the run's cooperative-cancel hook.
 ///
+/// A provider may also offer the optional pass hook, which the engine
+/// detects and calls when present:
+///
+///  * `void BeginPass(std::span<const uint32_t> reference, ThreadPool* pool)`
+///    — called on the calling thread at the start of every refinement
+///    pass, right after the assignment snapshot is frozen; `reference` is
+///    that snapshot, the very span the pass's GetCandidates calls receive,
+///    and it is not written until the pass ends. A provider may precompute
+///    per-pass state from it (ShortlistProvider compacts its buckets to
+///    cluster lists), using `pool` between passes.
+///  * `void EndPass()` — called once when refinement ends, on every exit
+///    path; state bound to the snapshot must not outlive it.
+///
 /// Phases, timed separately (see ClusteringResult):
 ///   1. init: seed selection, initial centroids = seed items.
 ///   2. initial assignment: one exhaustive pass (the paper performs this
 ///      for MH-K-Modes too, before the index exists — Alg. 2 step 2).
 ///   3. provider.Prepare(): signature computation + index build, on the
 ///      run's worker pool (skipped for exhaustive providers).
-///   4. refinement iterations until no item moves or max_iterations.
+///   4. refinement iterations until no item moves or max_iterations; each
+///      shortlist pass starts with the provider's BeginPass when it has one.
 ///
 /// ## Shard-aware batch-parallel assignment
 ///
@@ -491,6 +505,9 @@ class ClusteringEngine {
     // exhaustive runs keep one too.
     std::vector<uint32_t> snapshot;
     if (!Provider::kExhaustive || options.cancel) snapshot.resize(n);
+    // Whatever the provider bound to the snapshot in BeginPass is unbound
+    // on every way out of the loop, before `snapshot` is freed.
+    [[maybe_unused]] const PassHookGuard pass_hook_guard{provider};
     for (uint32_t iteration = 1; iteration <= options.max_iterations;
          ++iteration) {
       if (cancel.Cancelled()) {
@@ -518,6 +535,7 @@ class ClusteringEngine {
           // what makes the pass thread-count-invariant.
           std::copy(result.assignment.begin(), result.assignment.end(),
                     snapshot.begin());
+          if constexpr (kHasPassHook) provider.BeginPass(snapshot, pool);
           moves = ShortlistPass<kEarlyExit>(
               dataset, centroids, options, provider, snapshot,
               result.assignment, plan, pool, shard_states, accumulator,
@@ -615,7 +633,24 @@ class ClusteringEngine {
           },
       "a shortlist provider needs MakeScratch() const, a const "
       "GetCandidates(item, assignment, scratch, out) and "
-      "Prepare(dataset, pool, cancel); see the file comment");
+      "Prepare(dataset, pool, cancel), and may add the pass hook "
+      "BeginPass(reference, pool) + EndPass(); see the file comment");
+
+  /// Whether the provider offers the optional pass hook (file comment).
+  static constexpr bool kHasPassHook =
+      requires(Provider& provider, std::span<const uint32_t> reference,
+               ThreadPool* pool) {
+        provider.BeginPass(reference, pool);
+        provider.EndPass();
+      };
+
+  /// Calls the provider's EndPass, if it has one, when refinement exits.
+  struct PassHookGuard {
+    Provider& provider;
+    ~PassHookGuard() {
+      if constexpr (kHasPassHook) provider.EndPass();
+    }
+  };
 
   /// Everything a shard owns besides its item slice: per-worker query
   /// scratch (dedup stamps + shortlist buffers), indexed by the pool's

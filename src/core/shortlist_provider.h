@@ -21,10 +21,16 @@
 ///     signature per item (family-specific) and builds the banding index.
 ///     Items never change, so this happens once.
 ///  2. During refinement, an item's query walks its own buckets (it was
-///     inserted, so the buckets are known — no re-hashing), collects the
-///     co-bucketed items, and dereferences their cluster through the
-///     `assignment` span the caller passes. The deduplicated cluster set
-///     is the shortlist.
+///     inserted, so the buckets are known — no re-hashing) and collects
+///     the clusters of the co-bucketed items, read through the
+///     `assignment` span the caller passes; the deduplicated cluster list,
+///     the item's current cluster first, is the shortlist. At the start of
+///     each engine pass, BeginPass compacts every bucket to the distinct
+///     clusters of its items under that pass's assignment snapshot, so a
+///     query walks each bucket's clusters rather than its items. The
+///     compacted walk is taken only for the exact span BeginPass was
+///     given; any other span gets the item walk. Both produce the same
+///     shortlist, in content and order.
 ///  3. "Updating the index after a move" is writing assignment[item] — an
 ///     assignment array is the cluster reference store, which is why
 ///     updates are "a fast operation ... merely update the item's cluster
@@ -41,7 +47,8 @@
 /// The class meets the engine's one provider contract (see
 /// clustering/engine.h): `kExhaustive = false`, `MakeScratch() const`,
 /// `Prepare(dataset, pool, cancel)` and a const
-/// `GetCandidates(item, assignment, scratch, out)`. Queries take an
+/// `GetCandidates(item, assignment, scratch, out)`, plus the optional pass
+/// hook `BeginPass(reference, pool)` / `EndPass()`. Queries take an
 /// explicit Scratch, so the engine runs them from many worker threads at
 /// once (one scratch per worker).
 ///
@@ -125,9 +132,35 @@ inline void BumpDedupEpoch(ClusterDedupScratch& scratch) {
   }
 }
 
-/// Collects into `out` the deduplicated clusters (per `assignment`) of the
+/// Collects into `out` the clusters that `visit_clusters` enumerates,
+/// deduplicated by first occurrence, first entry being `current` (the
+/// querying item's own cluster). The one dedup loop behind every shortlist
+/// provider.
+///
+/// \param visit_clusters callable invoked as visit_clusters(sink) where
+///        sink is a callable taking a cluster id; clusters may repeat freely
+template <typename VisitClustersFn>
+void CollectDistinctClusters(uint32_t current, ClusterDedupScratch& scratch,
+                             std::vector<uint32_t>* out,
+                             VisitClustersFn&& visit_clusters) {
+  out->clear();
+  BumpDedupEpoch(scratch);
+  // The current cluster is always a candidate (the item collides with
+  // itself, but make it unconditional so the contract holds even for
+  // degenerate banding).
+  scratch.cluster_stamp[current] = scratch.epoch;
+  out->push_back(current);
+  visit_clusters([&](uint32_t cluster) {
+    if (scratch.cluster_stamp[cluster] != scratch.epoch) {
+      scratch.cluster_stamp[cluster] = scratch.epoch;
+      out->push_back(cluster);
+    }
+  });
+}
+
+/// CollectDistinctClusters over the clusters (per `assignment`) of the
 /// peers that `visit_peers` enumerates, first entry being `item`'s own
-/// current cluster. The one dedup loop behind every shortlist provider.
+/// current cluster.
 ///
 /// \param visit_peers callable invoked as visit_peers(sink) where sink is
 ///        a callable taking a peer item id; peers may repeat freely
@@ -137,20 +170,8 @@ void CollectCandidateClusters(uint32_t item,
                               ClusterDedupScratch& scratch,
                               std::vector<uint32_t>* out,
                               VisitPeersFn&& visit_peers) {
-  out->clear();
-  BumpDedupEpoch(scratch);
-  // The current cluster is always a candidate (the item collides with
-  // itself, but make it unconditional so the contract holds even for
-  // degenerate banding).
-  const uint32_t current = assignment[item];
-  scratch.cluster_stamp[current] = scratch.epoch;
-  out->push_back(current);
-  visit_peers([&](uint32_t other) {
-    const uint32_t cluster = assignment[other];
-    if (scratch.cluster_stamp[cluster] != scratch.epoch) {
-      scratch.cluster_stamp[cluster] = scratch.epoch;
-      out->push_back(cluster);
-    }
+  CollectDistinctClusters(assignment[item], scratch, out, [&](auto&& sink) {
+    visit_peers([&](uint32_t other) { sink(assignment[other]); });
   });
 }
 
@@ -202,9 +223,11 @@ class ShortlistProvider {
     if (n == 0) return Status::InvalidArgument("dataset is empty");
 
     // Either this Prepare completes and installs a fresh index, or the
-    // provider ends up with none — never a half-built or stale one.
+    // provider ends up with none — never a half-built or stale one. The
+    // cluster table describes the old index, so it goes too.
     index_.reset();
     signatures_.clear();
+    DropClusterTable();
 
     Stopwatch watch;
     std::vector<uint64_t> signatures;
@@ -230,14 +253,47 @@ class ShortlistProvider {
     return Status::OK();
   }
 
+  /// Engine pass hook: compacts every bucket to the distinct clusters of
+  /// its items under `reference` (BandedIndex::CompactClusters, bands
+  /// fanned out over `pool` when given) and binds the result to that exact
+  /// span. Until EndPass, the next BeginPass, Prepare or Release, a
+  /// GetCandidates call passing the same span (same data pointer and size)
+  /// walks the compacted lists. The caller must not write `reference`'s
+  /// contents while it is bound. The table's storage is allocated by the
+  /// first call after Prepare, on the calling thread, and reused by later
+  /// passes.
+  void BeginPass(std::span<const uint32_t> reference, ThreadPool* pool) {
+    LSHC_CHECK(index_ != nullptr) << "Prepare() must run before BeginPass";
+    index_->CompactClusters(reference, num_clusters_, &table_, pool);
+    bound_ = reference;
+  }
+
+  /// Unbinds the table: every later GetCandidates takes the item walk
+  /// until the next BeginPass. Keeps the table's storage for reuse. The
+  /// engine calls this when refinement ends, so an assignment later
+  /// allocated at the freed snapshot's address can never match.
+  void EndPass() { bound_ = {}; }
+
   /// Fills `out` with the deduplicated candidate clusters of `item`:
   /// the clusters *currently* containing the items LSH considers similar
   /// to it, plus the item's own current cluster. Reads `assignment` as the
   /// cluster-reference store (the engine passes its per-pass snapshot).
+  /// When `assignment` is the span bound by BeginPass the compacted
+  /// bucket lists are walked, otherwise the co-bucketed items; the
+  /// shortlist is the same, in content and order.
   /// Thread-safe given a private `scratch`.
   void GetCandidates(uint32_t item, std::span<const uint32_t> assignment,
                      Scratch& scratch, std::vector<uint32_t>* out) const {
     LSHC_DCHECK(index_ != nullptr) << "Prepare() must run before queries";
+    if (!bound_.empty() && assignment.data() == bound_.data() &&
+        assignment.size() == bound_.size()) {
+      CollectDistinctClusters(assignment[item], scratch, out,
+                              [&](auto&& sink) {
+                                index_->VisitCandidateClusters(item, table_,
+                                                               sink);
+                              });
+      return;
+    }
     CollectCandidateClusters(item, assignment, scratch, out,
                              [&](auto&& sink) {
                                index_->VisitCandidates(item, sink);
@@ -276,6 +332,7 @@ class ShortlistProvider {
   /// index built once after the initial assignment is the one that model
   /// routes with — never a copy.
   std::pair<Family, std::unique_ptr<BandedIndex>> Release() && {
+    DropClusterTable();
     return {std::move(family_), std::move(index_)};
   }
 
@@ -293,10 +350,12 @@ class ShortlistProvider {
     return index_->ComputeStats();
   }
 
-  /// Approximate heap footprint (index + any kept signatures).
+  /// Approximate heap footprint (index + any kept signatures + the
+  /// per-pass cluster table).
   uint64_t MemoryUsageBytes() const {
     uint64_t bytes = sizeof(*this);
     if (index_ != nullptr) bytes += index_->MemoryUsageBytes();
+    bytes += table_.MemoryUsageBytes() - sizeof(table_);
     bytes += signatures_.size() * sizeof(uint64_t);
     bytes += scratch_.cluster_stamp.size() * sizeof(uint32_t);
     bytes += query_signature_.capacity() * sizeof(uint64_t);
@@ -317,9 +376,16 @@ class ShortlistProvider {
   uint64_t dataset_sign_passes() const { return dataset_sign_passes_; }
 
  private:
+  void DropClusterTable() {
+    bound_ = {};
+    table_ = {};
+  }
+
   Family family_;
   uint32_t num_clusters_;
   std::unique_ptr<BandedIndex> index_;
+  BucketClusterTable table_;            // filled by BeginPass
+  std::span<const uint32_t> bound_;     // the span table_ describes
   std::vector<uint64_t> signatures_;  // kept only if family says so
   Scratch scratch_;                   // for GetCandidatesForQuery
   std::vector<uint64_t> query_signature_;  // GetCandidatesForQuery buffer

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "lsh/dynamic_banded_index.h"
+#include "util/thread_pool.h"
 
 namespace lshclust {
 
@@ -136,6 +137,58 @@ void BandedIndex::Build(std::span<const uint64_t> signatures) {
       const uint32_t bucket = band.item_bucket[item];
       band.bucket_items[cursor[bucket]++] = item;
     }
+  }
+}
+
+void BandedIndex::CompactClusters(std::span<const uint32_t> assignment,
+                                  uint32_t num_clusters,
+                                  BucketClusterTable* table,
+                                  ThreadPool* pool) const {
+  LSHC_CHECK_EQ(assignment.size(), static_cast<size_t>(num_items_))
+      << "assignment does not cover the indexed items";
+  LSHC_CHECK_GE(num_clusters, 1u) << "need at least one cluster";
+
+  // Size every array here, on the calling thread: workers below only write
+  // into storage that already exists. Same shape as the last call = no
+  // allocation.
+  table->bands_.resize(bands_.size());
+  for (size_t b = 0; b < bands_.size(); ++b) {
+    BucketClusterTable::Band& lists = table->bands_[b];
+    lists.offsets.resize(bands_[b].bucket_offsets.size());
+    lists.clusters.resize(num_items_);
+    lists.stamp.resize(num_clusters);
+  }
+
+  const auto compact_band = [&](uint32_t b) {
+    const Band& band = bands_[b];
+    BucketClusterTable::Band& lists = table->bands_[b];
+    // stamp[c] == bucket  <=>  c is already listed for `bucket`. Bucket ids
+    // are < n, so the fill value never collides with one.
+    std::fill(lists.stamp.begin(), lists.stamp.end(), ~0u);
+    const uint32_t num_buckets =
+        static_cast<uint32_t>(band.bucket_offsets.size()) - 1;
+    uint32_t write = 0;
+    for (uint32_t bucket = 0; bucket < num_buckets; ++bucket) {
+      lists.offsets[bucket] = write;
+      const uint32_t end = band.bucket_offsets[bucket + 1];
+      for (uint32_t i = band.bucket_offsets[bucket]; i < end; ++i) {
+        const uint32_t cluster = assignment[band.bucket_items[i]];
+        LSHC_DCHECK(cluster < num_clusters) << "cluster id out of range";
+        if (lists.stamp[cluster] != bucket) {
+          lists.stamp[cluster] = bucket;
+          lists.clusters[write++] = cluster;
+        }
+      }
+    }
+    lists.offsets[num_buckets] = write;
+  };
+  if (pool == nullptr) {
+    for (uint32_t b = 0; b < num_bands(); ++b) compact_band(b);
+  } else {
+    pool->ParallelFor(0, num_bands(), 1,
+                      [&](uint32_t begin, uint32_t end, uint32_t) {
+                        for (uint32_t b = begin; b < end; ++b) compact_band(b);
+                      });
   }
 }
 
@@ -272,6 +325,16 @@ BandedIndex::Stats BandedIndex::ComputeStats() const {
           : static_cast<double>(total_entries) /
                 static_cast<double>(stats.total_buckets);
   return stats;
+}
+
+uint64_t BucketClusterTable::MemoryUsageBytes() const {
+  uint64_t bytes = sizeof(*this);
+  for (const Band& band : bands_) {
+    bytes += (band.offsets.capacity() + band.clusters.capacity() +
+              band.stamp.capacity()) *
+             sizeof(uint32_t);
+  }
+  return bytes;
 }
 
 uint64_t BandedIndex::MemoryUsageBytes() const {

@@ -13,6 +13,12 @@
 /// centroid initialisation) and is immutable afterwards. Buckets use a CSR
 /// layout (offsets + flat item array) per band, so a candidate visit is a
 /// contiguous scan.
+///
+/// A query that only wants the *clusters* of its co-bucketed items can
+/// instead walk a BucketClusterTable: every bucket compacted, under one
+/// assignment, to the distinct clusters of its items. Compaction is one
+/// O(n) sweep per band; each query then visits Σ distinct clusters of its
+/// buckets instead of Σ bucket sizes.
 
 #include <cstdint>
 #include <span>
@@ -27,6 +33,40 @@
 namespace lshclust {
 
 class DynamicBandedIndex;
+class ThreadPool;
+
+/// \brief Each bucket of a BandedIndex compacted to the distinct clusters
+/// of its items under one assignment: per band, a CSR of cluster lists,
+/// each in the order the cluster first occurs when the bucket's items are
+/// walked in ascending id.
+///
+/// Filled by BandedIndex::CompactClusters and read by
+/// BandedIndex::VisitCandidateClusters. Validity window: the lists
+/// describe the assignment *content* of the last CompactClusters call, for
+/// the index it was made from. They go stale the moment that assignment is
+/// written or the index is replaced; nothing here detects either, so the
+/// owner must drop or recompact the table first (ShortlistProvider binds
+/// it to exactly one assignment span and one refinement pass).
+///
+/// Storage is sized on the first CompactClusters call for an (index, k)
+/// shape and reused by later calls of the same shape, so a run pays the
+/// allocation once, not once per pass.
+class BucketClusterTable {
+ public:
+  /// Approximate heap footprint in bytes.
+  uint64_t MemoryUsageBytes() const;
+
+ private:
+  friend class BandedIndex;
+
+  struct Band {
+    std::vector<uint32_t> offsets;   // CSR offsets, size buckets + 1
+    std::vector<uint32_t> clusters;  // CSR payload, capacity n
+    std::vector<uint32_t> stamp;     // cluster -> bucket that last listed it
+  };
+
+  std::vector<Band> bands_;
+};
 
 /// Hashes the `rows` signature components of band `band` into a bucket
 /// key. Seeded with the band index so identical row values in different
@@ -100,6 +140,42 @@ class BandedIndex {
       const uint32_t end = band.bucket_offsets[bucket + 1];
       for (uint32_t i = begin; i < end; ++i) {
         visit(band.bucket_items[i]);
+      }
+    }
+  }
+
+  /// Compacts every bucket of every band to the distinct clusters of its
+  /// items under `assignment` (cluster ids < `num_clusters`), into
+  /// `table`. Any storage the table lacks for this shape is allocated here,
+  /// on the calling thread; bands are independent, so with a `pool` they
+  /// are fanned out across its workers, which only write into that
+  /// storage. The result is identical for every pool size including none.
+  /// Must not be called from a worker of `pool`.
+  void CompactClusters(std::span<const uint32_t> assignment,
+                       uint32_t num_clusters, BucketClusterTable* table,
+                       ThreadPool* pool) const;
+
+  /// Invokes `visit(cluster_id)` for every cluster that `table` lists for
+  /// `item`'s bucket, band by band. This is VisitCandidates mapped through
+  /// the assignment `table` was compacted from, with repeats *within* a
+  /// bucket removed: the first occurrence of each cluster keeps its
+  /// position, so deduplicating either stream by first occurrence yields
+  /// the same list in the same order. `table` must come from
+  /// CompactClusters on this index and still be valid (see
+  /// BucketClusterTable).
+  template <typename Visitor>
+  void VisitCandidateClusters(uint32_t item, const BucketClusterTable& table,
+                              Visitor&& visit) const {
+    LSHC_DCHECK(item < num_items_) << "item index out of range";
+    LSHC_DCHECK(table.bands_.size() == bands_.size())
+        << "cluster table was not compacted from this index";
+    for (size_t b = 0; b < bands_.size(); ++b) {
+      const BucketClusterTable::Band& lists = table.bands_[b];
+      const uint32_t bucket = bands_[b].item_bucket[item];
+      const uint32_t begin = lists.offsets[bucket];
+      const uint32_t end = lists.offsets[bucket + 1];
+      for (uint32_t i = begin; i < end; ++i) {
+        visit(lists.clusters[i]);
       }
     }
   }

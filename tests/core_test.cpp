@@ -1,6 +1,7 @@
-// Tests for src/core: the cluster shortlist provider, MH-K-Modes, the
-// error-bound machinery (Tables I/II + Monte Carlo), LSH-K-Means, the
-// experiment harness and the reporters.
+// Tests for src/core: the cluster shortlist provider (against a
+// brute-force pairwise-collision oracle), MH-K-Modes, the error-bound
+// machinery (Tables I/II + Monte Carlo), LSH-K-Means, the experiment
+// harness and the reporters.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include "core/experiment.h"
 #include "core/lsh_kmeans.h"
 #include "core/mh_kmodes.h"
+#include "core/mixed_shortlist_index.h"
 #include "core/reporters.h"
 #include "datagen/conjunctive_generator.h"
 #include "datagen/gaussian_mixture.h"
@@ -225,6 +227,338 @@ TEST(ShortlistProviderTest, TimersAndMemoryArePopulated) {
   EXPECT_GT(provider.MemoryUsageBytes(), 0u);
   ASSERT_NE(provider.index(), nullptr);
   EXPECT_EQ(provider.index()->num_items(), dataset.num_items());
+}
+
+// ------------------------------------- brute-force shortlist oracle --
+
+// What the oracle derives for one item under one assignment.
+struct OracleLists {
+  // Per band, the distinct clusters of the item's co-colliding peers in
+  // ascending peer id, bands concatenated in order: what
+  // BandedIndex::VisitCandidateClusters must visit.
+  std::vector<uint32_t> bucket_clusters;
+  // The shortlist: the current cluster, then bucket_clusters deduplicated
+  // by first occurrence.
+  std::vector<uint32_t> shortlist;
+};
+
+// Shortlists from literal pairwise band collisions: for every band and
+// every (item, peer) pair the band key of both is recomputed and compared.
+// Signs with a separately constructed family, so it shares nothing with
+// the provider under test but the family's signing and the band-key hash.
+template <typename Family>
+std::vector<OracleLists> BruteForceShortlists(
+    const typename Family::Options& options,
+    const typename Family::Dataset& dataset,
+    const std::vector<uint32_t>& assignment) {
+  Family family(options);
+  std::vector<uint64_t> signatures;
+  EXPECT_TRUE(family.ComputeSignatures(dataset, &signatures).ok());
+  const std::vector<uint32_t> layout = family.BandLayout();
+  const uint32_t width = family.signature_width();
+  const uint32_t n = dataset.num_items();
+  const auto band_key = [&](uint32_t item, uint32_t band, uint32_t offset) {
+    return ComputeBandKey(
+        signatures.data() + static_cast<size_t>(item) * width + offset, band,
+        layout[band]);
+  };
+  const auto add_once = [](std::vector<uint32_t>& list, uint32_t cluster,
+                           size_t from) {
+    if (std::find(list.begin() + static_cast<ptrdiff_t>(from), list.end(),
+                  cluster) == list.end()) {
+      list.push_back(cluster);
+    }
+  };
+  std::vector<OracleLists> result(n);
+  for (uint32_t item = 0; item < n; ++item) {
+    OracleLists& lists = result[item];
+    lists.shortlist.push_back(assignment[item]);
+    uint32_t offset = 0;
+    for (uint32_t band = 0; band < layout.size(); ++band) {
+      const size_t band_start = lists.bucket_clusters.size();
+      for (uint32_t peer = 0; peer < n; ++peer) {
+        if (band_key(item, band, offset) != band_key(peer, band, offset)) {
+          continue;
+        }
+        add_once(lists.bucket_clusters, assignment[peer], band_start);
+        add_once(lists.shortlist, assignment[peer], 0);
+      }
+      offset += layout[band];
+    }
+  }
+  return result;
+}
+
+// Checks both GetCandidates paths, and the compacted table itself, against
+// the oracle for one random assignment into k clusters.
+template <typename Family>
+void ExpectProviderMatchesOracle(const typename Family::Options& options,
+                                 const typename Family::Dataset& dataset,
+                                 uint32_t k, uint64_t seed) {
+  const uint32_t n = dataset.num_items();
+  std::vector<uint32_t> assignment(n);
+  Rng rng(seed);
+  for (auto& cluster : assignment) {
+    cluster = static_cast<uint32_t>(rng.Below(k));
+  }
+  const std::vector<OracleLists> expected =
+      BruteForceShortlists<Family>(options, dataset, assignment);
+
+  ShortlistProvider<Family> provider(options, k);
+  ASSERT_TRUE(provider.Prepare(dataset).ok());
+  auto scratch = provider.MakeScratch();
+  std::vector<uint32_t> shortlist;
+  // No pass hook has run: the item walk.
+  for (uint32_t item = 0; item < n; ++item) {
+    provider.GetCandidates(item, assignment, scratch, &shortlist);
+    ASSERT_EQ(shortlist, expected[item].shortlist)
+        << "item walk, k=" << k << ", item " << item;
+  }
+
+  const uint64_t unbound_bytes = provider.MemoryUsageBytes();
+  uint64_t table_bytes = 0;
+  ThreadPool pool(4);
+  for (ThreadPool* hook_pool : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    const char* path = hook_pool == nullptr ? "no pool" : "4-thread pool";
+    BucketClusterTable table;
+    provider.index()->CompactClusters(assignment, k, &table, hook_pool);
+    for (uint32_t item = 0; item < n; ++item) {
+      std::vector<uint32_t> visited;
+      provider.index()->VisitCandidateClusters(
+          item, table, [&](uint32_t cluster) { visited.push_back(cluster); });
+      ASSERT_EQ(visited, expected[item].bucket_clusters)
+          << "compacted table, " << path << ", k=" << k << ", item " << item;
+    }
+
+    provider.BeginPass(assignment, hook_pool);
+    EXPECT_GT(provider.MemoryUsageBytes(), unbound_bytes)
+        << "BeginPass built no table";
+    // Later passes reuse the first pass's storage.
+    if (table_bytes == 0) table_bytes = provider.MemoryUsageBytes();
+    EXPECT_EQ(provider.MemoryUsageBytes(), table_bytes);
+    for (uint32_t item = 0; item < n; ++item) {
+      provider.GetCandidates(item, assignment, scratch, &shortlist);
+      ASSERT_EQ(shortlist, expected[item].shortlist)
+          << "compacted walk, " << path << ", k=" << k << ", item " << item;
+    }
+    provider.EndPass();
+  }
+}
+
+// Random token codes over a small domain (3 codes per attribute), so
+// MinHash bands collide often; `identical` repeats row 0 everywhere.
+CategoricalDataset OracleCategorical(uint32_t n, uint64_t seed,
+                                     bool identical) {
+  constexpr uint32_t kAttributes = 6;
+  Rng rng(seed);
+  std::vector<uint32_t> codes(static_cast<size_t>(n) * kAttributes);
+  for (uint32_t i = 0; i < codes.size(); ++i) {
+    const uint32_t attribute = i % kAttributes;
+    codes[i] = identical && i >= kAttributes
+                   ? codes[attribute]
+                   : attribute * 3 + static_cast<uint32_t>(rng.Below(3));
+  }
+  return CategoricalDataset::FromCodes(n, kAttributes, kAttributes * 3,
+                                       std::move(codes))
+      .ValueOrDie();
+}
+
+NumericDataset OracleNumeric(uint32_t n, uint64_t seed, bool identical) {
+  constexpr uint32_t kDims = 5;
+  Rng rng(seed);
+  std::vector<double> values(static_cast<size_t>(n) * kDims);
+  for (uint32_t i = 0; i < values.size(); ++i) {
+    values[i] = identical && i >= kDims ? values[i % kDims]
+                                        : rng.NextDouble() * 2.0 - 1.0;
+  }
+  return NumericDataset::FromValues(n, kDims, std::move(values))
+      .ValueOrDie();
+}
+
+template <typename Family>
+struct OracleCase;
+
+template <>
+struct OracleCase<MinHashShortlistFamily> {
+  static ShortlistIndexOptions Options() {
+    ShortlistIndexOptions options;
+    options.banding = {6, 2};
+    return options;
+  }
+  static CategoricalDataset Make(uint32_t n, uint64_t seed, bool identical) {
+    return OracleCategorical(n, seed, identical);
+  }
+};
+
+template <>
+struct OracleCase<SimHashShortlistFamily> {
+  static SimHashIndexOptions Options() {
+    SimHashIndexOptions options;
+    options.banding = {6, 3};
+    return options;
+  }
+  static NumericDataset Make(uint32_t n, uint64_t seed, bool identical) {
+    return OracleNumeric(n, seed, identical);
+  }
+};
+
+template <>
+struct OracleCase<MixedShortlistFamily> {
+  // Heterogeneous layout: 2-row MinHash bands, then 3-row SimHash bands.
+  static MixedIndexOptions Options() {
+    MixedIndexOptions options;
+    options.categorical_banding = {3, 2};
+    options.numeric_banding = {4, 3};
+    return options;
+  }
+  static MixedDataset Make(uint32_t n, uint64_t seed, bool identical) {
+    return MixedDataset::Combine(OracleCategorical(n, seed, identical),
+                                 OracleNumeric(n, seed + 1, identical))
+        .ValueOrDie();
+  }
+};
+
+template <typename Family>
+class ShortlistOracleTest : public ::testing::Test {};
+
+using OracleFamilies = ::testing::Types<MinHashShortlistFamily,
+                                        SimHashShortlistFamily,
+                                        MixedShortlistFamily>;
+TYPED_TEST_SUITE(ShortlistOracleTest, OracleFamilies);
+
+TYPED_TEST(ShortlistOracleTest, RandomAssignments) {
+  using Case = OracleCase<TypeParam>;
+  constexpr uint32_t kItems = 40;
+  const auto dataset = Case::Make(kItems, 21, /*identical=*/false);
+  for (const uint32_t k : {1u, 7u, kItems}) {
+    SCOPED_TRACE(testing::Message() << "k=" << k);
+    ExpectProviderMatchesOracle<TypeParam>(Case::Options(), dataset, k, k);
+  }
+}
+
+TYPED_TEST(ShortlistOracleTest, SingleItem) {
+  using Case = OracleCase<TypeParam>;
+  ExpectProviderMatchesOracle<TypeParam>(
+      Case::Options(), Case::Make(1, 22, /*identical=*/false), 1, 1);
+}
+
+TYPED_TEST(ShortlistOracleTest, EveryItemSharesOneBucket) {
+  using Case = OracleCase<TypeParam>;
+  constexpr uint32_t kItems = 12;
+  const auto dataset = Case::Make(kItems, 23, /*identical=*/true);
+  ShortlistProvider<TypeParam> probe(Case::Options(), 1);
+  ASSERT_TRUE(probe.Prepare(dataset).ok());
+  ASSERT_EQ(probe.IndexStats().total_buckets, probe.index()->num_bands())
+      << "each band must hold exactly one bucket";
+  for (const uint32_t k : {1u, 7u, kItems}) {
+    SCOPED_TRACE(testing::Message() << "k=" << k);
+    ExpectProviderMatchesOracle<TypeParam>(Case::Options(), dataset, k, k);
+  }
+}
+
+// ------------------------------------------- per-pass table lifetime --
+
+// The item-walk shortlist of `item` under `assignment`: the reference any
+// GetCandidates call must reproduce, whichever path it takes.
+std::vector<uint32_t> ItemWalk(const ClusterShortlistProvider& provider,
+                               uint32_t item,
+                               std::span<const uint32_t> assignment) {
+  ClusterDedupScratch scratch = provider.MakeScratch();
+  std::vector<uint32_t> shortlist;
+  CollectCandidateClusters(item, assignment, scratch, &shortlist,
+                           [&](auto&& sink) {
+                             provider.index()->VisitCandidates(item, sink);
+                           });
+  return shortlist;
+}
+
+std::vector<uint32_t> RandomAssignment(uint32_t n, uint32_t k,
+                                       uint64_t seed) {
+  std::vector<uint32_t> assignment(n);
+  Rng rng(seed);
+  for (auto& cluster : assignment) {
+    cluster = static_cast<uint32_t>(rng.Below(k));
+  }
+  return assignment;
+}
+
+TEST(ShortlistPassTableTest, EngineUnbindsTheSnapshotTableWhenItEnds) {
+  // After the engine returns, its snapshot is freed; fresh vectors of the
+  // same size allocated right away tend to reuse its address. A table still
+  // bound to that address would answer for the engine's last snapshot.
+  constexpr uint32_t kItems = 300;
+  constexpr uint32_t kClusters = 12;
+  const auto dataset = MakeData(kItems, 12, kClusters, 60, 31);
+  ShortlistIndexOptions index_options;
+  index_options.banding = {8, 2};
+  ClusterShortlistProvider provider(index_options, kClusters);
+  EngineOptions options;
+  options.num_clusters = kClusters;
+  options.max_iterations = 3;
+  options.num_threads = 2;
+  auto result = RunEngine(dataset, options, provider);
+  ASSERT_TRUE(result.ok());
+  ASSERT_FALSE(result->iterations.empty());
+
+  std::vector<std::vector<uint32_t>> fresh;
+  for (uint64_t round = 0; round < 8; ++round) {
+    fresh.push_back(RandomAssignment(kItems, kClusters, 100 + round));
+  }
+  auto scratch = provider.MakeScratch();
+  std::vector<uint32_t> shortlist;
+  for (size_t round = 0; round < fresh.size(); ++round) {
+    for (uint32_t item = 0; item < kItems; ++item) {
+      provider.GetCandidates(item, fresh[round], scratch, &shortlist);
+      ASSERT_EQ(shortlist, ItemWalk(provider, item, fresh[round]))
+          << "vector " << round << ", item " << item;
+    }
+  }
+}
+
+TEST(ShortlistPassTableTest, TableAnswersOnlyForTheBoundSpan) {
+  constexpr uint32_t kItems = 200;
+  constexpr uint32_t kClusters = 9;
+  const auto dataset = MakeData(kItems, 12, kClusters, 60, 32);
+  ShortlistIndexOptions options;
+  options.banding = {8, 2};
+  ClusterShortlistProvider provider(options, kClusters);
+  ASSERT_TRUE(provider.Prepare(dataset).ok());
+
+  const std::vector<uint32_t> bound = RandomAssignment(kItems, kClusters, 1);
+  const std::vector<uint32_t> other = RandomAssignment(kItems, kClusters, 2);
+  provider.BeginPass(bound, nullptr);
+  auto scratch = provider.MakeScratch();
+  std::vector<uint32_t> shortlist;
+  for (uint32_t item = 0; item < kItems; ++item) {
+    provider.GetCandidates(item, other, scratch, &shortlist);
+    ASSERT_EQ(shortlist, ItemWalk(provider, item, other)) << "item " << item;
+  }
+}
+
+TEST(ShortlistPassTableTest, PrepareDropsTheTable) {
+  constexpr uint32_t kItems = 200;
+  constexpr uint32_t kClusters = 9;
+  const auto dataset = MakeData(kItems, 12, kClusters, 60, 33);
+  ShortlistIndexOptions options;
+  options.banding = {8, 2};
+  ClusterShortlistProvider provider(options, kClusters);
+  ASSERT_TRUE(provider.Prepare(dataset).ok());
+  const uint64_t unbound_bytes = provider.MemoryUsageBytes();
+
+  std::vector<uint32_t> assignment = RandomAssignment(kItems, kClusters, 3);
+  provider.BeginPass(assignment, nullptr);
+  // Rewriting the bound span breaks the table's validity window; a second
+  // Prepare must forget the table instead of serving the stale lists.
+  assignment = RandomAssignment(kItems, kClusters, 4);
+  ASSERT_TRUE(provider.Prepare(dataset).ok());
+  EXPECT_EQ(provider.MemoryUsageBytes(), unbound_bytes);
+  auto scratch = provider.MakeScratch();
+  std::vector<uint32_t> shortlist;
+  for (uint32_t item = 0; item < kItems; ++item) {
+    provider.GetCandidates(item, assignment, scratch, &shortlist);
+    ASSERT_EQ(shortlist, ItemWalk(provider, item, assignment))
+        << "item " << item;
+  }
 }
 
 // --------------------------------------------------------- MH-K-Modes --
