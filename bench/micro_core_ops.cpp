@@ -11,6 +11,7 @@
 
 #include <chrono>
 #include <cstring>
+#include <optional>
 
 #include "bench/common.h"
 #include "clustering/dissimilarity.h"
@@ -23,6 +24,7 @@
 #include "lsh/flat_hash_table.h"
 #include "simd/dispatch.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace {
 
@@ -126,28 +128,38 @@ BENCHMARK(BM_BoundedMismatchDistance_LooseBound)->Arg(100)->Arg(400);
 
 // --------------------------------------------------------- banding index --
 
-CategoricalDataset BenchDataset(uint32_t n, uint32_t m, uint32_t k) {
+CategoricalDataset BenchDataset(uint32_t n, uint32_t m, uint32_t k,
+                                uint32_t domain = 1000) {
   ConjunctiveDataOptions options;
   options.num_items = n;
   options.num_attributes = m;
   options.num_clusters = k;
-  options.domain_size = 1000;
+  options.domain_size = domain;
   options.seed = 3;
   return GenerateConjunctiveRuleData(options).ValueOrDie();
 }
 
+// Prepare (signing + index build) of n items on `threads` threads; 1 runs
+// in-line without a pool, as the engine does.
 void BM_IndexBuild(benchmark::State& state) {
   const uint32_t n = static_cast<uint32_t>(state.range(0));
+  const uint32_t threads = static_cast<uint32_t>(state.range(1));
   const auto dataset = BenchDataset(n, 100, std::max(8u, n / 10));
   ShortlistIndexOptions options;
   options.banding = {20, 5};
+  std::optional<ThreadPool> pool;
+  if (threads > 1) pool.emplace(threads);
   for (auto _ : state) {
     ClusterShortlistProvider provider(options, std::max(8u, n / 10));
-    benchmark::DoNotOptimize(provider.Prepare(dataset).ok());
+    benchmark::DoNotOptimize(
+        provider.Prepare(dataset, pool ? &*pool : nullptr).ok());
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_IndexBuild)->Arg(1000)->Arg(5000)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_IndexBuild)
+    ->ArgNames({"items", "threads"})
+    ->ArgsProduct({{1000, 5000}, {1, 4}})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_ShortlistQuery(benchmark::State& state) {
   const uint32_t n = 5000;
@@ -178,9 +190,11 @@ BENCHMARK(BM_ShortlistQuery)->Args({1, 1})->Args({20, 5})->Args({50, 5});
 
 void BM_ModeRecompute(benchmark::State& state) {
   const uint32_t n = static_cast<uint32_t>(state.range(0));
-  const uint32_t k = std::max(8u, n / 10);
-  const auto dataset = BenchDataset(n, 100, k);
-  ModeTable modes(k, 100);
+  const uint32_t m = static_cast<uint32_t>(state.range(1));
+  const uint32_t k = static_cast<uint32_t>(state.range(2));
+  const auto dataset =
+      BenchDataset(n, m, k, static_cast<uint32_t>(state.range(3)));
+  ModeTable modes(k, m);
   Rng rng(5);
   std::vector<uint32_t> assignment(n);
   for (uint32_t i = 0; i < n; ++i) assignment[i] = i % k;
@@ -191,7 +205,12 @@ void BM_ModeRecompute(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_ModeRecompute)->Arg(1000)->Arg(10000)
+BENCHMARK(BM_ModeRecompute)
+    ->ArgNames({"items", "attributes", "k", "domain"})
+    ->Args({1000, 100, 100, 1000})
+    ->Args({10000, 100, 1000, 1000})
+    // perfbench's fit-categorical shape.
+    ->Args({50000, 24, 500, 4000})
     ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------- flat hash map --

@@ -90,9 +90,12 @@
 ///    and are merged in shard order (chunk order within the shard) after
 ///    the pass.
 ///  * Centroid updates — including empty-cluster repair — and cost
-///    evaluation stay sequential: they are cheap (one scan) and their
-///    floating-point summation and RNG draw order is part of the
-///    reported numbers.
+///    evaluation stay sequential: each is one sweep over the members (the
+///    K-Modes update is a cluster-major counting pass, see
+///    clustering/modes.h) and their floating-point summation and RNG draw
+///    order is part of the reported numbers. The provider's Prepare, in
+///    contrast, fans both its signing pass and its index build (one band
+///    per work unit) out over the pool.
 ///
 /// The engine gives every (shard, worker) pair its own provider scratch.
 
@@ -150,7 +153,8 @@ struct EngineOptions {
   /// extra n*m scan per iteration; switch off for pure timing.
   bool compute_cost = true;
   /// Worker threads for the batch-parallel assignment step and the
-  /// provider's signature pass. 1 = run in-line on the calling thread
+  /// provider's Prepare: its signature pass and its band-parallel index
+  /// build. 1 = run in-line on the calling thread
   /// (default); 0 = one per hardware thread. Any value produces
   /// bit-identical results.
   uint32_t num_threads = 1;

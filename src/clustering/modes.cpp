@@ -1,9 +1,7 @@
 #include "clustering/modes.h"
 
 #include <algorithm>
-#include <cstring>
-
-#include "lsh/flat_hash_table.h"
+#include <vector>
 
 namespace lshclust {
 
@@ -13,9 +11,6 @@ ModeTable::ModeTable(uint32_t num_clusters, uint32_t num_attributes)
   LSHC_CHECK_GE(num_attributes, 1u) << "need at least one attribute";
   codes_.resize(static_cast<size_t>(num_clusters) * num_attributes, 0);
   sizes_.resize(num_clusters, 0);
-  best_count_.resize(num_clusters, 0);
-  best_code_.resize(num_clusters, 0);
-  stamp_.resize(num_clusters, 0);
 }
 
 void ModeTable::SetModeFromItem(uint32_t cluster,
@@ -33,58 +28,59 @@ void ModeTable::RecomputeFromAssignment(const CategoricalDataset& dataset,
                                         EmptyClusterPolicy policy, Rng& rng) {
   const uint32_t n = dataset.num_items();
   const uint32_t m = num_attributes_;
+  const uint32_t k = num_clusters_;
   LSHC_CHECK_EQ(assignment.size(), static_cast<size_t>(n))
       << "assignment must map every item";
   LSHC_CHECK_EQ(dataset.num_attributes(), m);
 
   std::fill(sizes_.begin(), sizes_.end(), 0);
   for (const uint32_t cluster : assignment) {
-    LSHC_DCHECK(cluster < num_clusters_) << "assignment out of range";
+    LSHC_DCHECK(cluster < k) << "assignment out of range";
     ++sizes_[cluster];
   }
 
-  // Frequency table reused across attributes: (cluster, code) -> count.
-  FlatHashMap64 frequency(n);
+  // Counting sort of the items by cluster. offsets[c + 1] starts as
+  // cluster c's start and serves as its fill cursor, so afterwards the
+  // members of cluster c are members[offsets[c] .. offsets[c + 1]), in
+  // ascending id.
+  std::vector<uint32_t> offsets(static_cast<size_t>(k) + 1, 0);
+  uint32_t start = 0;
+  for (uint32_t cluster = 0; cluster < k; ++cluster) {
+    offsets[cluster + 1] = start;
+    start += sizes_[cluster];
+  }
+  std::vector<uint32_t> members(n);
+  for (uint32_t item = 0; item < n; ++item) {
+    members[offsets[assignment[item] + 1]++] = item;
+  }
+
+  // One dense counter over the code space, zero between (cluster,
+  // attribute) pairs: each pair counts its members' codes, then re-walks
+  // them to clear exactly the entries it touched.
+  std::vector<uint32_t> count(dataset.num_codes(), 0);
   const uint32_t* codes = dataset.codes().data();
-
-  for (uint32_t attribute = 0; attribute < m; ++attribute) {
-    frequency.Clear();
-    for (uint32_t item = 0; item < n; ++item) {
-      const uint32_t code = codes[static_cast<size_t>(item) * m + attribute];
-      const uint64_t key =
-          (static_cast<uint64_t>(assignment[item]) << 32) | code;
-      ++*frequency.FindOrInsert(key, 0);
-    }
-
-    // Per-cluster argmax with deterministic smallest-code tie-break, so
-    // the result is independent of hash-map iteration order. When the
-    // epoch counter wraps it could collide with stale stamps (making an
-    // unseen cluster read as seen, with garbage best counts), so clear
-    // the stamps and restart at 1 — same contract as BumpDedupEpoch.
-    if (++epoch_ == 0) {
-      std::fill(stamp_.begin(), stamp_.end(), 0u);
-      epoch_ = 1;
-    }
-    frequency.ForEach([&](uint64_t key, uint32_t count) {
-      const uint32_t cluster = static_cast<uint32_t>(key >> 32);
-      const uint32_t code = static_cast<uint32_t>(key);
-      if (stamp_[cluster] != epoch_) {
-        stamp_[cluster] = epoch_;
-        best_count_[cluster] = count;
-        best_code_[cluster] = code;
-        return;
+  for (uint32_t cluster = 0; cluster < k; ++cluster) {
+    const uint32_t* begin = members.data() + offsets[cluster];
+    const uint32_t* end = members.data() + offsets[cluster + 1];
+    if (begin == end) continue;  // empty: handled by `policy` below
+    uint32_t* mode = codes_.data() + static_cast<size_t>(cluster) * m;
+    for (uint32_t attribute = 0; attribute < m; ++attribute) {
+      // Running argmax, ties to the smallest code. A code's final count is
+      // reached at its last increment, so the smallest code with the
+      // maximal count is the best when the walk ends.
+      uint32_t best_count = 0;
+      uint32_t best_code = 0;
+      for (const uint32_t* it = begin; it != end; ++it) {
+        const uint32_t code = codes[static_cast<size_t>(*it) * m + attribute];
+        const uint32_t seen = ++count[code];
+        if (seen > best_count || (seen == best_count && code < best_code)) {
+          best_count = seen;
+          best_code = code;
+        }
       }
-      if (count > best_count_[cluster] ||
-          (count == best_count_[cluster] && code < best_code_[cluster])) {
-        best_count_[cluster] = count;
-        best_code_[cluster] = code;
-      }
-    });
-
-    for (uint32_t cluster = 0; cluster < num_clusters_; ++cluster) {
-      if (stamp_[cluster] == epoch_) {
-        codes_[static_cast<size_t>(cluster) * m + attribute] =
-            best_code_[cluster];
+      mode[attribute] = best_code;
+      for (const uint32_t* it = begin; it != end; ++it) {
+        count[codes[static_cast<size_t>(*it) * m + attribute]] = 0;
       }
     }
   }

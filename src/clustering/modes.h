@@ -19,6 +19,15 @@
 namespace lshclust {
 
 /// \brief Owns the k x m mode matrix and recomputes it from an assignment.
+///
+/// A recompute is cluster-major. A counting sort lists each cluster's
+/// members in ascending id; then, for every non-empty cluster and every
+/// attribute, the members' codes are counted in one dense counter over
+/// the code space while a running best (highest count, then smallest
+/// code) is kept, and a second walk over the same members clears the
+/// counter for the next pair. That is one O(n·m) sweep with no hashing.
+/// All of its scratch (O(n + k + num_codes)) lives in the call, so a
+/// ModeTable held by a fitted model is only its k x m codes and k sizes.
 class ModeTable {
  public:
   /// \param num_clusters k
@@ -74,13 +83,6 @@ class ModeTable {
   uint32_t num_attributes_;
   std::vector<uint32_t> codes_;  // row-major k x m
   std::vector<uint32_t> sizes_;
-
-  // Scratch reused across recomputes to avoid reallocation: per attribute,
-  // the best (count, code) seen per cluster, versioned by attribute epoch.
-  std::vector<uint32_t> best_count_;
-  std::vector<uint32_t> best_code_;
-  std::vector<uint32_t> stamp_;
-  uint32_t epoch_ = 0;
 };
 
 }  // namespace lshclust

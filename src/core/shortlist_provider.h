@@ -205,8 +205,9 @@ class ShortlistProvider {
   /// pass of Alg. 2). Called by the engine after the initial assignment.
   /// Signature computation is embarrassingly parallel over items, so when
   /// the engine hands over its worker pool the signing pass is chunked
-  /// across it; the index build stays sequential. Bit-identical for every
-  /// pool size including none.
+  /// across it; the index build then fans its bands out over the same pool
+  /// (bands have disjoint bucket spaces). Bit-identical for every pool size
+  /// including none.
   ///
   /// Cooperative cancellation: when `cancel` is non-null it is polled at
   /// signing-batch boundaries (every kSignatureChunkSize items, from
@@ -244,7 +245,7 @@ class ShortlistProvider {
 
     watch.Restart();
     const std::vector<uint32_t> layout = family_.BandLayout();
-    index_ = std::make_unique<BandedIndex>(signatures, n, layout);
+    index_ = std::make_unique<BandedIndex>(signatures, n, layout, pool);
     index_seconds_ = watch.ElapsedSeconds();
 
     if (family_.keep_signatures()) {

@@ -10,7 +10,8 @@
 namespace lshclust {
 
 BandedIndex::BandedIndex(std::span<const uint64_t> signatures,
-                         uint32_t num_items, BandingParams params)
+                         uint32_t num_items, BandingParams params,
+                         ThreadPool* pool)
     : num_items_(num_items), params_(params) {
   LSHC_CHECK(params.bands >= 1 && params.rows >= 1)
       << "banding needs at least one band and one row";
@@ -20,12 +21,13 @@ BandedIndex::BandedIndex(std::span<const uint64_t> signatures,
     bands_[b].offset = b * params.rows;
     bands_[b].rows = params.rows;
   }
-  Build(signatures);
+  Build(signatures, pool);
 }
 
 BandedIndex::BandedIndex(std::span<const uint64_t> signatures,
                          uint32_t num_items,
-                         std::span<const uint32_t> band_rows)
+                         std::span<const uint32_t> band_rows,
+                         ThreadPool* pool)
     : num_items_(num_items) {
   LSHC_CHECK_GE(band_rows.size(), 1u)
       << "banding needs at least one band";
@@ -44,7 +46,7 @@ BandedIndex::BandedIndex(std::span<const uint64_t> signatures,
       [&](uint32_t rows) { return rows == band_rows[0]; });
   params_ = {static_cast<uint32_t>(band_rows.size()),
              uniform ? band_rows[0] : 0};
-  Build(signatures);
+  Build(signatures, pool);
 }
 
 BandedIndex::BandedIndex(const DynamicBandedIndex& dynamic)
@@ -92,7 +94,8 @@ BandedIndex::BandedIndex(const DynamicBandedIndex& dynamic)
   }
 }
 
-void BandedIndex::Build(std::span<const uint64_t> signatures) {
+void BandedIndex::Build(std::span<const uint64_t> signatures,
+                        ThreadPool* pool) {
   LSHC_CHECK_EQ(signatures.size(),
                 static_cast<size_t>(num_items_) * signature_width_)
       << "signature matrix size does not match items x hashes";
@@ -100,43 +103,62 @@ void BandedIndex::Build(std::span<const uint64_t> signatures) {
   const uint32_t num_items = num_items_;
   const uint32_t width = signature_width_;
 
-  for (uint32_t b = 0; b < num_bands(); ++b) {
-    Band& band = bands_[b];
+  // Size every array here, on the calling thread: the band workers below
+  // only write into storage that already exists. A band has at most n
+  // buckets, so n + 1 offsets and a map reserved for n keys always fit.
+  for (Band& band : bands_) {
     band.key_to_bucket.Reserve(num_items);
     band.item_bucket.resize(num_items);
+    band.bucket_items.resize(num_items);
+    band.bucket_offsets.assign(static_cast<size_t>(num_items) + 1, 0);
+  }
 
-    // Pass 1: assign dense bucket ids and count occupancy.
-    std::vector<uint32_t> bucket_sizes;
+  const auto build_band = [&](uint32_t b) {
+    Band& band = bands_[b];
+    [[maybe_unused]] const size_t reserved = band.key_to_bucket.capacity();
+    uint32_t* offsets = band.bucket_offsets.data();
+
+    // Pass 1: dense bucket ids in first-occurrence order; offsets[id + 1]
+    // counts the bucket's items.
+    uint32_t num_buckets = 0;
     for (uint32_t item = 0; item < num_items; ++item) {
       const uint64_t* signature =
           signatures.data() + static_cast<size_t>(item) * width;
-      const uint64_t key = BandKey(signature, b);
-      const uint32_t next_id = static_cast<uint32_t>(bucket_sizes.size());
-      uint32_t* bucket = band.key_to_bucket.FindOrInsert(key, next_id);
-      if (*bucket == next_id && next_id == bucket_sizes.size()) {
-        bucket_sizes.push_back(0);
-      }
-      band.item_bucket[item] = *bucket;
-      ++bucket_sizes[*bucket];
+      const uint32_t bucket =
+          *band.key_to_bucket.FindOrInsert(BandKey(signature, b), num_buckets);
+      if (bucket == num_buckets) ++num_buckets;
+      band.item_bucket[item] = bucket;
+      ++offsets[bucket + 1];
     }
 
-    // Pass 2: CSR offsets + fill.
-    const uint32_t num_buckets = static_cast<uint32_t>(bucket_sizes.size());
-    band.bucket_offsets.resize(num_buckets + 1);
-    uint32_t offset = 0;
+    // Pass 2: offsets[id + 1] becomes the bucket's start and serves as its
+    // fill cursor; after the fill it is the bucket's end, i.e. the CSR
+    // offset of bucket id + 1.
+    uint32_t start = 0;
     for (uint32_t bucket = 0; bucket < num_buckets; ++bucket) {
-      band.bucket_offsets[bucket] = offset;
-      offset += bucket_sizes[bucket];
+      const uint32_t size = offsets[bucket + 1];
+      offsets[bucket + 1] = start;
+      start += size;
     }
-    band.bucket_offsets[num_buckets] = offset;
-
-    band.bucket_items.resize(num_items);
-    std::vector<uint32_t> cursor(band.bucket_offsets.begin(),
-                                 band.bucket_offsets.end() - 1);
     for (uint32_t item = 0; item < num_items; ++item) {
-      const uint32_t bucket = band.item_bucket[item];
-      band.bucket_items[cursor[bucket]++] = item;
+      band.bucket_items[offsets[band.item_bucket[item] + 1]++] = item;
     }
+    LSHC_DCHECK(band.key_to_bucket.capacity() == reserved)
+        << "a band worker grew its hash map";
+  };
+  if (pool == nullptr) {
+    for (uint32_t b = 0; b < num_bands(); ++b) build_band(b);
+  } else {
+    pool->ParallelFor(0, num_bands(), 1,
+                      [&](uint32_t begin, uint32_t end, uint32_t) {
+                        for (uint32_t b = begin; b < end; ++b) build_band(b);
+                      });
+  }
+
+  // Every key is one bucket, so the map's size is the band's bucket count.
+  for (Band& band : bands_) {
+    band.bucket_offsets.resize(band.key_to_bucket.size() + 1);
+    band.bucket_offsets.shrink_to_fit();
   }
 }
 

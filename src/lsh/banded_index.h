@@ -12,7 +12,8 @@
 /// The index is built once over all items (the paper's single pass after
 /// centroid initialisation) and is immutable afterwards. Buckets use a CSR
 /// layout (offsets + flat item array) per band, so a candidate visit is a
-/// contiguous scan.
+/// contiguous scan. Bands share nothing, so the build fans them out over a
+/// thread pool when it is given one, with the same result as without.
 ///
 /// A query that only wants the *clusters* of its co-bucketed items can
 /// instead walk a BucketClusterTable: every bucket compacted, under one
@@ -98,16 +99,18 @@ class BandedIndex {
   /// \param signatures row-major n x (bands*rows) signature matrix
   /// \param num_items n
   /// \param params banding shape; bands*rows must equal the signature width
+  /// \param pool when given, bands are built in parallel (see Build)
   BandedIndex(std::span<const uint64_t> signatures, uint32_t num_items,
-              BandingParams params);
+              BandingParams params, ThreadPool* pool = nullptr);
 
   /// Builds a heterogeneous index: band i covers band_rows[i] consecutive
   /// signature components, in order.
   /// \param signatures row-major n x sum(band_rows) signature matrix
   /// \param num_items n
   /// \param band_rows rows per band; all entries must be >= 1
+  /// \param pool when given, bands are built in parallel (see Build)
   BandedIndex(std::span<const uint64_t> signatures, uint32_t num_items,
-              std::span<const uint32_t> band_rows);
+              std::span<const uint32_t> band_rows, ThreadPool* pool = nullptr);
 
   /// Freezes a streaming DynamicBandedIndex into the CSR layout: same
   /// band-key function, same buckets, items stored in ascending id order
@@ -261,7 +264,14 @@ class BandedIndex {
     uint32_t rows = 0;                    // components in this band
   };
 
-  void Build(std::span<const uint64_t> signatures);
+  /// Buckets every band: dense bucket ids in the order their keys first
+  /// occur over ascending item ids, then the CSR fill. Bands have disjoint
+  /// bucket spaces (§III-A2), so with a `pool` they are fanned out across
+  /// its workers. All storage is sized first, on the calling thread, and
+  /// workers only write into it, so the index — and its ToRaw dump — is
+  /// identical for every pool size including none. Must not be called
+  /// from a worker of `pool`.
+  void Build(std::span<const uint64_t> signatures, ThreadPool* pool);
 
   /// Band key of one band of a full signature.
   uint64_t BandKey(const uint64_t* signature, uint32_t band) const {

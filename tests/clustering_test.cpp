@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 
 #include "clustering/dissimilarity.h"
@@ -179,6 +180,194 @@ TEST(ModeTableTest, SetModeFromItemCopiesRow) {
   ModeTable modes(1, 2);
   modes.SetModeFromItem(0, dataset, 3);
   EXPECT_EQ(MismatchDistance(modes.Mode(0), dataset.Row(3)), 0u);
+}
+
+// ------------------------------------------------------ mode-update oracle --
+
+// The naive mode update: for every (cluster, attribute) pair, count the
+// members' codes in an ordered map and take the highest count, the
+// smallest code on ties. Empty clusters keep `previous`'s row
+// (kKeepPreviousMode) or take the row of the item drawn from `rng`, in
+// ascending cluster order (kReseedRandomItem).
+struct NaiveModes {
+  std::vector<uint32_t> codes;  // row-major k x m
+  std::vector<uint32_t> sizes;
+};
+
+NaiveModes NaiveModeUpdate(const CategoricalDataset& dataset,
+                           const std::vector<uint32_t>& assignment,
+                           const ModeTable& previous,
+                           EmptyClusterPolicy policy, Rng& rng) {
+  const uint32_t n = dataset.num_items();
+  const uint32_t m = dataset.num_attributes();
+  const uint32_t k = previous.num_clusters();
+  NaiveModes out;
+  out.sizes.assign(k, 0);
+  for (const uint32_t cluster : assignment) ++out.sizes[cluster];
+  for (uint32_t cluster = 0; cluster < k; ++cluster) {
+    std::vector<uint32_t> row(previous.Mode(cluster).begin(),
+                              previous.Mode(cluster).end());
+    if (out.sizes[cluster] > 0) {
+      for (uint32_t attribute = 0; attribute < m; ++attribute) {
+        std::map<uint32_t, uint32_t> counts;
+        for (uint32_t item = 0; item < n; ++item) {
+          if (assignment[item] == cluster) {
+            ++counts[dataset.Row(item)[attribute]];
+          }
+        }
+        uint32_t best_count = 0;
+        for (const auto& [code, count] : counts) {
+          if (count > best_count) {
+            best_count = count;
+            row[attribute] = code;
+          }
+        }
+      }
+    }
+    out.codes.insert(out.codes.end(), row.begin(), row.end());
+  }
+  if (policy == EmptyClusterPolicy::kReseedRandomItem) {
+    for (uint32_t cluster = 0; cluster < k; ++cluster) {
+      if (out.sizes[cluster] > 0) continue;
+      const auto row = dataset.Row(static_cast<uint32_t>(rng.Below(n)));
+      std::copy(row.begin(), row.end(),
+                out.codes.begin() + static_cast<size_t>(cluster) * m);
+    }
+  }
+  return out;
+}
+
+// Seeds every mode of a k-cluster table from item (cluster % n), runs
+// RecomputeFromAssignment twice (on `assignment`, then on a rotation of
+// it, so the second call starts from the first call's modes) and checks
+// both against the naive update, under both empty-cluster policies.
+void ExpectModesMatchOracle(const CategoricalDataset& dataset, uint32_t k,
+                            const std::vector<uint32_t>& assignment) {
+  const uint32_t n = dataset.num_items();
+  const uint32_t m = dataset.num_attributes();
+  std::vector<uint32_t> rotated(assignment.size());
+  for (size_t i = 0; i < assignment.size(); ++i) {
+    rotated[i] = (assignment[i] + 1) % k;
+  }
+  for (const EmptyClusterPolicy policy :
+       {EmptyClusterPolicy::kKeepPreviousMode,
+        EmptyClusterPolicy::kReseedRandomItem}) {
+    ModeTable modes(k, m);
+    for (uint32_t cluster = 0; cluster < k; ++cluster) {
+      modes.SetModeFromItem(cluster, dataset, cluster % n);
+    }
+    Rng rng(7), oracle_rng(7);
+    const std::vector<uint32_t>* inputs[] = {&assignment, &rotated};
+    for (const std::vector<uint32_t>* input : inputs) {
+      SCOPED_TRACE(testing::Message()
+                   << "policy " << static_cast<int>(policy) << ", call "
+                   << (input == &assignment ? 1 : 2));
+      const NaiveModes expected =
+          NaiveModeUpdate(dataset, *input, modes, policy, oracle_rng);
+      modes.RecomputeFromAssignment(dataset, *input, policy, rng);
+      ASSERT_EQ(modes.cluster_sizes(), expected.sizes);
+      for (uint32_t cluster = 0; cluster < k; ++cluster) {
+        const auto mode = modes.Mode(cluster);
+        ASSERT_EQ(std::vector<uint32_t>(mode.begin(), mode.end()),
+                  std::vector<uint32_t>(
+                      expected.codes.begin() + size_t{cluster} * m,
+                      expected.codes.begin() + size_t{cluster + 1} * m))
+            << "cluster " << cluster;
+      }
+    }
+  }
+}
+
+// n x m codes drawn from `domain` codes shared by every attribute (so one
+// code can win in several attributes), offset by `base` within a code
+// space of `num_codes`.
+CategoricalDataset RandomCodes(uint32_t n, uint32_t m, uint32_t domain,
+                               uint32_t base, uint32_t num_codes,
+                               uint64_t seed) {
+  Rng rng(seed);
+  std::vector<uint32_t> codes(static_cast<size_t>(n) * m);
+  for (auto& code : codes) {
+    code = base + static_cast<uint32_t>(rng.Below(domain));
+  }
+  return CategoricalDataset::FromCodes(n, m, num_codes, std::move(codes))
+      .ValueOrDie();
+}
+
+std::vector<uint32_t> RandomClusters(uint32_t n, uint32_t k, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<uint32_t> assignment(n);
+  for (auto& cluster : assignment) {
+    cluster = static_cast<uint32_t>(rng.Below(k));
+  }
+  return assignment;
+}
+
+TEST(ModeOracleTest, RandomInputsWithSharedCodes) {
+  // Three shared codes over ~6 members per cluster: ties are common.
+  for (const uint64_t seed : {1, 2, 3, 4}) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    const auto dataset = RandomCodes(60, 5, 3, 0, 3, seed);
+    ExpectModesMatchOracle(dataset, 10, RandomClusters(60, 10, seed + 100));
+  }
+}
+
+TEST(ModeOracleTest, ForcedTiesPickTheSmallestCode) {
+  // Every cluster holds pairs of items whose codes tie 2:2 per attribute,
+  // with the larger code seen first in id order.
+  constexpr uint32_t kClusters = 5;
+  constexpr uint32_t kAttributes = 4;
+  std::vector<uint32_t> codes;
+  std::vector<uint32_t> assignment;
+  for (uint32_t item = 0; item < kClusters * 4; ++item) {
+    const uint32_t cluster = item % kClusters;
+    const bool high = (item / kClusters) % 2 == 0;
+    for (uint32_t attribute = 0; attribute < kAttributes; ++attribute) {
+      const uint32_t low_code = (cluster + attribute) % 7;
+      codes.push_back(high ? low_code + 3 : low_code);
+    }
+    assignment.push_back(cluster);
+  }
+  const auto dataset =
+      CategoricalDataset::FromCodes(kClusters * 4, kAttributes, 10, codes)
+          .ValueOrDie();
+  ExpectModesMatchOracle(dataset, kClusters, assignment);
+  ModeTable modes(kClusters, kAttributes);
+  Rng rng(1);
+  modes.RecomputeFromAssignment(dataset, assignment,
+                                EmptyClusterPolicy::kKeepPreviousMode, rng);
+  for (uint32_t cluster = 0; cluster < kClusters; ++cluster) {
+    for (uint32_t attribute = 0; attribute < kAttributes; ++attribute) {
+      EXPECT_EQ(modes.Mode(cluster)[attribute], (cluster + attribute) % 7);
+    }
+  }
+}
+
+TEST(ModeOracleTest, CodeSpaceFarLargerThanCodesUsed) {
+  const auto dataset = RandomCodes(80, 6, 5, 900000, 1u << 20, 11);
+  ExpectModesMatchOracle(dataset, 8, RandomClusters(80, 8, 12));
+}
+
+TEST(ModeOracleTest, OneCluster) {
+  const auto dataset = RandomCodes(50, 4, 4, 0, 4, 13);
+  ExpectModesMatchOracle(dataset, 1, std::vector<uint32_t>(50, 0));
+}
+
+TEST(ModeOracleTest, OneClusterPerItem) {
+  constexpr uint32_t kItems = 30;
+  const auto dataset = RandomCodes(kItems, 4, 6, 0, 6, 15);
+  std::vector<uint32_t> assignment(kItems);
+  for (uint32_t item = 0; item < kItems; ++item) {
+    assignment[item] = kItems - 1 - item;
+  }
+  ExpectModesMatchOracle(dataset, kItems, assignment);
+}
+
+TEST(ModeOracleTest, EmptyClusters) {
+  // 12 clusters, only the even ones used.
+  const auto dataset = RandomCodes(40, 5, 4, 0, 4, 17);
+  std::vector<uint32_t> assignment = RandomClusters(40, 6, 18);
+  for (auto& cluster : assignment) cluster *= 2;
+  ExpectModesMatchOracle(dataset, 12, assignment);
 }
 
 // ----------------------------------------------------------- initializers --

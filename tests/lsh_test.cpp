@@ -8,10 +8,12 @@
 #include <set>
 
 #include "hashing/minhash.h"
+#include "hashing/simhash.h"
 #include "lsh/banded_index.h"
 #include "lsh/flat_hash_table.h"
 #include "lsh/probability.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace lshclust {
 namespace {
@@ -357,6 +359,132 @@ TEST(BandedIndexTest, SingleItemIndex) {
     ++visits;
   });
   EXPECT_EQ(visits, params.bands);  // itself, once per band
+}
+
+// ------------------------------------------------- band-parallel build --
+
+// Random 6-token sets over a 40-token domain: plenty of collisions and
+// plenty of singleton buckets at r = 2.
+std::vector<uint64_t> RandomMinHashSignatures(uint32_t n, uint32_t width,
+                                              uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::vector<uint32_t>> sets(n);
+  for (auto& set : sets) {
+    for (int t = 0; t < 6; ++t) {
+      set.push_back(static_cast<uint32_t>(rng.Below(40)));
+    }
+  }
+  return MakeSignatures(sets, width, seed);
+}
+
+std::vector<uint64_t> RandomSimHashSignatures(uint32_t n, uint32_t width,
+                                              uint64_t seed) {
+  constexpr uint32_t kDims = 5;
+  const SimHasher hasher(width, kDims, seed);
+  Rng rng(seed + 1);
+  std::vector<uint64_t> signatures(static_cast<size_t>(n) * width);
+  std::vector<double> vec(kDims);
+  for (uint32_t item = 0; item < n; ++item) {
+    for (double& x : vec) x = rng.NextDouble() * 2.0 - 1.0;
+    hasher.ComputeSignature(vec, signatures.data() + size_t{item} * width);
+  }
+  return signatures;
+}
+
+void ExpectSameIndex(const BandedIndex& expected, const BandedIndex& actual) {
+  const BandedIndex::Raw want = expected.ToRaw();
+  const BandedIndex::Raw got = actual.ToRaw();
+  ASSERT_EQ(got.num_items, want.num_items);
+  ASSERT_EQ(got.bands.size(), want.bands.size());
+  for (size_t b = 0; b < want.bands.size(); ++b) {
+    SCOPED_TRACE(testing::Message() << "band " << b);
+    EXPECT_EQ(got.bands[b].offset, want.bands[b].offset);
+    EXPECT_EQ(got.bands[b].rows, want.bands[b].rows);
+    EXPECT_EQ(got.bands[b].bucket_keys, want.bands[b].bucket_keys);
+    EXPECT_EQ(got.bands[b].bucket_offsets, want.bands[b].bucket_offsets);
+    EXPECT_EQ(got.bands[b].bucket_items, want.bands[b].bucket_items);
+    EXPECT_EQ(got.bands[b].item_bucket, want.bands[b].item_bucket);
+  }
+  EXPECT_EQ(actual.MemoryUsageBytes(), expected.MemoryUsageBytes());
+  EXPECT_EQ(actual.params().bands, expected.params().bands);
+  EXPECT_EQ(actual.params().rows, expected.params().rows);
+}
+
+// Builds `layout` over `signatures` without a pool, then with pools of 2,
+// 4 and more threads than bands, and expects every pooled build to dump
+// exactly the sequential one.
+void ExpectPoolInvariantBuild(const std::vector<uint64_t>& signatures,
+                              uint32_t n, const std::vector<uint32_t>& layout) {
+  const BandedIndex sequential(signatures, n, layout);
+  const uint32_t bands = static_cast<uint32_t>(layout.size());
+  for (const uint32_t threads : {2u, 4u, bands + 3}) {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
+    ThreadPool pool(threads);
+    const BandedIndex pooled(signatures, n, layout, &pool);
+    ExpectSameIndex(sequential, pooled);
+  }
+}
+
+TEST(BandedIndexBuildTest, UniformMinHashIsPoolInvariant) {
+  constexpr uint32_t kItems = 300;
+  const BandingParams params{8, 2};
+  const auto signatures =
+      RandomMinHashSignatures(kItems, params.num_hashes(), 41);
+  const BandedIndex sequential(signatures, kItems, params);
+  ASSERT_GT(sequential.ComputeStats().largest_bucket, 1u);
+  ASSERT_LT(sequential.ComputeStats().total_buckets, kItems * params.bands);
+  ExpectPoolInvariantBuild(signatures, kItems,
+                           std::vector<uint32_t>(params.bands, params.rows));
+  ThreadPool pool(4);
+  ExpectSameIndex(sequential, BandedIndex(signatures, kItems, params, &pool));
+}
+
+TEST(BandedIndexBuildTest, SimHashIsPoolInvariant) {
+  constexpr uint32_t kItems = 300;
+  const auto signatures = RandomSimHashSignatures(kItems, 8 * 3, 43);
+  ExpectPoolInvariantBuild(signatures, kItems, std::vector<uint32_t>(8, 3));
+}
+
+TEST(BandedIndexBuildTest, HeterogeneousMixedLayoutIsPoolInvariant) {
+  // Per item: 6 MinHash components (three 2-row bands), then 12 SimHash
+  // bits (four 3-row bands) — the mixed family's concatenated layout.
+  constexpr uint32_t kItems = 250;
+  const auto minhash = RandomMinHashSignatures(kItems, 6, 45);
+  const auto simhash = RandomSimHashSignatures(kItems, 12, 47);
+  std::vector<uint64_t> signatures;
+  for (uint32_t item = 0; item < kItems; ++item) {
+    signatures.insert(signatures.end(), minhash.begin() + item * 6,
+                      minhash.begin() + (item + 1) * 6);
+    signatures.insert(signatures.end(), simhash.begin() + item * 12,
+                      simhash.begin() + (item + 1) * 12);
+  }
+  ExpectPoolInvariantBuild(signatures, kItems, {2, 2, 2, 3, 3, 3, 3});
+}
+
+TEST(BandedIndexBuildTest, SingleItemIsPoolInvariant) {
+  ExpectPoolInvariantBuild(RandomMinHashSignatures(1, 6, 49), 1, {2, 2, 2});
+}
+
+TEST(BandedIndexBuildTest, AllSingletonBucketsArePoolInvariant) {
+  constexpr uint32_t kItems = 200;
+  constexpr uint32_t kWidth = 8;
+  std::vector<uint64_t> signatures(kItems * kWidth);
+  for (uint32_t i = 0; i < signatures.size(); ++i) signatures[i] = i;
+  const std::vector<uint32_t> layout(4, 2);
+  const BandedIndex sequential(signatures, kItems, layout);
+  ASSERT_EQ(sequential.ComputeStats().total_buckets, kItems * layout.size());
+  ExpectPoolInvariantBuild(signatures, kItems, layout);
+}
+
+TEST(BandedIndexBuildTest, OneBucketPerBandIsPoolInvariant) {
+  constexpr uint32_t kItems = 200;
+  constexpr uint32_t kWidth = 8;
+  std::vector<uint64_t> signatures(kItems * kWidth);
+  for (uint32_t i = 0; i < signatures.size(); ++i) signatures[i] = i % kWidth;
+  const std::vector<uint32_t> layout(4, 2);
+  const BandedIndex sequential(signatures, kItems, layout);
+  ASSERT_EQ(sequential.ComputeStats().total_buckets, layout.size());
+  ExpectPoolInvariantBuild(signatures, kItems, layout);
 }
 
 /// Property sweep: the empirical banding collision rate of real MinHash
