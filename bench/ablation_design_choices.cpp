@@ -1,5 +1,6 @@
 // google-benchmark ablations for the design choices DESIGN.md calls out:
-//  * early-exit bounded distance vs exact distance in the assignment step;
+//  * early-exit bounded distance vs exact distance in the shortlist passes
+//    (exhaustive passes always take one all-clusters scan);
 //  * classic MinHash (double hashing / independent) vs one-permutation
 //    MinHash for index construction;
 //  * presence filtering (Alg. 2 lines 2-4) on vs off for sparse binary
@@ -37,19 +38,22 @@ CategoricalDataset AblationDataset() {
 
 // ----------------------------------------------------- early exit on/off --
 
-void BM_KModes_EarlyExit(benchmark::State& state) {
+// MH-K-Modes, because only its shortlist passes call the per-pair kernels
+// the switch selects between.
+void BM_MHKModes_EarlyExit(benchmark::State& state) {
   const auto dataset = AblationDataset();
-  EngineOptions options;
-  options.num_clusters = 300;
-  options.max_iterations = 3;
-  options.seed = 7;
-  options.compute_cost = false;
-  options.early_exit = state.range(0) != 0;
+  MHKModesOptions options;
+  options.engine.num_clusters = 300;
+  options.engine.max_iterations = 3;
+  options.engine.seed = 7;
+  options.engine.compute_cost = false;
+  options.engine.early_exit = state.range(0) != 0;
+  options.index.banding = {20, 2};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(RunKModes(dataset, options).ok());
+    benchmark::DoNotOptimize(RunMHKModes(dataset, options).ok());
   }
 }
-BENCHMARK(BM_KModes_EarlyExit)
+BENCHMARK(BM_MHKModes_EarlyExit)
     ->Arg(0)
     ->Arg(1)
     ->Unit(benchmark::kMillisecond)

@@ -1,23 +1,32 @@
 // google-benchmark microbenchmarks for the hot kernels: MinHash signature
 // generation (Algorithm 1, both derivation modes, plus one-permutation),
 // mismatch distance (plain and early-exit), banding index build and query,
-// mode recomputation, and the flat hash map.
+// mode recomputation, the exhaustive argmin (per-pair loop vs all-clusters
+// scan), and the flat hash map.
 //
-// With --json=<path> the driver instead emits machine-readable records:
-// per-kernel timings at every supported SIMD dispatch tier (with
-// speedup_vs_scalar on the vector tiers).
+// With --json=<path> the binary instead emits machine-readable records: a
+// provenance record, per-kernel timings at every supported SIMD dispatch
+// tier (with speedup_vs_scalar on the vector tiers), and the exhaustive
+// argmin per-pair vs scan at perfbench's two fit shapes, per tier.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <optional>
+#include <string>
+#include <thread>
 
 #include "bench/common.h"
 #include "clustering/dissimilarity.h"
+#include "clustering/engine.h"
+#include "clustering/kmeans.h"
 #include "clustering/modes.h"
 #include "core/cluster_shortlist_index.h"
 #include "datagen/conjunctive_generator.h"
+#include "datagen/gaussian_mixture.h"
 #include "hashing/minhash.h"
 #include "hashing/one_permutation_minhash.h"
 #include "lsh/banded_index.h"
@@ -213,6 +222,111 @@ BENCHMARK(BM_ModeRecompute)
     ->Args({50000, 24, 500, 4000})
     ->Unit(benchmark::kMillisecond);
 
+// ----------------------------------------------------- exhaustive argmin --
+
+// The exhaustive argmin of one item over all k clusters at perfbench's two
+// fit shapes: fit-categorical (24 attributes x 500 clusters, conjunctive
+// rules over a 4,000-code domain) and fit-numeric (16 dimensions x 200
+// clusters, a Gaussian mixture). The centroids are items of the same
+// data; the timed queries are the kScanQueries items before them.
+constexpr uint32_t kScanQueries = 256;
+
+template <typename Traits>
+struct ScanShape {
+  typename Traits::Dataset dataset;
+  typename Traits::Centroids centroids;
+  typename Traits::Options options;
+};
+
+template <typename Traits>
+ScanShape<Traits> MakeScanShape(typename Traits::Dataset dataset,
+                                uint32_t k) {
+  typename Traits::Options options;
+  options.num_clusters = k;
+  typename Traits::Centroids centroids =
+      Traits::MakeCentroids(dataset, options);
+  for (uint32_t cluster = 0; cluster < k; ++cluster) {
+    Traits::SeedCentroid(centroids, cluster, dataset, kScanQueries + cluster);
+  }
+  return {std::move(dataset), std::move(centroids), std::move(options)};
+}
+
+const ScanShape<CategoricalClusteringTraits>& CategoricalScanShape() {
+  static const auto shape = MakeScanShape<CategoricalClusteringTraits>(
+      BenchDataset(kScanQueries + 500, 24, 500, 4000), 500);
+  return shape;
+}
+
+const ScanShape<NumericClusteringTraits>& NumericScanShape() {
+  static const auto shape = [] {
+    GaussianMixtureOptions options;
+    options.num_items = kScanQueries + 200;
+    options.dimensions = 16;
+    options.num_clusters = 200;
+    return MakeScanShape<NumericClusteringTraits>(
+        GenerateGaussianMixture(options).ValueOrDie(), 200);
+  }();
+  return shape;
+}
+
+/// The per-pair loop the all-clusters scan replaced: the seed cluster's
+/// exact distance, then one early-exit kernel call per other cluster,
+/// bounded by the running best.
+template <typename Traits>
+uint32_t PerPairArgmin(const ScanShape<Traits>& shape, uint32_t item) {
+  uint32_t best_cluster = 0;
+  auto best_distance = Traits::template ComputeDistance<false>(
+      shape.dataset, shape.centroids, shape.options, item, 0,
+      Traits::kInfiniteDistance);
+  for (uint32_t cluster = 1; cluster < shape.options.num_clusters;
+       ++cluster) {
+    const auto distance = Traits::template ComputeDistance<true>(
+        shape.dataset, shape.centroids, shape.options, item, cluster,
+        best_distance);
+    if (distance < best_distance) {
+      best_distance = distance;
+      best_cluster = cluster;
+    }
+  }
+  return best_cluster;
+}
+
+/// Sum of the argmins of every query, per-pair (`scan` false) or through
+/// BestClusterExhaustive's one all-clusters scan.
+template <typename Traits>
+uint64_t ArgminSweep(const ScanShape<Traits>& shape, bool scan,
+                     DistanceScratch& scratch) {
+  uint64_t sum = 0;
+  for (uint32_t item = 0; item < kScanQueries; ++item) {
+    sum += scan ? BestClusterExhaustive<Traits>(shape.dataset,
+                                                shape.centroids,
+                                                shape.options, item, 0,
+                                                scratch)
+                : PerPairArgmin(shape, item);
+  }
+  return sum;
+}
+
+// Args: {shape (0 = fit-categorical, 1 = fit-numeric), scan (0/1)}; items
+// processed = queries, so items_per_second compares the two paths.
+void BM_ExhaustiveScan(benchmark::State& state) {
+  const bool numeric = state.range(0) != 0;
+  const bool scan = state.range(1) != 0;
+  DistanceScratch scratch;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        numeric ? ArgminSweep(NumericScanShape(), scan, scratch)
+                : ArgminSweep(CategoricalScanShape(), scan, scratch));
+  }
+  state.SetItemsProcessed(state.iterations() * kScanQueries);
+}
+BENCHMARK(BM_ExhaustiveScan)
+    ->ArgNames({"numeric", "scan"})
+    ->Args({0, 0})
+    ->Args({0, 1})
+    ->Args({1, 0})
+    ->Args({1, 1});
+
 // ---------------------------------------------------------- flat hash map --
 
 void BM_FlatHashMapInsert(benchmark::State& state) {
@@ -331,10 +445,107 @@ std::vector<KernelTiming> TimeKernelsAtActiveTier() {
   return timings;
 }
 
-/// The --json mode: kernel timings at every supported dispatch tier (with
-/// speedup_vs_scalar on the vector tiers).
+/// ns per call of `op`: one batch timed after calibrating it to >= 10 ms.
+template <typename Op>
+double OneRepNsPerOp(const Op& op) {
+  uint64_t batch = 1;
+  for (;;) {
+    const auto start = Clock::now();
+    for (uint64_t i = 0; i < batch; ++i) op();
+    if (Clock::now() - start >= std::chrono::milliseconds(10)) break;
+    batch *= 4;
+  }
+  const auto start = Clock::now();
+  for (uint64_t i = 0; i < batch; ++i) op();
+  return std::chrono::duration<double, std::nano>(Clock::now() - start)
+             .count() /
+         static_cast<double>(batch);
+}
+
+/// One exhaustive-argmin record at the active tier: ns per query of the
+/// per-pair loop and of the scan as median and quartiles of 11 reps each
+/// (the two paths alternate rep by rep, so host drift hits both), and
+/// whether both picked the same clusters.
+template <typename Traits>
+void AddExhaustiveScanRecord(bench::JsonBenchWriter& writer,
+                             const char* shape_name,
+                             const ScanShape<Traits>& shape) {
+  constexpr int kReps = 11;
+  DistanceScratch scratch;
+  std::vector<double> per_pair, scan;
+  for (int rep = 0; rep < kReps; ++rep) {
+    per_pair.push_back(OneRepNsPerOp([&] {
+                         benchmark::DoNotOptimize(
+                             ArgminSweep(shape, false, scratch));
+                       }) /
+                       kScanQueries);
+    scan.push_back(OneRepNsPerOp([&] {
+                     benchmark::DoNotOptimize(
+                         ArgminSweep(shape, true, scratch));
+                   }) /
+                   kScanQueries);
+  }
+  std::sort(per_pair.begin(), per_pair.end());
+  std::sort(scan.begin(), scan.end());
+  bool same = true;
+  for (uint32_t item = 0; item < kScanQueries; ++item) {
+    same = same && PerPairArgmin(shape, item) ==
+                       BestClusterExhaustive<Traits>(shape.dataset,
+                                                     shape.centroids,
+                                                     shape.options, item, 0,
+                                                     scratch);
+  }
+  writer.BeginRecord();
+  writer.Add("record", "exhaustive_scan");
+  writer.Add("shape", shape_name);
+  writer.Add("clusters", shape.options.num_clusters);
+  writer.Add("queries", kScanQueries);
+  writer.Add("reps", static_cast<uint32_t>(kReps));
+  writer.Add("per_pair_ns_per_item_median", per_pair[kReps / 2]);
+  writer.Add("per_pair_ns_per_item_q1", per_pair[kReps / 4]);
+  writer.Add("per_pair_ns_per_item_q3", per_pair[3 * kReps / 4]);
+  writer.Add("scan_ns_per_item_median", scan[kReps / 2]);
+  writer.Add("scan_ns_per_item_q1", scan[kReps / 4]);
+  writer.Add("scan_ns_per_item_q3", scan[3 * kReps / 4]);
+  writer.Add("speedup_vs_per_pair", per_pair[kReps / 2] / scan[kReps / 2]);
+  writer.Add("identical_argmins", same ? "true" : "false");
+}
+
+/// `git describe --always --dirty` of the working directory, or "unknown"
+/// outside a git checkout. "-dirty" marks uncommitted changes: a record
+/// regenerated in the change that commits it names that change's parent.
+std::string SourceCommit() {
+  std::string commit;
+  if (FILE* pipe = popen("git describe --always --dirty 2>/dev/null", "r")) {
+    char buffer[128];
+    while (std::fgets(buffer, sizeof buffer, pipe) != nullptr) {
+      commit += buffer;
+    }
+    pclose(pipe);
+  }
+  while (!commit.empty() && (commit.back() == '\n' || commit.back() == ' ')) {
+    commit.pop_back();
+  }
+  return commit.empty() ? "unknown" : commit;
+}
+
+/// The --json mode: a provenance record, then kernel timings and the
+/// exhaustive argmin records at every supported dispatch tier.
 bool WriteJsonRecords(const std::string& path) {
   bench::JsonBenchWriter writer;
+
+  // --- provenance of the whole file (the tier fields name the detected
+  // tier).
+  writer.BeginRecord();
+  writer.Add("record", "provenance");
+  writer.Add("commit", SourceCommit());
+#if defined(NDEBUG) && defined(__OPTIMIZE__)
+  writer.Add("build_type", "Release");
+#else
+  writer.Add("build_type", "Debug");
+#endif
+  writer.Add("compiler", __VERSION__);
+  writer.Add("cores", std::thread::hardware_concurrency());
 
   // --- kernels x tiers. Scalar runs first so the vector-tier records can
   // carry their speedup inline.
@@ -342,7 +553,7 @@ bool WriteJsonRecords(const std::string& path) {
   double scalar_ns[16] = {};
   for (const simd::SimdTier tier :
        {simd::SimdTier::kScalar, simd::SimdTier::kSse42,
-        simd::SimdTier::kAvx2}) {
+        simd::SimdTier::kAvx2, simd::SimdTier::kAvx512}) {
     if (!simd::ForceSimdTier(tier)) continue;
     const std::vector<KernelTiming> timings = TimeKernelsAtActiveTier();
     for (size_t i = 0; i < timings.size(); ++i) {
@@ -356,6 +567,9 @@ bool WriteJsonRecords(const std::string& path) {
         writer.Add("speedup_vs_scalar", scalar_ns[i] / timings[i].ns);
       }
     }
+    AddExhaustiveScanRecord(writer, "fit-categorical",
+                            CategoricalScanShape());
+    AddExhaustiveScanRecord(writer, "fit-numeric", NumericScanShape());
   }
   simd::ForceSimdTier(detected);
 

@@ -195,22 +195,22 @@ Result<FitReport> RunToReport(const typename Traits::Dataset& dataset,
 }
 
 /// Nearest fitted centroid for every item of an out-of-sample dataset —
-/// literally the engine's exhaustive argmin kernel
-/// (BestClusterExhaustive, seed cluster 0), so ties resolve identically
-/// to a Fit pass by construction. Chunked across a worker pool when the
-/// options' num_threads asks for one; per-item pure, so bit-identical
-/// either way.
+/// literally the engine's exhaustive argmin (BestClusterExhaustive, one
+/// all-clusters scan per item, seed cluster 0), so ties resolve
+/// identically to a Fit pass by construction. Chunked across a worker
+/// pool when the options' num_threads asks for one; per-item pure, so
+/// bit-identical either way.
 template <typename Traits>
 std::vector<uint32_t> AssignNearest(const typename Traits::Dataset& dataset,
                                     const typename Traits::Centroids& model,
                                     const typename Traits::Options& options) {
   const uint32_t n = dataset.num_items();
-  const uint32_t k = options.num_clusters;
   std::vector<uint32_t> assignment(n, 0);
   const auto assign_range = [&](uint32_t begin, uint32_t end) {
+    DistanceScratch scratch;
     for (uint32_t item = begin; item < end; ++item) {
-      assignment[item] = BestClusterExhaustive<Traits, /*EarlyExit=*/true>(
-          dataset, model, options, item, /*seed_cluster=*/0, k);
+      assignment[item] = BestClusterExhaustive<Traits>(
+          dataset, model, options, item, /*seed_cluster=*/0, scratch);
     }
   };
   // Predict spawns its pool per call (it has no run to borrow one from),

@@ -11,12 +11,18 @@
 
 #include "clustering/types.h"
 #include "data/categorical_dataset.h"
+#include "simd/dispatch.h"
 #include "util/rng.h"
 
 namespace lshclust {
 
 /// \brief Owns the k x d centroid matrix and recomputes it from an
 /// assignment (per-cluster mean of members).
+///
+/// Like ModeTable, it keeps an attribute-major copy (d rows of
+/// `stride()` >= k entries, padded to simd::kScanLanes) equal to the
+/// row-major matrix after every mutator, for ScanSquaredL2's one-call
+/// distance scan over all k centroids.
 class CentroidTable {
  public:
   /// \param num_clusters k
@@ -24,7 +30,9 @@ class CentroidTable {
   CentroidTable(uint32_t num_clusters, uint32_t dimensions)
       : num_clusters_(num_clusters),
         dimensions_(dimensions),
+        stride_(simd::ScanStride(num_clusters)),
         values_(static_cast<size_t>(num_clusters) * dimensions, 0.0),
+        values_t_(static_cast<size_t>(dimensions) * stride_, 0.0),
         sizes_(num_clusters, 0) {}
 
   uint32_t num_clusters() const { return num_clusters_; }
@@ -47,8 +55,7 @@ class CentroidTable {
   void SetCentroid(uint32_t cluster, std::span<const double> values) {
     LSHC_DCHECK(cluster < num_clusters_ && values.size() == dimensions_)
         << "centroid shape mismatch";
-    std::copy(values.begin(), values.end(),
-              values_.begin() + static_cast<size_t>(cluster) * dimensions_);
+    for (uint32_t j = 0; j < dimensions_; ++j) Set(cluster, j, values[j]);
   }
 
   /// Sets the centroid of `cluster` to the coordinates of a dataset row
@@ -56,8 +63,7 @@ class CentroidTable {
   void SetFromItem(uint32_t cluster, const NumericDataset& dataset,
                    uint32_t item) {
     const auto row = dataset.Row(item);
-    std::copy(row.begin(), row.end(),
-              values_.begin() + static_cast<size_t>(cluster) * dimensions_);
+    for (uint32_t j = 0; j < dimensions_; ++j) Set(cluster, j, row[j]);
   }
 
   /// Recomputes every non-empty cluster's centroid as the mean of its
@@ -86,10 +92,9 @@ class CentroidTable {
         }
         continue;
       }
-      double* centroid = values_.data() + static_cast<size_t>(cluster) * d;
       const double* sum = sums.data() + static_cast<size_t>(cluster) * d;
       for (uint32_t j = 0; j < d; ++j) {
-        centroid[j] = sum[j] / sizes_[cluster];
+        Set(cluster, j, sum[j] / sizes_[cluster]);
       }
     }
   }
@@ -97,10 +102,34 @@ class CentroidTable {
   /// Number of members per cluster after the last Recompute (size k).
   const std::vector<uint32_t>& cluster_sizes() const { return sizes_; }
 
+  /// out[c] = squared L2 distance of `x` (d values) to centroid c, for all
+  /// k clusters, bit for bit the value of an unbounded
+  /// internal::BoundedSquaredL2; `out` must hold k entries.
+  void ScanSquaredL2(const double* x, double* out) const {
+    simd::ActiveKernels().sql2_scan(x, values_t_.data(), dimensions_,
+                                    num_clusters_, stride_, out);
+  }
+
+  /// Row stride of the attribute-major copy: k rounded up to a multiple
+  /// of simd::kScanLanes.
+  uint32_t stride() const { return stride_; }
+
+  /// The attribute-major copy: coordinate j of centroid c is entry
+  /// j * stride() + c; padding entries are 0.
+  std::span<const double> attribute_major() const { return values_t_; }
+
  private:
+  /// Writes coordinate j of `cluster` into both layouts.
+  void Set(uint32_t cluster, uint32_t j, double value) {
+    values_[static_cast<size_t>(cluster) * dimensions_ + j] = value;
+    values_t_[static_cast<size_t>(j) * stride_ + cluster] = value;
+  }
+
   uint32_t num_clusters_;
   uint32_t dimensions_;
-  std::vector<double> values_;  // row-major k x d
+  uint32_t stride_;
+  std::vector<double> values_;    // row-major k x d
+  std::vector<double> values_t_;  // attribute-major d x stride_
   std::vector<uint32_t> sizes_;
 };
 

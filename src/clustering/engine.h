@@ -146,7 +146,9 @@ struct EngineOptions {
   std::vector<uint32_t> initial_seeds;
   /// Seed for the engine RNG (seed selection, empty-cluster reseeding).
   uint64_t seed = 42;
-  /// Use the bounded early-exit distance kernel (ablation switch).
+  /// Use the bounded early-exit distance kernel in shortlist passes
+  /// (ablation switch). Exhaustive passes always take one all-clusters
+  /// scan of full distances; either way the assignments are the same.
   bool early_exit = true;
   /// Evaluate the cost function after each iteration (Eq. 4 for K-Modes,
   /// inertia for K-Means, the mixed objective for K-Prototypes). Costs one
@@ -214,35 +216,69 @@ struct EngineOptions {
   return Status::OK();
 }
 
-/// Best cluster for `item` scanning every cluster — the family's exact
-/// argmin semantics: `seed_cluster` is evaluated exactly first (so the
-/// early-exit bound starts tight once the clustering stabilises) and
-/// skipped in the scan; strict improvement decides, so ties keep the
-/// lowest-index candidate. The engine's exhaustive passes and the
-/// facade's Predict share this one kernel, so their tie-breaking can
-/// never drift apart.
-template <typename Traits, bool EarlyExit>
+/// \brief One caller's buffers for the all-clusters distance scan
+/// (Traits::ScanDistances): k mismatch counts and k double distances.
+/// Each family fills what it needs (categorical the counts, numeric the
+/// doubles, mixed both). They grow to k on first use and are then reused,
+/// so a warm scratch scans without allocating.
+struct DistanceScratch {
+  std::vector<uint32_t> counts;
+  std::vector<double> sums;
+};
+
+/// The exhaustive argmin rule over a scanned distance row: `seed_cluster`
+/// first, then every cluster in ascending id, replacing the best only on
+/// a strictly smaller distance. Ties therefore keep the seed, then the
+/// lowest id, and a NaN distance never wins.
+///
+/// Integer rows (mismatch counts) take two passes instead, the first of
+/// which the compiler vectorizes: the minimum, then its first position.
+/// That is the same answer: the sequential rule ends on the first cluster
+/// holding the minimum, unless the seed already holds it.
+template <typename DistanceType>
+uint32_t ArgminFromSeed(std::span<const DistanceType> distances,
+                        uint32_t seed_cluster) {
+  if constexpr (std::is_integral_v<DistanceType>) {
+    DistanceType least = std::numeric_limits<DistanceType>::max();
+    for (const DistanceType distance : distances) {
+      least = std::min(least, distance);
+    }
+    if (least == distances[seed_cluster]) return seed_cluster;
+    uint32_t cluster = 0;
+    while (distances[cluster] != least) ++cluster;
+    return cluster;
+  } else {
+    const uint32_t k = static_cast<uint32_t>(distances.size());
+    uint32_t best_cluster = seed_cluster;
+    DistanceType best_distance = distances[seed_cluster];
+    for (uint32_t cluster = 0; cluster < k; ++cluster) {
+      if (distances[cluster] < best_distance) {
+        best_distance = distances[cluster];
+        best_cluster = cluster;
+      }
+    }
+    return best_cluster;
+  }
+}
+
+/// Best cluster for `item` among all k clusters: the family's exact
+/// argmin. One Traits::ScanDistances call computes the item's full
+/// distance to every centroid, then ArgminFromSeed picks the seed cluster
+/// unless another is strictly nearer, ties to the lowest id. A per-pair
+/// scan with the early-exit kernels would pick the same cluster: they cut
+/// a distance short only once it reaches the running best, and such a
+/// value never wins a strict `<`. The engine's exhaustive passes, the
+/// facade's Predict and the routed empty-probe fallback all call this, so
+/// their tie-breaking can never drift apart.
+template <typename Traits>
 uint32_t BestClusterExhaustive(const typename Traits::Dataset& dataset,
                                const typename Traits::Centroids& centroids,
                                const typename Traits::Options& options,
                                uint32_t item, uint32_t seed_cluster,
-                               uint32_t k) {
-  uint32_t best_cluster = seed_cluster;
-  typename Traits::DistanceType best_distance =
-      Traits::template ComputeDistance<false>(dataset, centroids, options,
-                                              item, seed_cluster,
-                                              Traits::kInfiniteDistance);
-  for (uint32_t cluster = 0; cluster < k; ++cluster) {
-    if (cluster == seed_cluster) continue;
-    const typename Traits::DistanceType distance =
-        Traits::template ComputeDistance<EarlyExit>(
-            dataset, centroids, options, item, cluster, best_distance);
-    if (distance < best_distance) {
-      best_distance = distance;
-      best_cluster = cluster;
-    }
-  }
-  return best_cluster;
+                               DistanceScratch& scratch) {
+  return ArgminFromSeed(
+      Traits::ScanDistances(dataset, centroids, options, item, scratch),
+      seed_cluster);
 }
 
 /// \brief Candidate provider that enumerates every cluster — plugging this
@@ -300,6 +336,15 @@ struct CategoricalClusteringTraits {
     } else {
       return MismatchDistance(dataset.Row(item), modes.Mode(cluster));
     }
+  }
+
+  /// Mismatch counts of `item` against all k modes, in scratch.counts.
+  static std::span<const DistanceType> ScanDistances(
+      const Dataset& dataset, const Centroids& modes, const Options&,
+      uint32_t item, DistanceScratch& scratch) {
+    scratch.counts.resize(modes.num_clusters());
+    modes.ScanMismatches(dataset.Row(item).data(), scratch.counts.data());
+    return scratch.counts;
   }
 
   static void UpdateCentroids(const Dataset& dataset, Centroids& modes,
@@ -460,11 +505,10 @@ class ClusteringEngine {
     // is common to every method, so the counter tracks the refinement
     // phase, where the providers differ.
     uint64_t initial_evaluated = 0;
-    DispatchEarlyExit(options.early_exit, [&](auto early_exit) {
-      ExhaustivePass<early_exit.value, /*FirstPass=*/true>(
-          dataset, centroids, options, result.assignment, plan, pool,
-          accumulator, &initial_evaluated, cancel);
-    });
+    ExhaustivePass</*FirstPass=*/true>(dataset, centroids, options,
+                                       result.assignment, plan, pool,
+                                       accumulator, &initial_evaluated,
+                                       cancel);
     if (cancel.Latched()) {
       // The interrupted initial pass has no previous state to roll back
       // to — unprocessed chunks still hold the cluster-0 placeholder —
@@ -522,30 +566,29 @@ class ClusteringEngine {
       uint64_t moves = 0;
       uint64_t shortlist_total = 0;
       uint64_t pass_evaluated = 0;
-      DispatchEarlyExit(options.early_exit, [&](auto early_exit) {
-        constexpr bool kEarlyExit = early_exit.value;
-        if constexpr (Provider::kExhaustive) {
-          if (!snapshot.empty()) {
-            std::copy(result.assignment.begin(), result.assignment.end(),
-                      snapshot.begin());
-          }
-          moves = ExhaustivePass<kEarlyExit, /*FirstPass=*/false>(
-              dataset, centroids, options, result.assignment, plan, pool,
-              accumulator, &pass_evaluated, cancel);
-          shortlist_total = static_cast<uint64_t>(n) * k;
-        } else {
-          // Freeze the cluster-reference store for this pass: queries see
-          // the pre-pass assignment regardless of chunk order, which is
-          // what makes the pass thread-count-invariant.
+      if constexpr (Provider::kExhaustive) {
+        if (!snapshot.empty()) {
           std::copy(result.assignment.begin(), result.assignment.end(),
                     snapshot.begin());
-          if constexpr (kHasPassHook) provider.BeginPass(snapshot, pool);
-          moves = ShortlistPass<kEarlyExit>(
+        }
+        moves = ExhaustivePass</*FirstPass=*/false>(
+            dataset, centroids, options, result.assignment, plan, pool,
+            accumulator, &pass_evaluated, cancel);
+        shortlist_total = static_cast<uint64_t>(n) * k;
+      } else {
+        // Freeze the cluster-reference store for this pass: queries see
+        // the pre-pass assignment regardless of chunk order, which is
+        // what makes the pass thread-count-invariant.
+        std::copy(result.assignment.begin(), result.assignment.end(),
+                  snapshot.begin());
+        if constexpr (kHasPassHook) provider.BeginPass(snapshot, pool);
+        DispatchEarlyExit(options.early_exit, [&](auto early_exit) {
+          moves = ShortlistPass<early_exit.value>(
               dataset, centroids, options, provider, snapshot,
               result.assignment, plan, pool, shard_states, accumulator,
               &shortlist_total, &pass_evaluated, cancel);
-        }
-      });
+        });
+      }
       if (cancel.Latched()) {
         // Some chunk poll answered "stop" mid-pass, so the pass is
         // half-applied: roll it back to the pre-pass assignment. (A hook
@@ -678,8 +721,9 @@ class ClusteringEngine {
     uint64_t evaluated = 0;  ///< exact distance kernel invocations
   };
 
-  /// Hoists the early-exit switch out of the hot loops: a runtime branch
-  /// per distance defeats vectorization of both kernels.
+  /// Hoists the early-exit switch out of the shortlist loop: a runtime
+  /// branch per distance defeats vectorization of both kernels. (The
+  /// exhaustive passes scan all k distances and have no such switch.)
   template <typename Fn>
   static void DispatchEarlyExit(bool early_exit, Fn&& fn) {
     if (early_exit) {
@@ -714,22 +758,23 @@ class ClusteringEngine {
     return best_cluster;
   }
 
-  /// One exhaustive chunk: items [begin, end) against all k clusters.
+  /// One exhaustive chunk: items [begin, end) against all k clusters, one
+  /// all-clusters scan per item into a chunk-local DistanceScratch.
   /// Accumulates into locals and stores to `stats` once at the end:
   /// adjacent chunks' ChunkStats share cache lines, and per-item writes
   /// through the pointer would false-share between workers.
-  template <bool EarlyExit, bool FirstPass>
+  template <bool FirstPass>
   static void ExhaustiveChunk(const Dataset& dataset,
                               const Centroids& centroids,
                               const Options& options,
                               std::span<uint32_t> assignment, uint32_t begin,
                               uint32_t end, ChunkStats* stats) {
-    const uint32_t k = options.num_clusters;
+    DistanceScratch scratch;
     uint64_t moves = 0;
     for (uint32_t item = begin; item < end; ++item) {
       const uint32_t seed_cluster = FirstPass ? 0u : assignment[item];
-      const uint32_t best = BestClusterExhaustive<Traits, EarlyExit>(
-          dataset, centroids, options, item, seed_cluster, k);
+      const uint32_t best = BestClusterExhaustive<Traits>(
+          dataset, centroids, options, item, seed_cluster, scratch);
       if (FirstPass) {
         assignment[item] = best;
       } else if (best != seed_cluster) {
@@ -738,16 +783,16 @@ class ClusteringEngine {
       }
     }
     stats->moves = moves;
-    // Exactly k exact distances per item: the seed cluster once, then the
-    // k-1 others (the scan skips the seed).
-    stats->evaluated = static_cast<uint64_t>(end - begin) * k;
+    // Exactly k exact distances per item, all from the one scan.
+    stats->evaluated =
+        static_cast<uint64_t>(end - begin) * options.num_clusters;
   }
 
   /// Full exhaustive pass over the shard plan. Each item touches only its
   /// own assignment slot, so in-place parallel writes are race-free and
   /// order-independent; per-chunk stats merge through the accumulator in
   /// shard order.
-  template <bool EarlyExit, bool FirstPass>
+  template <bool FirstPass>
   static uint64_t ExhaustivePass(const Dataset& dataset,
                                  const Centroids& centroids,
                                  const Options& options,
@@ -761,10 +806,9 @@ class ClusteringEngine {
         plan, pool,
         [&](const ShardPlan::Chunk& chunk, uint32_t index, uint32_t) {
           if (cancel.Cancelled()) return;
-          ExhaustiveChunk<EarlyExit, FirstPass>(dataset, centroids, options,
-                                                assignment, chunk.begin,
-                                                chunk.end,
-                                                accumulator.slot(index));
+          ExhaustiveChunk<FirstPass>(dataset, centroids, options, assignment,
+                                     chunk.begin, chunk.end,
+                                     accumulator.slot(index));
         });
     uint64_t moves = 0;
     accumulator.MergeInOrder([&](const ChunkStats& stats) {

@@ -84,6 +84,16 @@ struct NumericClusteringTraits {
         EarlyExit ? bound : std::numeric_limits<double>::infinity());
   }
 
+  /// Squared L2 of `item` to all k centroids, in scratch.sums: each the
+  /// value ComputeDistance<false> returns, bit for bit.
+  static std::span<const DistanceType> ScanDistances(
+      const Dataset& dataset, const Centroids& centroids, const Options&,
+      uint32_t item, DistanceScratch& scratch) {
+    scratch.sums.resize(centroids.num_clusters());
+    centroids.ScanSquaredL2(dataset.Row(item).data(), scratch.sums.data());
+    return scratch.sums;
+  }
+
   static void UpdateCentroids(const Dataset& dataset, Centroids& centroids,
                               std::span<const uint32_t> assignment,
                               const Options& options, Rng& rng) {

@@ -118,6 +118,26 @@ struct MixedClusteringTraits {
     return categorical_part + options.gamma * numeric_part;
   }
 
+  /// Mixed distance of `item` to all k prototypes, in scratch.sums: the
+  /// two modality scans composed as cat + gamma * num, the expression
+  /// ComputeDistance<false> evaluates, so each entry is its value.
+  static std::span<const DistanceType> ScanDistances(
+      const Dataset& dataset, const Centroids& prototypes,
+      const Options& options, uint32_t item, DistanceScratch& scratch) {
+    const uint32_t k = prototypes.modes.num_clusters();
+    scratch.counts.resize(k);
+    scratch.sums.resize(k);
+    prototypes.modes.ScanMismatches(dataset.categorical().Row(item).data(),
+                                    scratch.counts.data());
+    prototypes.centroids.ScanSquaredL2(dataset.numeric().Row(item).data(),
+                                       scratch.sums.data());
+    for (uint32_t cluster = 0; cluster < k; ++cluster) {
+      scratch.sums[cluster] = scratch.counts[cluster] +
+                              options.gamma * scratch.sums[cluster];
+    }
+    return scratch.sums;
+  }
+
   /// Majority modes + mean centroids. With kReseedRandomItem each empty
   /// cluster draws one random item per modality (two draws), so keep the
   /// default kKeepPreviousMode unless reseeding is really wanted.

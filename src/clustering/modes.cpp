@@ -6,10 +6,13 @@
 namespace lshclust {
 
 ModeTable::ModeTable(uint32_t num_clusters, uint32_t num_attributes)
-    : num_clusters_(num_clusters), num_attributes_(num_attributes) {
+    : num_clusters_(num_clusters),
+      num_attributes_(num_attributes),
+      stride_(simd::ScanStride(num_clusters)) {
   LSHC_CHECK_GE(num_clusters, 1u) << "need at least one cluster";
   LSHC_CHECK_GE(num_attributes, 1u) << "need at least one attribute";
   codes_.resize(static_cast<size_t>(num_clusters) * num_attributes, 0);
+  codes_t_.resize(static_cast<size_t>(num_attributes) * stride_, 0);
   sizes_.resize(num_clusters, 0);
 }
 
@@ -19,8 +22,9 @@ void ModeTable::SetModeFromItem(uint32_t cluster,
   LSHC_CHECK_LT(cluster, num_clusters_);
   LSHC_CHECK_EQ(dataset.num_attributes(), num_attributes_);
   const auto row = dataset.Row(item);
-  std::copy(row.begin(), row.end(),
-            codes_.begin() + static_cast<size_t>(cluster) * num_attributes_);
+  for (uint32_t attribute = 0; attribute < num_attributes_; ++attribute) {
+    SetModeCode(cluster, attribute, row[attribute]);
+  }
 }
 
 void ModeTable::RecomputeFromAssignment(const CategoricalDataset& dataset,
@@ -63,7 +67,6 @@ void ModeTable::RecomputeFromAssignment(const CategoricalDataset& dataset,
     const uint32_t* begin = members.data() + offsets[cluster];
     const uint32_t* end = members.data() + offsets[cluster + 1];
     if (begin == end) continue;  // empty: handled by `policy` below
-    uint32_t* mode = codes_.data() + static_cast<size_t>(cluster) * m;
     for (uint32_t attribute = 0; attribute < m; ++attribute) {
       // Running argmax, ties to the smallest code. A code's final count is
       // reached at its last increment, so the smallest code with the
@@ -78,7 +81,7 @@ void ModeTable::RecomputeFromAssignment(const CategoricalDataset& dataset,
           best_code = code;
         }
       }
-      mode[attribute] = best_code;
+      SetModeCode(cluster, attribute, best_code);
       for (const uint32_t* it = begin; it != end; ++it) {
         count[codes[static_cast<size_t>(*it) * m + attribute]] = 0;
       }

@@ -14,6 +14,7 @@
 
 #include "clustering/types.h"
 #include "data/categorical_dataset.h"
+#include "simd/dispatch.h"
 #include "util/rng.h"
 
 namespace lshclust {
@@ -27,7 +28,14 @@ namespace lshclust {
 /// code) is kept, and a second walk over the same members clears the
 /// counter for the next pair. That is one O(n·m) sweep with no hashing.
 /// All of its scratch (O(n + k + num_codes)) lives in the call, so a
-/// ModeTable held by a fitted model is only its k x m codes and k sizes.
+/// ModeTable held by a fitted model is only its k x m codes, k sizes and
+/// the attribute-major copy below.
+///
+/// Next to the row-major codes the table keeps an attribute-major copy
+/// (m rows of `stride()` >= k entries, padded to simd::kScanLanes), which
+/// every mutator keeps equal to the row-major codes. ScanMismatches reads
+/// it to count an item's mismatches against all k modes in one kernel
+/// call. Mode(), ModeData() and model files use the row-major codes only.
 class ModeTable {
  public:
   /// \param num_clusters k
@@ -60,7 +68,24 @@ class ModeTable {
   void SetModeCode(uint32_t cluster, uint32_t attribute, uint32_t code) {
     LSHC_DCHECK(cluster < num_clusters_ && attribute < num_attributes_);
     codes_[static_cast<size_t>(cluster) * num_attributes_ + attribute] = code;
+    codes_t_[static_cast<size_t>(attribute) * stride_ + cluster] = code;
   }
+
+  /// out[c] = mismatches between `row` (m codes) and mode c, for all k
+  /// clusters; `out` must hold k entries.
+  void ScanMismatches(const uint32_t* row, uint32_t* out) const {
+    simd::ActiveKernels().mismatch_scan(row, codes_t_.data(),
+                                        num_attributes_, num_clusters_,
+                                        stride_, out);
+  }
+
+  /// Row stride of the attribute-major copy: k rounded up to a multiple
+  /// of simd::kScanLanes.
+  uint32_t stride() const { return stride_; }
+
+  /// The attribute-major copy: attribute j of mode c is entry
+  /// j * stride() + c; padding entries are 0.
+  std::span<const uint32_t> attribute_major() const { return codes_t_; }
 
   /// Recomputes every non-empty cluster's mode as the per-attribute
   /// majority code of its members. Empty clusters follow `policy`:
@@ -81,7 +106,9 @@ class ModeTable {
  private:
   uint32_t num_clusters_;
   uint32_t num_attributes_;
-  std::vector<uint32_t> codes_;  // row-major k x m
+  uint32_t stride_;
+  std::vector<uint32_t> codes_;    // row-major k x m
+  std::vector<uint32_t> codes_t_;  // attribute-major m x stride_
   std::vector<uint32_t> sizes_;
 };
 

@@ -146,30 +146,24 @@ void StreamingMHKModes::ShortlistSignature(
 }
 
 uint32_t StreamingMHKModes::ScoreRow(
-    std::span<const uint32_t> row,
-    std::span<const uint32_t> shortlist) const {
+    std::span<const uint32_t> row, std::span<const uint32_t> shortlist,
+    std::vector<uint32_t>& distances) const {
+  if (shortlist.empty()) {
+    // No similar predecessor anywhere: the exhaustive argmin over all k
+    // modes (rare), seed 0, ties to the lowest id.
+    distances.resize(num_clusters_);
+    modes_->ScanMismatches(row.data(), distances.data());
+    return ArgminFromSeed<uint32_t>(distances, /*seed_cluster=*/0);
+  }
   uint32_t best_cluster = 0;
   uint32_t best_distance = ~0u;
-  if (shortlist.empty()) {
-    // No similar predecessor anywhere: exhaustive scan (rare).
-    for (uint32_t cluster = 0; cluster < num_clusters_; ++cluster) {
-      const uint32_t distance = BoundedMismatchDistance(
-          row.data(), modes_->ModeData(cluster), num_attributes_,
-          best_distance);
-      if (distance < best_distance) {
-        best_distance = distance;
-        best_cluster = cluster;
-      }
-    }
-  } else {
-    for (const uint32_t cluster : shortlist) {
-      const uint32_t distance = BoundedMismatchDistance(
-          row.data(), modes_->ModeData(cluster), num_attributes_,
-          best_distance);
-      if (distance < best_distance) {
-        best_distance = distance;
-        best_cluster = cluster;
-      }
+  for (const uint32_t cluster : shortlist) {
+    const uint32_t distance = BoundedMismatchDistance(
+        row.data(), modes_->ModeData(cluster), num_attributes_,
+        best_distance);
+    if (distance < best_distance) {
+      best_distance = distance;
+      best_cluster = cluster;
     }
   }
   return best_cluster;
@@ -227,7 +221,7 @@ Result<uint32_t> StreamingMHKModes::Ingest(std::span<const uint32_t> row) {
 
   SignRow(row, tokens_, signature_.data());
   ShortlistSignature(signature_, kSkipNone, dedup_, &shortlist_);
-  const uint32_t best = ScoreRow(row, shortlist_);
+  const uint32_t best = ScoreRow(row, shortlist_, distances_);
   index_->Insert(signature_);
   CommitAssignment(row, best,
                    shortlist_.empty()
@@ -274,6 +268,7 @@ Result<std::span<const uint32_t>> StreamingMHKModes::IngestBatch(
     batch_.worker_shortlists.resize(slots);
     batch_.worker_tokens.resize(slots);
     batch_.worker_current.resize(slots);
+    batch_.worker_distances.resize(slots);
     // Default-constructed scratches; the stamp arrays are materialised
     // lazily by the first chunk that runs on each slot.
     batch_.worker_dedup.resize(slots);
@@ -313,7 +308,8 @@ Result<std::span<const uint32_t>> StreamingMHKModes::IngestBatch(
       out.insert(out.end(), current.begin(), current.end());
       batch_.refs[i] = {slot, offset,
                         static_cast<uint32_t>(current.size())};
-      batch_.cluster[i] = ScoreRow(row, current);
+      batch_.cluster[i] =
+          ScoreRow(row, current, batch_.worker_distances[slot]);
     }
   };
   ForEachShardChunk(plan, pool_.get(),
@@ -353,7 +349,7 @@ Result<std::span<const uint32_t>> StreamingMHKModes::IngestBatch(
       ++stats_.revalidated;
       ++stats_.rewalked;
       ShortlistSignature(signature, /*skip_item=*/id, dedup_, &shortlist_);
-      const uint32_t best = ScoreRow(row, shortlist_);
+      const uint32_t best = ScoreRow(row, shortlist_, distances_);
       CommitAssignment(row, best,
                        shortlist_.empty()
                            ? -1
@@ -378,7 +374,7 @@ Result<std::span<const uint32_t>> StreamingMHKModes::IngestBatch(
     uint32_t best = batch_.cluster[i];
     if (scores_stale) {
       ++stats_.revalidated;
-      best = ScoreRow(row, provisional);
+      best = ScoreRow(row, provisional, distances_);
     }
     CommitAssignment(row, best,
                      ref.length == 0 ? -1 : static_cast<int64_t>(ref.length));

@@ -209,10 +209,14 @@ class StreamingMHKModes {
   void SignRow(std::span<const uint32_t> row, std::vector<uint32_t>& tokens,
                uint64_t* signature) const;
 
-  /// Best cluster among `shortlist` in order (or all k when empty) against
-  /// the current modes, replicating Ingest's scoring loop exactly.
+  /// Best cluster among `shortlist` in order against the current modes,
+  /// replicating Ingest's scoring loop exactly. An empty shortlist takes
+  /// the engine's exhaustive argmin (one all-clusters scan into
+  /// `distances`, seed 0). Pure apart from `distances`; safe from worker
+  /// threads that each pass their own buffer.
   uint32_t ScoreRow(std::span<const uint32_t> row,
-                    std::span<const uint32_t> shortlist) const;
+                    std::span<const uint32_t> shortlist,
+                    std::vector<uint32_t>& distances) const;
 
   /// Shortlists `signature` through the live index into `shortlist` using
   /// `dedup`, optionally skipping `skip_item` (the item itself when it was
@@ -257,6 +261,7 @@ class StreamingMHKModes {
   std::vector<uint64_t> signature_;
   std::vector<uint32_t> tokens_;
   std::vector<uint32_t> shortlist_;
+  std::vector<uint32_t> distances_;  // all-k scan of the empty fallback
 
   // Mode-change tracking for IngestBatch validation: epoch bumped per
   // batch; a cluster is stamped when one of its mode components changes
@@ -289,6 +294,7 @@ class StreamingMHKModes {
     std::vector<std::vector<uint32_t>> worker_shortlists;
     std::vector<std::vector<uint32_t>> worker_tokens;
     std::vector<std::vector<uint32_t>> worker_current;  // one item's walk
+    std::vector<std::vector<uint32_t>> worker_distances;  // fallback scan
     std::vector<ClusterDedupScratch> worker_dedup;
   };
   BatchScratch batch_;

@@ -179,11 +179,11 @@ class FrozenModelImpl final : public FrozenModel {
   void RouteRange(const typename Traits::Dataset& queries, uint32_t begin,
                   uint32_t end, RoutedScratch& scratch,
                   std::span<uint32_t> out) const {
-    const uint32_t k = options_.num_clusters;
     if constexpr (!kRouted) {
       for (uint32_t item = begin; item < end; ++item) {
-        out[item] = BestClusterExhaustive<Traits, /*EarlyExit=*/true>(
-            queries, model_, options_, item, /*seed_cluster=*/0, k);
+        out[item] = BestClusterExhaustive<Traits>(
+            queries, model_, options_, item, /*seed_cluster=*/0,
+            scratch.distances);
       }
     } else {
       const RoutedStateView view{index_.get(), fit_assignment_};

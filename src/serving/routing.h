@@ -26,26 +26,30 @@
 namespace lshclust::serving {
 
 /// \brief Per-worker scratch of a routed-query pass: epoch-stamped cluster
-/// dedup, the query-signature buffer, and family-specific signing scratch
-/// (token list for MinHash, centered vector for the mixed family) — one
-/// per worker, so the hot loop never allocates.
+/// dedup, the query-signature buffer, family-specific signing scratch
+/// (token list for MinHash, centered vector for the mixed family) and the
+/// all-clusters distance buffers of the exhaustive argmin — one per
+/// worker, so the hot loop never allocates.
 struct RoutedScratch {
   ClusterDedupScratch dedup;
   std::vector<uint64_t> signature;
   std::vector<uint32_t> shortlist;
   std::vector<uint32_t> tokens;
   std::vector<double> centered;
+  DistanceScratch distances;
 };
 
 /// A scratch sized for `num_clusters` clusters and a `signature_width`-wide
-/// signature. The shortlist/token buffers grow lazily on first use and
-/// keep their capacity, so steady-state routing through a warmed scratch
-/// performs no allocation.
+/// signature, its distance buffers included. The shortlist/token buffers
+/// grow lazily on first use and keep their capacity, so steady-state
+/// routing through a warmed scratch performs no allocation.
 inline RoutedScratch MakeRoutedScratch(uint32_t num_clusters,
                                        uint32_t signature_width) {
   RoutedScratch scratch;
   scratch.dedup = MakeClusterDedupScratch(num_clusters);
   scratch.signature.resize(signature_width);
+  scratch.distances.counts.resize(num_clusters);
+  scratch.distances.sums.resize(num_clusters);
   return scratch;
 }
 
@@ -60,19 +64,18 @@ struct RoutedStateView {
 /// Routes one already-signed query (scratch.signature holds the query's
 /// signature) through `view`: probe the fit-time buckets, dereference
 /// candidate clusters through the fitted assignment, and return the
-/// nearest candidate — with the engine's
-/// exhaustive argmin kernel as the fallback for an empty probe, so no
-/// query goes unanswered. Candidates are scanned in ascending cluster-id
-/// order with strict improvement, which is the exhaustive scan's
-/// lowest-id tie-breaking: a probe containing the true argmin yields
-/// exactly Predict's answer.
+/// nearest candidate — with the engine's exhaustive argmin (one
+/// all-clusters scan into scratch.distances) as the fallback for an empty
+/// probe, so no query goes unanswered. Candidates are scanned in
+/// ascending cluster-id order with strict improvement, which is the
+/// exhaustive scan's lowest-id tie-breaking: a probe containing the true
+/// argmin yields exactly Predict's answer.
 template <typename Traits>
 uint32_t RouteSignedQuery(const typename Traits::Dataset& dataset,
                           const typename Traits::Centroids& model,
                           const typename Traits::Options& options,
                           const RoutedStateView& view, uint32_t item,
                           RoutedScratch& scratch) {
-  const uint32_t k = options.num_clusters;
   scratch.shortlist.clear();
   BumpDedupEpoch(scratch.dedup);
   view.index->VisitCandidatesOfSignature(
@@ -88,8 +91,9 @@ uint32_t RouteSignedQuery(const typename Traits::Dataset& dataset,
     // External queries, unlike fitted items, share no bucket with
     // themselves, so an empty probe is possible: fall back to the
     // exhaustive kernel Predict uses, same seed, same tie-breaking.
-    return BestClusterExhaustive<Traits, /*EarlyExit=*/true>(
-        dataset, model, options, item, /*seed_cluster=*/0, k);
+    return BestClusterExhaustive<Traits>(dataset, model, options, item,
+                                         /*seed_cluster=*/0,
+                                         scratch.distances);
   }
   std::sort(scratch.shortlist.begin(), scratch.shortlist.end());
   uint32_t best_cluster = scratch.shortlist.front();

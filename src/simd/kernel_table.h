@@ -16,6 +16,18 @@
 
 namespace lshclust::simd {
 
+/// Column padding of the attribute-major centroid tables the scan kernels
+/// read: their row stride is a multiple of this many entries, so every
+/// tier may load whole vectors (up to 16 uint32 or 8 double lanes, and
+/// two of them at once) over any cluster block that starts below k.
+inline constexpr uint32_t kScanLanes = 16;
+
+/// Smallest multiple of kScanLanes that is >= k: the row stride of an
+/// attribute-major table of k clusters.
+inline constexpr uint32_t ScanStride(uint32_t k) {
+  return (k + kScanLanes - 1) / kScanLanes * kScanLanes;
+}
+
 /// One tier's kernel implementations. All integer kernels are bit-identical
 /// across tiers; the float kernels (`bounded_sql2`, `dot`) use a fixed
 /// 4-lane x 8-element blocked reduction order so every tier returns the
@@ -52,6 +64,24 @@ struct KernelTable {
   /// batched token hash of MinHash / one-permutation MinHash signing.
   void (*mix64_batch)(const uint32_t* tokens, uint32_t count, uint64_t seed,
                       uint64_t* out);
+
+  /// out[c] = mismatch(row, mode c, m) for every cluster c in [0, k), read
+  /// from an attribute-major table: attribute j of mode c is
+  /// modes_t[j * stride + c]. `stride` is a multiple of kScanLanes and
+  /// >= k; the padding columns are read but never reported. Exactly k
+  /// entries of `out` are written.
+  void (*mismatch_scan)(const uint32_t* row, const uint32_t* modes_t,
+                        uint32_t m, uint32_t k, uint32_t stride,
+                        uint32_t* out);
+
+  /// out[c] = bounded_sql2(x, centroid c, d, +inf) bit for bit, for every
+  /// cluster c in [0, k), read from an attribute-major table laid out as
+  /// for mismatch_scan. Each cluster keeps the canonical order: lane
+  /// l = index % 4 over the 8-element blocks, (l0+l1)+(l2+l3), then the
+  /// sequential tail. Vector tiers put clusters, not dimensions, in their
+  /// vector lanes, so every lane runs that scalar order exactly.
+  void (*sql2_scan)(const double* x, const double* centroids_t, uint32_t d,
+                    uint32_t k, uint32_t stride, double* out);
 };
 
 /// Per-tier tables, defined in kernels_scalar.cpp / kernels_sse42.cpp /

@@ -198,6 +198,101 @@ void Avx2Mix64Batch(const uint32_t* tokens, uint32_t count, uint64_t seed,
   }
 }
 
+/// Equal-code counts of V consecutive 8-cluster vectors whose attribute-0
+/// entries start at `column`: per attribute, one broadcast code against V
+/// vectors of that attribute's row (cmpeq lanes are 0 or -1, so
+/// subtracting adds 1 per equal lane). V independent accumulators keep the
+/// subtractions off one dependency chain.
+template <uint32_t V>
+inline void EqualScanBlock(const uint32_t* row, const uint32_t* column,
+                           uint32_t m, uint32_t stride, __m256i* equals) {
+  for (uint32_t v = 0; v < V; ++v) equals[v] = _mm256_setzero_si256();
+  for (uint32_t j = 0; j < m; ++j, column += stride) {
+    const __m256i code = _mm256_set1_epi32(static_cast<int>(row[j]));
+    for (uint32_t v = 0; v < V; ++v) {
+      const __m256i modes = _mm256_loadu_si256(
+          reinterpret_cast<const __m256i*>(column + 8 * v));
+      equals[v] = _mm256_sub_epi32(equals[v], _mm256_cmpeq_epi32(modes, code));
+    }
+  }
+}
+
+/// All-clusters mismatch scan: 32 clusters per block, then single
+/// 8-cluster vectors for the rest; mismatches = m - equal.
+void Avx2MismatchScan(const uint32_t* row, const uint32_t* modes_t,
+                      uint32_t m, uint32_t k, uint32_t stride, uint32_t* out) {
+  const __m256i total = _mm256_set1_epi32(static_cast<int>(m));
+  uint32_t c0 = 0;
+  for (; c0 + 32 <= k; c0 += 32) {
+    __m256i equals[4];
+    EqualScanBlock<4>(row, modes_t + c0, m, stride, equals);
+    for (uint32_t v = 0; v < 4; ++v) {
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + c0 + 8 * v),
+                          _mm256_sub_epi32(total, equals[v]));
+    }
+  }
+  for (; c0 < k; c0 += 8) {
+    __m256i equals[1];
+    EqualScanBlock<1>(row, modes_t + c0, m, stride, equals);
+    const __m256i mismatches = _mm256_sub_epi32(total, equals[0]);
+    if (c0 + 8 <= k) {
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + c0), mismatches);
+    } else {
+      alignas(32) uint32_t lanes[8];
+      _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), mismatches);
+      for (uint32_t i = 0; c0 + i < k; ++i) out[c0 + i] = lanes[i];
+    }
+  }
+}
+
+/// acc[j % 4] += (x[j] - column[j])^2 for the two 4-cluster vectors of one
+/// block, j = one dimension: the canonical lane step of bounded_sql2,
+/// applied to every cluster lane at once.
+inline void Sql2ScanStep(__m256d* acc_lo, __m256d* acc_hi, double xj,
+                         const double* column) {
+  const __m256d vx = _mm256_set1_pd(xj);
+  const __m256d lo = _mm256_sub_pd(vx, _mm256_loadu_pd(column));
+  const __m256d hi = _mm256_sub_pd(vx, _mm256_loadu_pd(column + 4));
+  *acc_lo = _mm256_add_pd(*acc_lo, _mm256_mul_pd(lo, lo));
+  *acc_hi = _mm256_add_pd(*acc_hi, _mm256_mul_pd(hi, hi));
+}
+
+/// All-clusters squared-L2 scan, 8 clusters (two 4-lane vectors) per
+/// block, each with its own four canonical lane accumulators.
+void Avx2SquaredL2Scan(const double* x, const double* centroids_t, uint32_t d,
+                       uint32_t k, uint32_t stride, double* out) {
+  for (uint32_t c0 = 0; c0 < k; c0 += 8) {
+    __m256d lo[4], hi[4];
+    for (uint32_t l = 0; l < 4; ++l) lo[l] = hi[l] = _mm256_setzero_pd();
+    const double* base = centroids_t + c0;
+    uint32_t j = 0;
+    while (j + 8 <= d) {
+      for (uint32_t t = 0; t < 8; ++t) {
+        Sql2ScanStep(&lo[t % 4], &hi[t % 4], x[j + t],
+                     base + static_cast<uint64_t>(j + t) * stride);
+      }
+      j += 8;
+    }
+    __m256d sum_lo = _mm256_add_pd(_mm256_add_pd(lo[0], lo[1]),
+                                   _mm256_add_pd(lo[2], lo[3]));
+    __m256d sum_hi = _mm256_add_pd(_mm256_add_pd(hi[0], hi[1]),
+                                   _mm256_add_pd(hi[2], hi[3]));
+    for (; j < d; ++j) {
+      Sql2ScanStep(&sum_lo, &sum_hi, x[j],
+                   base + static_cast<uint64_t>(j) * stride);
+    }
+    if (c0 + 8 <= k) {
+      _mm256_storeu_pd(out + c0, sum_lo);
+      _mm256_storeu_pd(out + c0 + 4, sum_hi);
+    } else {
+      alignas(32) double lanes[8];
+      _mm256_store_pd(lanes, sum_lo);
+      _mm256_store_pd(lanes + 4, sum_hi);
+      for (uint32_t i = 0; c0 + i < k; ++i) out[c0 + i] = lanes[i];
+    }
+  }
+}
+
 }  // namespace
 
 const KernelTable kAvx2Kernels = {
@@ -207,6 +302,8 @@ const KernelTable kAvx2Kernels = {
     /*dot=*/Avx2Dot,
     /*minhash_scan=*/Avx2MinHashScan,
     /*mix64_batch=*/Avx2Mix64Batch,
+    /*mismatch_scan=*/Avx2MismatchScan,
+    /*sql2_scan=*/Avx2SquaredL2Scan,
 };
 
 }  // namespace lshclust::simd
@@ -225,6 +322,8 @@ const KernelTable kAvx2Kernels = {
     /*dot=*/ScalarDot,
     /*minhash_scan=*/ScalarMinHashScan,
     /*mix64_batch=*/ScalarMix64Batch,
+    /*mismatch_scan=*/ScalarMismatchScan,
+    /*sql2_scan=*/ScalarSquaredL2Scan,
 };
 
 }  // namespace lshclust::simd

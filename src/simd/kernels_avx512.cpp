@@ -8,7 +8,9 @@
 /// the permutation scan and `_mm512_mullo_epi64` (the DQ requirement) for
 /// batched Mix64. No kernel uses VPOPCNTDQ any more; the tier still
 /// requires it so the set of CPUs that select this tier stays unchanged.
-/// The float kernels are the AVX2 tier's
+/// The all-clusters scans are 512 bits wide too: their vector lanes hold
+/// clusters, so each lane keeps the canonical per-cluster order.
+/// The per-pair float kernels are the AVX2 tier's
 /// 256-bit implementations verbatim: widening them to one 8-lane __m512d
 /// accumulator would change the reduction order and break the cross-tier
 /// bit-identity contract, and the early-exit partial checks keep the
@@ -188,6 +190,101 @@ void Avx512Mix64Batch(const uint32_t* tokens, uint32_t count, uint64_t seed,
 #pragma GCC diagnostic pop
 #endif
 
+/// Mismatch counts of V consecutive 16-cluster vectors whose attribute-0
+/// entries start at `column`: per attribute, one broadcast code against V
+/// vectors of that attribute's row; the not-equal mask adds 1 to its lanes.
+/// V independent accumulators keep the adds off one dependency chain.
+template <uint32_t V>
+inline void MismatchScanBlock(const uint32_t* row, const uint32_t* column,
+                              uint32_t m, uint32_t stride, __m512i* counts) {
+  const __m512i one = _mm512_set1_epi32(1);
+  for (uint32_t v = 0; v < V; ++v) counts[v] = _mm512_setzero_si512();
+  for (uint32_t j = 0; j < m; ++j, column += stride) {
+    const __m512i code = _mm512_set1_epi32(static_cast<int>(row[j]));
+    for (uint32_t v = 0; v < V; ++v) {
+      const __mmask16 differ =
+          _mm512_cmpneq_epi32_mask(_mm512_loadu_si512(column + 16 * v), code);
+      counts[v] = _mm512_mask_add_epi32(counts[v], differ, counts[v], one);
+    }
+  }
+}
+
+/// All-clusters mismatch scan: 64 clusters per block, then single
+/// 16-cluster vectors for the rest, the last one stored under a mask.
+void Avx512MismatchScan(const uint32_t* row, const uint32_t* modes_t,
+                        uint32_t m, uint32_t k, uint32_t stride,
+                        uint32_t* out) {
+  uint32_t c0 = 0;
+  for (; c0 + 64 <= k; c0 += 64) {
+    __m512i counts[4];
+    MismatchScanBlock<4>(row, modes_t + c0, m, stride, counts);
+    for (uint32_t v = 0; v < 4; ++v) {
+      _mm512_storeu_si512(out + c0 + 16 * v, counts[v]);
+    }
+  }
+  for (; c0 < k; c0 += 16) {
+    __m512i counts[1];
+    MismatchScanBlock<1>(row, modes_t + c0, m, stride, counts);
+    const uint32_t count = k - c0 < 16 ? k - c0 : 16;
+    _mm512_mask_storeu_epi32(out + c0,
+                             static_cast<__mmask16>((1u << count) - 1u),
+                             counts[0]);
+  }
+}
+
+/// acc[j % 4] += (x[j] - column[j])^2 for the two 8-cluster vectors of one
+/// block, j = one dimension: the canonical lane step of bounded_sql2,
+/// applied to every cluster lane at once.
+inline void Sql2ScanStep(__m512d* acc_lo, __m512d* acc_hi, double xj,
+                         const double* column) {
+  const __m512d vx = _mm512_set1_pd(xj);
+  const __m512d lo = _mm512_sub_pd(vx, _mm512_loadu_pd(column));
+  const __m512d hi = _mm512_sub_pd(vx, _mm512_loadu_pd(column + 8));
+  *acc_lo = _mm512_add_pd(*acc_lo, _mm512_mul_pd(lo, lo));
+  *acc_hi = _mm512_add_pd(*acc_hi, _mm512_mul_pd(hi, hi));
+}
+
+/// All-clusters squared-L2 scan, 16 clusters (two 8-lane vectors) per
+/// block, each with its own four canonical lane accumulators. The lanes
+/// hold clusters, so 512-bit vectors keep the canonical per-cluster order
+/// (unlike a 512-bit bounded_sql2, which would regroup the dimensions).
+void Avx512SquaredL2Scan(const double* x, const double* centroids_t,
+                         uint32_t d, uint32_t k, uint32_t stride,
+                         double* out) {
+  for (uint32_t c0 = 0; c0 < k; c0 += kScanLanes) {
+    __m512d lo[4], hi[4];
+    for (uint32_t l = 0; l < 4; ++l) lo[l] = hi[l] = _mm512_setzero_pd();
+    const double* base = centroids_t + c0;
+    uint32_t j = 0;
+    while (j + 8 <= d) {
+      for (uint32_t t = 0; t < 8; ++t) {
+        Sql2ScanStep(&lo[t % 4], &hi[t % 4], x[j + t],
+                     base + static_cast<uint64_t>(j + t) * stride);
+      }
+      j += 8;
+    }
+    __m512d sum_lo = _mm512_add_pd(_mm512_add_pd(lo[0], lo[1]),
+                                   _mm512_add_pd(lo[2], lo[3]));
+    __m512d sum_hi = _mm512_add_pd(_mm512_add_pd(hi[0], hi[1]),
+                                   _mm512_add_pd(hi[2], hi[3]));
+    for (; j < d; ++j) {
+      Sql2ScanStep(&sum_lo, &sum_hi, x[j],
+                   base + static_cast<uint64_t>(j) * stride);
+    }
+    const uint32_t count = k - c0 < kScanLanes ? k - c0 : kScanLanes;
+    const uint32_t count_lo = count < 8 ? count : 8;
+    const uint32_t count_hi = count - count_lo;
+    _mm512_mask_storeu_pd(out + c0,
+                          static_cast<__mmask8>((1u << count_lo) - 1u),
+                          sum_lo);
+    if (count_hi > 0) {
+      _mm512_mask_storeu_pd(out + c0 + 8,
+                            static_cast<__mmask8>((1u << count_hi) - 1u),
+                            sum_hi);
+    }
+  }
+}
+
 }  // namespace
 
 const KernelTable kAvx512Kernels = {
@@ -197,6 +294,8 @@ const KernelTable kAvx512Kernels = {
     /*dot=*/Avx512Dot,
     /*minhash_scan=*/Avx512MinHashScan,
     /*mix64_batch=*/Avx512Mix64Batch,
+    /*mismatch_scan=*/Avx512MismatchScan,
+    /*sql2_scan=*/Avx512SquaredL2Scan,
 };
 
 }  // namespace lshclust::simd
@@ -216,6 +315,8 @@ const KernelTable kAvx512Kernels = {
     /*dot=*/ScalarDot,
     /*minhash_scan=*/ScalarMinHashScan,
     /*mix64_batch=*/ScalarMix64Batch,
+    /*mismatch_scan=*/ScalarMismatchScan,
+    /*sql2_scan=*/ScalarSquaredL2Scan,
 };
 
 }  // namespace lshclust::simd

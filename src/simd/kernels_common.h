@@ -19,7 +19,9 @@
 /// order that the vector tiers reproduce exactly: lane l = index % 4, one
 /// bound check per 8-element block on the fixed (l0+l1)+(l2+l3) reduction,
 /// sequential tail. Compiled with -ffp-contract=off in every tier so no
-/// tier fuses the multiply-add (see CMakeLists.txt).
+/// tier fuses the multiply-add (see CMakeLists.txt). The all-clusters
+/// scans keep that order per cluster; their vector tiers spread clusters,
+/// not dimensions, over the vector lanes.
 
 #include <cstdint>
 
@@ -133,6 +135,59 @@ namespace {
                              uint64_t seed, uint64_t* out) {
   for (uint32_t i = 0; i < count; ++i) {
     out[i] = ScalarMix64(static_cast<uint64_t>(tokens[i]) ^ seed);
+  }
+}
+
+/// Reference all-clusters mismatch scan over an attribute-major table
+/// (see KernelTable::mismatch_scan): one pass per attribute, adding that
+/// attribute's mismatch to every cluster's count.
+[[maybe_unused]] static void ScalarMismatchScan(const uint32_t* row,
+                                                const uint32_t* modes_t,
+                                                uint32_t m, uint32_t k,
+                                                uint32_t stride,
+                                                uint32_t* out) {
+  for (uint32_t c = 0; c < k; ++c) out[c] = 0;
+  for (uint32_t j = 0; j < m; ++j) {
+    const uint32_t code = row[j];
+    const uint32_t* column = modes_t + static_cast<uint64_t>(j) * stride;
+    for (uint32_t c = 0; c < k; ++c) out[c] += (column[c] != code) ? 1 : 0;
+  }
+}
+
+/// Reference all-clusters squared-L2 scan over an attribute-major table
+/// (see KernelTable::sql2_scan): per cluster, exactly the accumulation
+/// order of ScalarBoundedSquaredL2 with an infinite bound.
+[[maybe_unused]] static void ScalarSquaredL2Scan(const double* x,
+                                                 const double* centroids_t,
+                                                 uint32_t d, uint32_t k,
+                                                 uint32_t stride,
+                                                 double* out) {
+  for (uint32_t c = 0; c < k; ++c) {
+    const double* b = centroids_t + c;
+    const auto at = [b, stride](uint32_t j) {
+      return b[static_cast<uint64_t>(j) * stride];
+    };
+    double l0 = 0.0, l1 = 0.0, l2 = 0.0, l3 = 0.0;
+    uint32_t j = 0;
+    while (j + 8 <= d) {
+      for (uint32_t half = 0; half < 8; half += 4) {
+        const double d0 = x[j + half + 0] - at(j + half + 0);
+        const double d1 = x[j + half + 1] - at(j + half + 1);
+        const double d2 = x[j + half + 2] - at(j + half + 2);
+        const double d3 = x[j + half + 3] - at(j + half + 3);
+        l0 += d0 * d0;
+        l1 += d1 * d1;
+        l2 += d2 * d2;
+        l3 += d3 * d3;
+      }
+      j += 8;
+    }
+    double sum = (l0 + l1) + (l2 + l3);
+    for (; j < d; ++j) {
+      const double diff = x[j] - at(j);
+      sum += diff * diff;
+    }
+    out[c] = sum;
   }
 }
 

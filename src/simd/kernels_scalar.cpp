@@ -17,6 +17,8 @@ const KernelTable kScalarKernels = {
     /*dot=*/ScalarDot,
     /*minhash_scan=*/ScalarMinHashScan,
     /*mix64_batch=*/ScalarMix64Batch,
+    /*mismatch_scan=*/ScalarMismatchScan,
+    /*sql2_scan=*/ScalarSquaredL2Scan,
 };
 
 }  // namespace lshclust::simd

@@ -204,6 +204,102 @@ void Sse42Mix64Batch(const uint32_t* tokens, uint32_t count, uint64_t seed,
   }
 }
 
+/// Equal-code counts of V consecutive 4-cluster vectors whose attribute-0
+/// entries start at `column`: per attribute, one broadcast code against V
+/// vectors of that attribute's row. V independent accumulators keep the
+/// subtractions off one dependency chain.
+template <uint32_t V>
+inline void EqualScanBlock(const uint32_t* row, const uint32_t* column,
+                           uint32_t m, uint32_t stride, __m128i* equals) {
+  for (uint32_t v = 0; v < V; ++v) equals[v] = _mm_setzero_si128();
+  for (uint32_t j = 0; j < m; ++j, column += stride) {
+    const __m128i code = _mm_set1_epi32(static_cast<int>(row[j]));
+    for (uint32_t v = 0; v < V; ++v) {
+      const __m128i modes =
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(column + 4 * v));
+      equals[v] = _mm_sub_epi32(equals[v], _mm_cmpeq_epi32(modes, code));
+    }
+  }
+}
+
+/// All-clusters mismatch scan: 16 clusters per block, then single
+/// 4-cluster vectors for the rest; mismatches = m - equal.
+void Sse42MismatchScan(const uint32_t* row, const uint32_t* modes_t,
+                       uint32_t m, uint32_t k, uint32_t stride,
+                       uint32_t* out) {
+  const __m128i total = _mm_set1_epi32(static_cast<int>(m));
+  uint32_t c0 = 0;
+  for (; c0 + 16 <= k; c0 += 16) {
+    __m128i equals[4];
+    EqualScanBlock<4>(row, modes_t + c0, m, stride, equals);
+    for (uint32_t v = 0; v < 4; ++v) {
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(out + c0 + 4 * v),
+                       _mm_sub_epi32(total, equals[v]));
+    }
+  }
+  for (; c0 < k; c0 += 4) {
+    __m128i equals[1];
+    EqualScanBlock<1>(row, modes_t + c0, m, stride, equals);
+    const __m128i mismatches = _mm_sub_epi32(total, equals[0]);
+    if (c0 + 4 <= k) {
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(out + c0), mismatches);
+    } else {
+      alignas(16) uint32_t lanes[4];
+      _mm_store_si128(reinterpret_cast<__m128i*>(lanes), mismatches);
+      for (uint32_t i = 0; c0 + i < k; ++i) out[c0 + i] = lanes[i];
+    }
+  }
+}
+
+/// acc[j % 4] += (x[j] - column[j])^2 for the two 2-cluster vectors of one
+/// block, j = one dimension: the canonical lane step of bounded_sql2,
+/// applied to every cluster lane at once.
+inline void Sql2ScanStep(__m128d* acc_lo, __m128d* acc_hi, double xj,
+                         const double* column) {
+  const __m128d vx = _mm_set1_pd(xj);
+  const __m128d lo = _mm_sub_pd(vx, _mm_loadu_pd(column));
+  const __m128d hi = _mm_sub_pd(vx, _mm_loadu_pd(column + 2));
+  *acc_lo = _mm_add_pd(*acc_lo, _mm_mul_pd(lo, lo));
+  *acc_hi = _mm_add_pd(*acc_hi, _mm_mul_pd(hi, hi));
+}
+
+/// All-clusters squared-L2 scan, 4 clusters (two 2-lane vectors) per
+/// block, each with its own four canonical lane accumulators.
+void Sse42SquaredL2Scan(const double* x, const double* centroids_t,
+                        uint32_t d, uint32_t k, uint32_t stride,
+                        double* out) {
+  for (uint32_t c0 = 0; c0 < k; c0 += 4) {
+    __m128d lo[4], hi[4];
+    for (uint32_t l = 0; l < 4; ++l) lo[l] = hi[l] = _mm_setzero_pd();
+    const double* base = centroids_t + c0;
+    uint32_t j = 0;
+    while (j + 8 <= d) {
+      for (uint32_t t = 0; t < 8; ++t) {
+        Sql2ScanStep(&lo[t % 4], &hi[t % 4], x[j + t],
+                     base + static_cast<uint64_t>(j + t) * stride);
+      }
+      j += 8;
+    }
+    __m128d sum_lo = _mm_add_pd(_mm_add_pd(lo[0], lo[1]),
+                                _mm_add_pd(lo[2], lo[3]));
+    __m128d sum_hi = _mm_add_pd(_mm_add_pd(hi[0], hi[1]),
+                                _mm_add_pd(hi[2], hi[3]));
+    for (; j < d; ++j) {
+      Sql2ScanStep(&sum_lo, &sum_hi, x[j],
+                   base + static_cast<uint64_t>(j) * stride);
+    }
+    if (c0 + 4 <= k) {
+      _mm_storeu_pd(out + c0, sum_lo);
+      _mm_storeu_pd(out + c0 + 2, sum_hi);
+    } else {
+      alignas(16) double lanes[4];
+      _mm_store_pd(lanes, sum_lo);
+      _mm_store_pd(lanes + 2, sum_hi);
+      for (uint32_t i = 0; c0 + i < k; ++i) out[c0 + i] = lanes[i];
+    }
+  }
+}
+
 }  // namespace
 
 const KernelTable kSse42Kernels = {
@@ -213,6 +309,8 @@ const KernelTable kSse42Kernels = {
     /*dot=*/Sse42Dot,
     /*minhash_scan=*/Sse42MinHashScan,
     /*mix64_batch=*/Sse42Mix64Batch,
+    /*mismatch_scan=*/Sse42MismatchScan,
+    /*sql2_scan=*/Sse42SquaredL2Scan,
 };
 
 }  // namespace lshclust::simd
@@ -231,6 +329,8 @@ const KernelTable kSse42Kernels = {
     /*dot=*/ScalarDot,
     /*minhash_scan=*/ScalarMinHashScan,
     /*mix64_batch=*/ScalarMix64Batch,
+    /*mismatch_scan=*/ScalarMismatchScan,
+    /*sql2_scan=*/ScalarSquaredL2Scan,
 };
 
 }  // namespace lshclust::simd

@@ -1,9 +1,11 @@
 // Unit tests for src/clustering: dissimilarity kernels, mode computation,
-// initializers, K-Modes, K-Means and mini-batch K-Means.
+// the exhaustive argmin (all-clusters scan) and the attribute-major
+// centroid copies, initializers, K-Modes, K-Means and mini-batch K-Means.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <map>
 #include <set>
 
@@ -11,7 +13,9 @@
 #include "clustering/initializers.h"
 #include "clustering/kmeans.h"
 #include "clustering/kmodes.h"
+#include "clustering/kprototypes.h"
 #include "clustering/modes.h"
+#include "core/streaming.h"
 #include "datagen/conjunctive_generator.h"
 #include "datagen/gaussian_mixture.h"
 
@@ -368,6 +372,281 @@ TEST(ModeOracleTest, EmptyClusters) {
   std::vector<uint32_t> assignment = RandomClusters(40, 6, 18);
   for (auto& cluster : assignment) cluster *= 2;
   ExpectModesMatchOracle(dataset, 12, assignment);
+}
+
+// ------------------------------------------------ exhaustive-argmin oracle --
+
+// The attribute-major copy holds exactly the row-major table, and zeros
+// in its padding columns.
+void ExpectAttributeMajorMatches(const ModeTable& modes) {
+  const uint32_t k = modes.num_clusters();
+  const uint32_t stride = modes.stride();
+  const auto copy = modes.attribute_major();
+  ASSERT_GE(stride, k);
+  ASSERT_EQ(stride % simd::kScanLanes, 0u);
+  ASSERT_EQ(copy.size(), size_t{modes.num_attributes()} * stride);
+  for (uint32_t j = 0; j < modes.num_attributes(); ++j) {
+    for (uint32_t c = 0; c < stride; ++c) {
+      ASSERT_EQ(copy[size_t{j} * stride + c], c < k ? modes.Mode(c)[j] : 0u)
+          << "attribute " << j << ", cluster " << c;
+    }
+  }
+}
+
+void ExpectAttributeMajorMatches(const CentroidTable& centroids) {
+  const uint32_t k = centroids.num_clusters();
+  const uint32_t stride = centroids.stride();
+  const auto copy = centroids.attribute_major();
+  ASSERT_GE(stride, k);
+  ASSERT_EQ(stride % simd::kScanLanes, 0u);
+  ASSERT_EQ(copy.size(), size_t{centroids.dimensions()} * stride);
+  for (uint32_t j = 0; j < centroids.dimensions(); ++j) {
+    for (uint32_t c = 0; c < stride; ++c) {
+      const double expected = c < k ? centroids.Centroid(c)[j] : 0.0;
+      ASSERT_EQ(std::memcmp(&copy[size_t{j} * stride + c], &expected,
+                            sizeof expected),
+                0)
+          << "dimension " << j << ", cluster " << c;
+    }
+  }
+}
+
+void ExpectAttributeMajorMatches(
+    const MixedClusteringTraits::Centroids& prototypes) {
+  ExpectAttributeMajorMatches(prototypes.modes);
+  ExpectAttributeMajorMatches(prototypes.centroids);
+}
+
+// Per family: random items over a 3-value domain (so distances tie
+// often), widths that are no multiple of any kernel block, and options.
+struct CategoricalFamily {
+  using Traits = CategoricalClusteringTraits;
+  static CategoricalDataset Data(uint32_t n, uint64_t seed) {
+    return RandomCodes(n, 9, 3, 0, 3, seed);
+  }
+  static Traits::Options Options(uint32_t k) {
+    Traits::Options options;
+    options.num_clusters = k;
+    return options;
+  }
+};
+
+NumericDataset SmallIntegerValues(uint32_t n, uint32_t d, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> values(static_cast<size_t>(n) * d);
+  for (auto& value : values) value = static_cast<double>(rng.Below(3));
+  return NumericDataset::FromValues(n, d, std::move(values)).ValueOrDie();
+}
+
+struct NumericFamily {
+  using Traits = NumericClusteringTraits;
+  static NumericDataset Data(uint32_t n, uint64_t seed) {
+    return SmallIntegerValues(n, 9, seed);
+  }
+  static Traits::Options Options(uint32_t k) {
+    Traits::Options options;
+    options.num_clusters = k;
+    return options;
+  }
+};
+
+struct MixedFamily {
+  using Traits = MixedClusteringTraits;
+  static MixedDataset Data(uint32_t n, uint64_t seed) {
+    return MixedDataset::Combine(RandomCodes(n, 5, 3, 0, 3, seed),
+                                 SmallIntegerValues(n, 3, seed + 1))
+        .ValueOrDie();
+  }
+  static Traits::Options Options(uint32_t k) {
+    Traits::Options options;
+    options.num_clusters = k;
+    options.gamma = 0.5;
+    return options;
+  }
+};
+
+// The naive exhaustive argmin: one full per-pair distance per cluster,
+// the seed cluster first, then ascending ids, strict improvement only.
+template <typename Traits>
+uint32_t NaiveArgmin(const typename Traits::Dataset& dataset,
+                     const typename Traits::Centroids& centroids,
+                     const typename Traits::Options& options, uint32_t item,
+                     uint32_t seed_cluster) {
+  const auto distance = [&](uint32_t cluster) {
+    return Traits::template ComputeDistance<false>(
+        dataset, centroids, options, item, cluster, Traits::kInfiniteDistance);
+  };
+  uint32_t best_cluster = seed_cluster;
+  auto best_distance = distance(seed_cluster);
+  for (uint32_t cluster = 0; cluster < options.num_clusters; ++cluster) {
+    if (cluster == seed_cluster) continue;
+    const auto d = distance(cluster);
+    if (d < best_distance) {
+      best_distance = d;
+      best_cluster = cluster;
+    }
+  }
+  return best_cluster;
+}
+
+// For every item: the scan's row equals the per-pair distances bit for
+// bit, and BestClusterExhaustive equals the naive argmin from the seeds
+// 0, k / 2 and k - 1. One scratch serves every call, as in the engine.
+template <typename Traits>
+void ExpectArgminMatchesNaive(const typename Traits::Dataset& dataset,
+                              const typename Traits::Centroids& centroids,
+                              const typename Traits::Options& options) {
+  const uint32_t k = options.num_clusters;
+  DistanceScratch scratch;
+  for (uint32_t item = 0; item < dataset.num_items(); ++item) {
+    const auto row = Traits::ScanDistances(dataset, centroids, options, item,
+                                           scratch);
+    ASSERT_EQ(row.size(), size_t{k});
+    for (uint32_t cluster = 0; cluster < k; ++cluster) {
+      const auto expected = Traits::template ComputeDistance<false>(
+          dataset, centroids, options, item, cluster,
+          Traits::kInfiniteDistance);
+      ASSERT_EQ(std::memcmp(&row[cluster], &expected, sizeof expected), 0)
+          << "item " << item << ", cluster " << cluster;
+    }
+    for (const uint32_t seed : {0u, k / 2, k - 1}) {
+      ASSERT_EQ(BestClusterExhaustive<Traits>(dataset, centroids, options,
+                                              item, seed, scratch),
+                NaiveArgmin<Traits>(dataset, centroids, options, item, seed))
+          << "item " << item << ", seed " << seed;
+    }
+  }
+}
+
+template <typename Family>
+class ExhaustiveArgminOracleTest : public testing::Test {};
+using Families = testing::Types<CategoricalFamily, NumericFamily, MixedFamily>;
+TYPED_TEST_SUITE(ExhaustiveArgminOracleTest, Families);
+
+TYPED_TEST(ExhaustiveArgminOracleTest, SeededAndUpdatedCentroids) {
+  using Traits = typename TypeParam::Traits;
+  const auto dataset = TypeParam::Data(70, 21);
+  // k = 1, k below, at and above a 16-lane block, and k = n.
+  for (const uint32_t k : {1u, 7u, 16u, 17u, 33u, 70u}) {
+    SCOPED_TRACE(testing::Message() << "k " << k);
+    const auto options = TypeParam::Options(k);
+    auto centroids = Traits::MakeCentroids(dataset, options);
+    for (uint32_t cluster = 0; cluster < k; ++cluster) {
+      Traits::SeedCentroid(centroids, cluster, dataset, (cluster * 3) % 70);
+    }
+    ExpectAttributeMajorMatches(centroids);
+    ExpectArgminMatchesNaive<Traits>(dataset, centroids, options);
+    Rng rng(5);
+    Traits::UpdateCentroids(dataset, centroids, RandomClusters(70, k, k),
+                            options, rng);
+    ExpectAttributeMajorMatches(centroids);
+    ExpectArgminMatchesNaive<Traits>(dataset, centroids, options);
+  }
+}
+
+TYPED_TEST(ExhaustiveArgminOracleTest, DuplicateCentroidsTieSeedThenLowestId) {
+  using Traits = typename TypeParam::Traits;
+  const auto dataset = TypeParam::Data(40, 23);
+  constexpr uint32_t kClusters = 17;
+  const auto options = TypeParam::Options(kClusters);
+  auto centroids = Traits::MakeCentroids(dataset, options);
+  // Clusters c and c + 3 are copies of item c % 3: every item that is one
+  // of those three items has an exact distance-0 tie across six clusters.
+  for (uint32_t cluster = 0; cluster < kClusters; ++cluster) {
+    Traits::SeedCentroid(centroids, cluster, dataset, cluster % 3);
+  }
+  ExpectAttributeMajorMatches(centroids);
+  ExpectArgminMatchesNaive<Traits>(dataset, centroids, options);
+  DistanceScratch scratch;
+  // Item 1 is at distance 0 from clusters 1, 4, 7, 10, 13, 16.
+  EXPECT_EQ(BestClusterExhaustive<Traits>(dataset, centroids, options, 1, 0,
+                                          scratch),
+            1u);
+  EXPECT_EQ(BestClusterExhaustive<Traits>(dataset, centroids, options, 1, 10,
+                                          scratch),
+            10u);
+  EXPECT_EQ(BestClusterExhaustive<Traits>(dataset, centroids, options, 1, 16,
+                                          scratch),
+            16u);
+}
+
+TYPED_TEST(ExhaustiveArgminOracleTest, EmptyClusterPoliciesKeepTheCopyInSync) {
+  using Traits = typename TypeParam::Traits;
+  const auto dataset = TypeParam::Data(50, 25);
+  constexpr uint32_t kClusters = 19;
+  for (const EmptyClusterPolicy policy :
+       {EmptyClusterPolicy::kKeepPreviousMode,
+        EmptyClusterPolicy::kReseedRandomItem}) {
+    SCOPED_TRACE(testing::Message() << "policy " << static_cast<int>(policy));
+    auto options = TypeParam::Options(kClusters);
+    options.empty_cluster_policy = policy;
+    auto centroids = Traits::MakeCentroids(dataset, options);
+    for (uint32_t cluster = 0; cluster < kClusters; ++cluster) {
+      Traits::SeedCentroid(centroids, cluster, dataset, cluster);
+    }
+    // Only the even clusters get members; the odd ones are kept or
+    // reseeded from a random item.
+    std::vector<uint32_t> assignment = RandomClusters(50, 10, 27);
+    for (auto& cluster : assignment) cluster *= 2;
+    Rng rng(29);
+    for (int round = 0; round < 2; ++round) {
+      Traits::UpdateCentroids(dataset, centroids, assignment, options, rng);
+      ExpectAttributeMajorMatches(centroids);
+      ExpectArgminMatchesNaive<Traits>(dataset, centroids, options);
+      std::rotate(assignment.begin(), assignment.begin() + 7,
+                  assignment.end());
+    }
+  }
+}
+
+TEST(AttributeMajorCopyTest, DirectSettersAndCopies) {
+  ModeTable modes(18, 3);
+  modes.SetModeCode(17, 2, 9);
+  modes.SetModeCode(0, 0, 4);
+  ExpectAttributeMajorMatches(modes);
+  const ModeTable copied = modes;
+  ExpectAttributeMajorMatches(copied);
+
+  CentroidTable centroids(18, 5);
+  const std::vector<double> values = {1.5, -2.0, 0.25, 8.0, -0.0};
+  centroids.SetCentroid(17, values);
+  centroids.SetCentroid(3, values);
+  ExpectAttributeMajorMatches(centroids);
+  const CentroidTable moved = std::move(centroids);
+  ExpectAttributeMajorMatches(moved);
+}
+
+TEST(AttributeMajorCopyTest, StreamingModeUpdatesKeepTheCopyInSync) {
+  ConjunctiveDataOptions data_options;
+  data_options.num_items = 1200;
+  data_options.num_attributes = 12;
+  data_options.num_clusters = 10;
+  data_options.domain_size = 40;
+  data_options.seed = 31;
+  const auto all = GenerateConjunctiveRuleData(data_options).ValueOrDie();
+  std::vector<uint32_t> warmup_codes(all.codes().begin(),
+                                     all.codes().begin() + 300 * 12);
+  const auto warmup =
+      CategoricalDataset::FromCodes(300, 12, all.num_codes(),
+                                    std::move(warmup_codes))
+          .ValueOrDie();
+  StreamingMHKModesOptions options;
+  options.bootstrap.engine.num_clusters = 10;
+  options.bootstrap.engine.seed = 33;
+  options.bootstrap.index.banding = {12, 3};
+  auto stream = StreamingMHKModes::Bootstrap(warmup, options).ValueOrDie();
+  ExpectAttributeMajorMatches(stream.modes());
+  const auto before = stream.modes().attribute_major();
+  const std::vector<uint32_t> bootstrap_modes(before.begin(), before.end());
+  for (uint32_t item = 300; item < 1200; ++item) {
+    ASSERT_TRUE(stream.Ingest(all.Row(item)).ok());
+  }
+  const auto after = stream.modes().attribute_major();
+  // The ingests moved some mode component (SetModeCode ran), and the
+  // copy followed it.
+  EXPECT_NE(std::vector<uint32_t>(after.begin(), after.end()),
+            bootstrap_modes);
+  ExpectAttributeMajorMatches(stream.modes());
 }
 
 // ----------------------------------------------------------- initializers --

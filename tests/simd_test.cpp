@@ -1,11 +1,13 @@
 // Tests for the src/simd/ runtime-dispatch subsystem: tier selection and
 // forcing, bit-exact parity of every kernel across all supported dispatch
 // tiers (odd lengths, misaligned inputs, empty inputs, early-exit
-// partials) and the ScalarMix64 == Mix64 pin the hashing rewires rely on.
+// partials), the all-clusters scans against the per-pair kernels, and the
+// ScalarMix64 == Mix64 pin the hashing rewires rely on.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "simd/dispatch.h"
@@ -31,7 +33,8 @@ class TierGuard {
 std::vector<simd::SimdTier> SupportedTiers() {
   std::vector<simd::SimdTier> tiers = {simd::SimdTier::kScalar};
   for (const simd::SimdTier tier :
-       {simd::SimdTier::kSse42, simd::SimdTier::kAvx2}) {
+       {simd::SimdTier::kSse42, simd::SimdTier::kAvx2,
+        simd::SimdTier::kAvx512}) {
     if (simd::TierSupported(tier)) tiers.push_back(tier);
   }
   return tiers;
@@ -72,7 +75,8 @@ TEST(SimdDispatchTest, ForceSimdTierSwitchesAndRejectsUnsupported) {
   EXPECT_EQ(simd::ActiveTier(), simd::SimdTier::kScalar);
   EXPECT_STREQ(simd::TierName(simd::ActiveTier()), "scalar");
   for (const simd::SimdTier tier :
-       {simd::SimdTier::kSse42, simd::SimdTier::kAvx2}) {
+       {simd::SimdTier::kSse42, simd::SimdTier::kAvx2,
+        simd::SimdTier::kAvx512}) {
     if (simd::TierSupported(tier)) {
       EXPECT_TRUE(simd::ForceSimdTier(tier));
       EXPECT_EQ(simd::ActiveTier(), tier);
@@ -235,6 +239,108 @@ TEST(SimdKernelParityTest, Mix64BatchAllTiersAndMatchesRngMix64) {
         EXPECT_EQ(got, expected)
             << "tier=" << simd::TierName(tier) << " n=" << n
             << " offset=" << offset;
+      }
+    }
+  }
+}
+
+// ------------------------------------------------- all-clusters scans ----
+
+// Cluster counts around every tier's block widths (4, 8 and 16 lanes) and
+// the fit-categorical shape; widths around the 8-element float block.
+const uint32_t kScanClusters[] = {1, 7, 15, 16, 17, 500};
+const uint32_t kScanWidths[] = {1, 7, 8, 9, 24, 33};
+
+// Attribute-major copy of a row-major k x width table, stride
+// ScanStride(k). Padding columns get `pad`, which a scan must never
+// report.
+template <typename T>
+std::vector<T> Transpose(const std::vector<T>& rows, uint32_t k,
+                         uint32_t width, T pad) {
+  const uint32_t stride = simd::ScanStride(k);
+  std::vector<T> out(static_cast<size_t>(width) * stride, pad);
+  for (uint32_t c = 0; c < k; ++c) {
+    for (uint32_t j = 0; j < width; ++j) {
+      out[static_cast<size_t>(j) * stride + c] =
+          rows[static_cast<size_t>(c) * width + j];
+    }
+  }
+  return out;
+}
+
+TEST(SimdScanTest, StrideIsALaneMultipleNoSmallerThanK) {
+  EXPECT_EQ(simd::ScanStride(1), simd::kScanLanes);
+  EXPECT_EQ(simd::ScanStride(16), 16u);
+  EXPECT_EQ(simd::ScanStride(17), 32u);
+  EXPECT_EQ(simd::ScanStride(500), 512u);
+}
+
+TEST(SimdScanTest, MismatchScanEqualsPerPairMismatchAllTiers) {
+  TierGuard guard;
+  for (const uint32_t k : kScanClusters) {
+    for (const uint32_t m : kScanWidths) {
+      // A 3-code domain makes every distance from 0 to m likely, so the
+      // counts differ across clusters and tie often.
+      Rng rng(100 * k + m);
+      std::vector<uint32_t> modes(static_cast<size_t>(k) * m);
+      for (auto& code : modes) code = static_cast<uint32_t>(rng.Below(3));
+      std::vector<uint32_t> row(m);
+      for (auto& code : row) code = static_cast<uint32_t>(rng.Below(3));
+      const auto modes_t = Transpose<uint32_t>(modes, k, m, /*pad=*/7u);
+
+      ASSERT_TRUE(simd::ForceSimdTier(simd::SimdTier::kScalar));
+      std::vector<uint32_t> expected(k);
+      for (uint32_t c = 0; c < k; ++c) {
+        expected[c] = simd::ActiveKernels().mismatch(
+            row.data(), modes.data() + static_cast<size_t>(c) * m, m);
+      }
+      for (const simd::SimdTier tier : SupportedTiers()) {
+        ASSERT_TRUE(simd::ForceSimdTier(tier));
+        // One sentinel past k: the scan writes exactly k entries.
+        std::vector<uint32_t> got(k + 1, 0xDEADBEEFu);
+        simd::ActiveKernels().mismatch_scan(row.data(), modes_t.data(), m, k,
+                                            simd::ScanStride(k), got.data());
+        EXPECT_EQ(got[k], 0xDEADBEEFu)
+            << "tier=" << simd::TierName(tier) << " k=" << k << " m=" << m;
+        got.pop_back();
+        EXPECT_EQ(got, expected)
+            << "tier=" << simd::TierName(tier) << " k=" << k << " m=" << m;
+      }
+    }
+  }
+}
+
+TEST(SimdScanTest, SquaredL2ScanBitIdenticalToUnboundedSql2AllTiers) {
+  TierGuard guard;
+  const double kInf = std::numeric_limits<double>::infinity();
+  for (const uint32_t k : kScanClusters) {
+    for (const uint32_t d : kScanWidths) {
+      const auto centroids =
+          RandomDoubles(static_cast<uint32_t>(k * d), 200 * k + d);
+      const auto x = RandomDoubles(d, 300 * k + d);
+      const auto centroids_t = Transpose<double>(centroids, k, d, 1e300);
+
+      ASSERT_TRUE(simd::ForceSimdTier(simd::SimdTier::kScalar));
+      std::vector<double> expected(k);
+      for (uint32_t c = 0; c < k; ++c) {
+        expected[c] = simd::ActiveKernels().bounded_sql2(
+            x.data(), centroids.data() + static_cast<size_t>(c) * d, d, kInf);
+      }
+      for (const simd::SimdTier tier : SupportedTiers()) {
+        ASSERT_TRUE(simd::ForceSimdTier(tier));
+        std::vector<double> got(k + 1, -1.0);
+        simd::ActiveKernels().sql2_scan(x.data(), centroids_t.data(), d, k,
+                                        simd::ScanStride(k), got.data());
+        EXPECT_EQ(got[k], -1.0)
+            << "tier=" << simd::TierName(tier) << " k=" << k << " d=" << d;
+        for (uint32_t c = 0; c < k; ++c) {
+          // Bit equality per cluster, against the per-pair kernel the
+          // shortlist passes still use.
+          ASSERT_EQ(std::memcmp(&got[c], &expected[c], sizeof(double)), 0)
+              << "tier=" << simd::TierName(tier) << " k=" << k << " d=" << d
+              << " cluster=" << c << " got=" << got[c]
+              << " expected=" << expected[c];
+        }
       }
     }
   }
