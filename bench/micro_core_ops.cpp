@@ -358,32 +358,57 @@ BENCHMARK(BM_FlatHashMapFind);
 
 using Clock = std::chrono::steady_clock;
 
-/// Best-of-five self-calibrated timing of `op`, in ns per invocation.
+/// Timed batches per record; records report their median and quartiles.
+constexpr int kReps = 11;
+
+/// Median and quartiles of kReps timings, in ns per call.
+struct Quartiles {
+  double median = 0;
+  double q1 = 0;
+  double q3 = 0;
+};
+
+Quartiles QuartilesOf(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  const size_t n = samples.size();
+  return {samples[n / 2], samples[n / 4], samples[3 * n / 4]};
+}
+
+/// ns per call of `op` over one batch of `batch` calls.
 template <typename Op>
-double TimeNsPerOp(const Op& op) {
-  const auto elapsed_ns = [](Clock::time_point start) {
-    return std::chrono::duration<double, std::nano>(Clock::now() - start)
-        .count();
-  };
+double BatchNsPerOp(const Op& op, uint64_t batch) {
+  const auto start = Clock::now();
+  for (uint64_t i = 0; i < batch; ++i) op();
+  return std::chrono::duration<double, std::nano>(Clock::now() - start)
+             .count() /
+         static_cast<double>(batch);
+}
+
+/// Calls per batch of `op`, grown 4x at a time until a batch takes
+/// >= 10 ms.
+template <typename Op>
+uint64_t CalibratedBatch(const Op& op) {
   uint64_t batch = 1;
-  for (;;) {
-    const auto start = Clock::now();
-    for (uint64_t i = 0; i < batch; ++i) op();
-    if (elapsed_ns(start) >= 2e6) break;  // calibrate to >= 2 ms per rep
+  while (BatchNsPerOp(op, batch) * static_cast<double>(batch) < 1e7) {
     batch *= 4;
   }
-  double best = 1e300;
-  for (int rep = 0; rep < 5; ++rep) {
-    const auto start = Clock::now();
-    for (uint64_t i = 0; i < batch; ++i) op();
-    best = std::min(best, elapsed_ns(start) / static_cast<double>(batch));
+  return batch;
+}
+
+/// Median and quartiles of kReps calibrated batches of `op`.
+template <typename Op>
+Quartiles TimeNsPerOp(const Op& op) {
+  const uint64_t batch = CalibratedBatch(op);
+  std::vector<double> samples;
+  for (int rep = 0; rep < kReps; ++rep) {
+    samples.push_back(BatchNsPerOp(op, batch));
   }
-  return best;
+  return QuartilesOf(std::move(samples));
 }
 
 struct KernelTiming {
   const char* kernel;
-  double ns;
+  Quartiles ns;
 };
 
 /// Times every dispatched kernel once through the *currently active* tier
@@ -445,48 +470,39 @@ std::vector<KernelTiming> TimeKernelsAtActiveTier() {
   return timings;
 }
 
-/// ns per call of `op`: one batch timed after calibrating it to >= 10 ms.
-template <typename Op>
-double OneRepNsPerOp(const Op& op) {
-  uint64_t batch = 1;
-  for (;;) {
-    const auto start = Clock::now();
-    for (uint64_t i = 0; i < batch; ++i) op();
-    if (Clock::now() - start >= std::chrono::milliseconds(10)) break;
-    batch *= 4;
-  }
-  const auto start = Clock::now();
-  for (uint64_t i = 0; i < batch; ++i) op();
-  return std::chrono::duration<double, std::nano>(Clock::now() - start)
-             .count() /
-         static_cast<double>(batch);
+/// Writes `prefix` + _median / _q1 / _q3.
+void AddQuartiles(bench::JsonBenchWriter& writer, const std::string& prefix,
+                  const Quartiles& timing) {
+  writer.Add((prefix + "_median").c_str(), timing.median);
+  writer.Add((prefix + "_q1").c_str(), timing.q1);
+  writer.Add((prefix + "_q3").c_str(), timing.q3);
 }
 
 /// One exhaustive-argmin record at the active tier: ns per query of the
-/// per-pair loop and of the scan as median and quartiles of 11 reps each
-/// (the two paths alternate rep by rep, so host drift hits both), and
-/// whether both picked the same clusters.
+/// per-pair loop and of the scan, kReps batches each (the two paths
+/// alternate batch by batch, so host drift hits both), and whether both
+/// picked the same clusters.
 template <typename Traits>
 void AddExhaustiveScanRecord(bench::JsonBenchWriter& writer,
                              const char* shape_name,
                              const ScanShape<Traits>& shape) {
-  constexpr int kReps = 11;
   DistanceScratch scratch;
+  const auto per_pair_op = [&] {
+    benchmark::DoNotOptimize(ArgminSweep(shape, false, scratch));
+  };
+  const auto scan_op = [&] {
+    benchmark::DoNotOptimize(ArgminSweep(shape, true, scratch));
+  };
+  const uint64_t per_pair_batch = CalibratedBatch(per_pair_op);
+  const uint64_t scan_batch = CalibratedBatch(scan_op);
   std::vector<double> per_pair, scan;
   for (int rep = 0; rep < kReps; ++rep) {
-    per_pair.push_back(OneRepNsPerOp([&] {
-                         benchmark::DoNotOptimize(
-                             ArgminSweep(shape, false, scratch));
-                       }) /
+    per_pair.push_back(BatchNsPerOp(per_pair_op, per_pair_batch) /
                        kScanQueries);
-    scan.push_back(OneRepNsPerOp([&] {
-                     benchmark::DoNotOptimize(
-                         ArgminSweep(shape, true, scratch));
-                   }) /
-                   kScanQueries);
+    scan.push_back(BatchNsPerOp(scan_op, scan_batch) / kScanQueries);
   }
-  std::sort(per_pair.begin(), per_pair.end());
-  std::sort(scan.begin(), scan.end());
+  const Quartiles per_pair_ns = QuartilesOf(std::move(per_pair));
+  const Quartiles scan_ns = QuartilesOf(std::move(scan));
   bool same = true;
   for (uint32_t item = 0; item < kScanQueries; ++item) {
     same = same && PerPairArgmin(shape, item) ==
@@ -501,13 +517,9 @@ void AddExhaustiveScanRecord(bench::JsonBenchWriter& writer,
   writer.Add("clusters", shape.options.num_clusters);
   writer.Add("queries", kScanQueries);
   writer.Add("reps", static_cast<uint32_t>(kReps));
-  writer.Add("per_pair_ns_per_item_median", per_pair[kReps / 2]);
-  writer.Add("per_pair_ns_per_item_q1", per_pair[kReps / 4]);
-  writer.Add("per_pair_ns_per_item_q3", per_pair[3 * kReps / 4]);
-  writer.Add("scan_ns_per_item_median", scan[kReps / 2]);
-  writer.Add("scan_ns_per_item_q1", scan[kReps / 4]);
-  writer.Add("scan_ns_per_item_q3", scan[3 * kReps / 4]);
-  writer.Add("speedup_vs_per_pair", per_pair[kReps / 2] / scan[kReps / 2]);
+  AddQuartiles(writer, "per_pair_ns_per_item", per_pair_ns);
+  AddQuartiles(writer, "scan_ns_per_item", scan_ns);
+  writer.Add("speedup_vs_per_pair", per_pair_ns.median / scan_ns.median);
   writer.Add("identical_argmins", same ? "true" : "false");
 }
 
@@ -560,11 +572,12 @@ bool WriteJsonRecords(const std::string& path) {
       writer.BeginRecord();
       writer.Add("record", "kernel");
       writer.Add("kernel", timings[i].kernel);
-      writer.Add("ns_per_op", timings[i].ns);
+      writer.Add("reps", static_cast<uint32_t>(kReps));
+      AddQuartiles(writer, "ns_per_op", timings[i].ns);
       if (tier == simd::SimdTier::kScalar) {
-        scalar_ns[i] = timings[i].ns;
+        scalar_ns[i] = timings[i].ns.median;
       } else {
-        writer.Add("speedup_vs_scalar", scalar_ns[i] / timings[i].ns);
+        writer.Add("speedup_vs_scalar", scalar_ns[i] / timings[i].ns.median);
       }
     }
     AddExhaustiveScanRecord(writer, "fit-categorical",

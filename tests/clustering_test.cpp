@@ -15,6 +15,8 @@
 #include "clustering/kmodes.h"
 #include "clustering/kprototypes.h"
 #include "clustering/modes.h"
+#include "core/cluster_shortlist_index.h"
+#include "core/simhash_shortlist_index.h"
 #include "core/streaming.h"
 #include "datagen/conjunctive_generator.h"
 #include "datagen/gaussian_mixture.h"
@@ -846,10 +848,13 @@ TEST(KModesTest, KEqualsOnePutsEverythingTogether) {
   for (const uint32_t cluster : result.assignment) EXPECT_EQ(cluster, 0u);
 }
 
+// The switch selects the shortlist passes' per-pair kernel (exhaustive
+// passes always scan all k full distances), so this runs MH-K-Modes, with
+// m = 70 so the bounded kernel can stop after its first 32-code block.
 TEST(KModesTest, EarlyExitMatchesExactKernel) {
   ConjunctiveDataOptions data;
   data.num_items = 250;
-  data.num_attributes = 10;
+  data.num_attributes = 70;
   data.num_clusters = 12;
   data.domain_size = 6;
   data.seed = 29;
@@ -858,13 +863,19 @@ TEST(KModesTest, EarlyExitMatchesExactKernel) {
   EngineOptions options;
   options.num_clusters = 12;
   options.seed = 31;
-  options.early_exit = true;
-  const auto fast = RunKModes(dataset, options).ValueOrDie();
-  options.early_exit = false;
-  const auto slow = RunKModes(dataset, options).ValueOrDie();
+  ShortlistIndexOptions index;
+  index.banding = {8, 2};
+  const auto run = [&](bool early_exit) {
+    options.early_exit = early_exit;
+    ClusterShortlistProvider provider(index, options.num_clusters);
+    return RunEngine(dataset, options, provider).ValueOrDie();
+  };
+  const auto fast = run(true);
+  const auto slow = run(false);
   EXPECT_EQ(fast.assignment, slow.assignment);
   EXPECT_EQ(fast.final_cost, slow.final_cost);
   EXPECT_EQ(fast.iterations.size(), slow.iterations.size());
+  EXPECT_EQ(fast.exact_distances_evaluated, slow.exact_distances_evaluated);
 }
 
 TEST(KModesTest, DeterministicPerSeed) {
@@ -934,17 +945,31 @@ TEST(KMeansTest, InertiaMonotoneNonIncreasing) {
   }
 }
 
+// As for K-Modes: LSH-K-Means, with d = 16 so the bounded kernel can stop
+// after its first 8-value block.
 TEST(KMeansTest, EarlyExitMatchesExactKernel) {
-  const auto dataset = EasyBlobs();
+  GaussianMixtureOptions data;
+  data.num_items = 400;
+  data.dimensions = 16;
+  data.num_clusters = 12;
+  data.seed = 19;
+  const auto dataset = GenerateGaussianMixture(data).ValueOrDie();
+
   KMeansOptions options;
-  options.num_clusters = 3;
+  options.num_clusters = 12;
   options.seed = 13;
-  options.early_exit = true;
-  const auto fast = RunKMeans(dataset, options).ValueOrDie();
-  options.early_exit = false;
-  const auto slow = RunKMeans(dataset, options).ValueOrDie();
+  SimHashIndexOptions index;
+  index.banding = {8, 4};
+  const auto run = [&](bool early_exit) {
+    options.early_exit = early_exit;
+    SimHashShortlistProvider provider(index, options.num_clusters);
+    return RunKMeansEngine(dataset, options, provider).ValueOrDie();
+  };
+  const auto fast = run(true);
+  const auto slow = run(false);
   EXPECT_EQ(fast.assignment, slow.assignment);
-  EXPECT_DOUBLE_EQ(fast.final_cost, slow.final_cost);
+  EXPECT_EQ(fast.final_cost, slow.final_cost);
+  EXPECT_EQ(fast.iterations.size(), slow.iterations.size());
 }
 
 TEST(KMeansTest, ValidatesOptions) {
