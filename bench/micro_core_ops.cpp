@@ -6,8 +6,10 @@
 //
 // With --json=<path> the binary instead emits machine-readable records: a
 // provenance record, per-kernel timings at every supported SIMD dispatch
-// tier (with speedup_vs_scalar on the vector tiers), and the exhaustive
-// argmin per-pair vs scan at perfbench's two fit shapes, per tier.
+// tier (with speedup_vs_scalar on the vector tiers), and, at perfbench's
+// two fit shapes and per tier, the exhaustive argmin per-pair vs scan and
+// one routed query (FrozenModel::RouteInto) vs the item-walk route it
+// replaced.
 
 #include <benchmark/benchmark.h>
 
@@ -19,6 +21,7 @@
 #include <string>
 #include <thread>
 
+#include "api/clusterer.h"
 #include "bench/common.h"
 #include "clustering/dissimilarity.h"
 #include "clustering/engine.h"
@@ -31,6 +34,7 @@
 #include "hashing/one_permutation_minhash.h"
 #include "lsh/banded_index.h"
 #include "lsh/flat_hash_table.h"
+#include "serving/frozen_model_impl.h"
 #include "simd/dispatch.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -523,6 +527,191 @@ void AddExhaustiveScanRecord(bench::JsonBenchWriter& writer,
   writer.Add("identical_argmins", same ? "true" : "false");
 }
 
+// Routed queries at perfbench's two fit shapes: a model fitted with the
+// library defaults except k and the iteration cap (perfbench's) and seed 1,
+// routing kRoutedQueries held-out items drawn from the same generator.
+constexpr uint32_t kRoutedQueries = 1024;
+
+template <typename Traits, typename Family>
+struct RoutedShape {
+  using Model = serving::internal::FrozenModelImpl<Traits, Family>;
+  std::shared_ptr<const serving::FrozenModel> model;
+  typename Traits::Dataset queries;
+
+  const Model& impl() const { return dynamic_cast<const Model&>(*model); }
+};
+
+/// Items [begin, begin + count) of `all`.
+CategoricalDataset Rows(const CategoricalDataset& all, uint32_t begin,
+                        uint32_t count) {
+  const uint32_t m = all.num_attributes();
+  std::vector<uint32_t> codes(
+      all.codes().begin() + static_cast<size_t>(begin) * m,
+      all.codes().begin() + static_cast<size_t>(begin + count) * m);
+  return CategoricalDataset::FromCodes(count, m, all.num_codes(),
+                                       std::move(codes))
+      .ValueOrDie();
+}
+
+NumericDataset Rows(const NumericDataset& all, uint32_t begin,
+                    uint32_t count) {
+  std::vector<double> values;
+  for (uint32_t item = begin; item < begin + count; ++item) {
+    values.insert(values.end(), all.Row(item).begin(), all.Row(item).end());
+  }
+  return NumericDataset::FromValues(count, all.dimensions(),
+                                    std::move(values))
+      .ValueOrDie();
+}
+
+/// Fits `spec` on the first `fitted` items of `all` and keeps the next
+/// kRoutedQueries as queries.
+template <typename Traits, typename Family>
+RoutedShape<Traits, Family> MakeRoutedShape(const ClustererSpec& spec,
+                                            const typename Traits::Dataset& all,
+                                            uint32_t fitted) {
+  auto clusterer = Clusterer::Create(spec).ValueOrDie();
+  LSHC_CHECK(clusterer.Fit(Rows(all, 0, fitted)).ok());
+  return {clusterer.Snapshot().ValueOrDie(),
+          Rows(all, fitted, kRoutedQueries)};
+}
+
+ClustererSpec RoutedSpec(Modality modality, Accelerator accelerator,
+                         uint32_t k, uint32_t max_iterations) {
+  ClustererSpec spec;
+  spec.modality = modality;
+  spec.accelerator = accelerator;
+  spec.engine.num_clusters = k;
+  spec.engine.max_iterations = max_iterations;
+  spec.engine.seed = 1;
+  return spec;
+}
+
+const RoutedShape<NumericClusteringTraits, SimHashShortlistFamily>&
+NumericRoutedShape() {
+  static const auto shape = [] {
+    GaussianMixtureOptions options;
+    options.num_items = 10000 + kRoutedQueries;
+    options.dimensions = 16;
+    options.num_clusters = 200;
+    return MakeRoutedShape<NumericClusteringTraits, SimHashShortlistFamily>(
+        RoutedSpec(Modality::kNumeric, Accelerator::kSimHash, 200, 5),
+        GenerateGaussianMixture(options).ValueOrDie(), 10000);
+  }();
+  return shape;
+}
+
+const RoutedShape<CategoricalClusteringTraits, MinHashShortlistFamily>&
+CategoricalRoutedShape() {
+  static const auto shape =
+      MakeRoutedShape<CategoricalClusteringTraits, MinHashShortlistFamily>(
+          RoutedSpec(Modality::kCategorical, Accelerator::kMinHash, 500, 3),
+          BenchDataset(50000 + kRoutedQueries, 24, 500, 4000), 50000);
+  return shape;
+}
+
+/// The routed query as it ran before per-bucket cluster lists: walk every
+/// co-bucketed fitted item through the fit assignment, sort the distinct
+/// clusters and score them pair by pair with the early-exit kernels; an
+/// empty probe takes the exhaustive scan. Also counts the shortlist.
+template <typename Traits, typename Family>
+uint32_t ItemWalkRoute(const RoutedShape<Traits, Family>& shape,
+                       uint32_t item, serving::RoutedScratch& scratch,
+                       uint64_t* shortlisted) {
+  const auto& model = shape.impl();
+  model.SignQuery(shape.queries, item, scratch);
+  scratch.shortlist.clear();
+  BumpDedupEpoch(scratch.dedup);
+  model.index()->VisitCandidatesOfSignature(
+      scratch.signature, [&](uint32_t other) {
+        const uint32_t cluster = model.fit_assignment()[other];
+        if (scratch.dedup.cluster_stamp[cluster] == scratch.dedup.epoch) {
+          return;
+        }
+        scratch.dedup.cluster_stamp[cluster] = scratch.dedup.epoch;
+        scratch.shortlist.push_back(cluster);
+      });
+  *shortlisted += scratch.shortlist.size();
+  if (scratch.shortlist.empty()) {
+    return BestClusterExhaustive<Traits>(shape.queries, model.centroids(),
+                                         model.options(), item, 0,
+                                         scratch.distances);
+  }
+  std::sort(scratch.shortlist.begin(), scratch.shortlist.end());
+  uint32_t best_cluster = scratch.shortlist.front();
+  auto best_distance = Traits::template ComputeDistance<false>(
+      shape.queries, model.centroids(), model.options(), item, best_cluster,
+      Traits::kInfiniteDistance);
+  for (size_t i = 1; i < scratch.shortlist.size(); ++i) {
+    const uint32_t cluster = scratch.shortlist[i];
+    const auto distance = Traits::template ComputeDistance<true>(
+        shape.queries, model.centroids(), model.options(), item, cluster,
+        best_distance);
+    if (distance < best_distance) {
+      best_distance = distance;
+      best_cluster = cluster;
+    }
+  }
+  return best_cluster;
+}
+
+/// One routed-query record at the active tier: ns per query of RouteInto
+/// and of the item-walk route, kReps batches of all queries each (the two
+/// alternate batch by batch), whether both routed every query alike, and
+/// the model's shape: mean bucket, cluster-list entries, mean shortlist.
+template <typename Traits, typename Family>
+void AddRoutedQueryRecord(bench::JsonBenchWriter& writer,
+                          const char* shape_name,
+                          const RoutedShape<Traits, Family>& shape) {
+  const auto& model = shape.impl();
+  const uint32_t queries = shape.queries.num_items();
+  std::vector<uint32_t> routed(queries);
+  std::vector<uint32_t> walked(queries);
+  auto route_scratch = shape.model->MakeScratch();
+  serving::RoutedScratch walk_scratch = model.NewRoutedScratch();
+  uint64_t shortlisted = 0;
+  const auto route_op = [&] {
+    LSHC_CHECK(
+        shape.model->RouteInto(shape.queries, *route_scratch, routed).ok());
+  };
+  const auto walk_op = [&] {
+    for (uint32_t item = 0; item < queries; ++item) {
+      walked[item] = ItemWalkRoute(shape, item, walk_scratch, &shortlisted);
+    }
+  };
+  const uint64_t route_batch = CalibratedBatch(route_op);
+  const uint64_t walk_batch = CalibratedBatch(walk_op);
+  std::vector<double> route_ns, walk_ns;
+  for (int rep = 0; rep < kReps; ++rep) {
+    route_ns.push_back(BatchNsPerOp(route_op, route_batch) / queries);
+    walk_ns.push_back(BatchNsPerOp(walk_op, walk_batch) / queries);
+  }
+  shortlisted = 0;
+  walk_op();
+  route_op();
+  const Quartiles route = QuartilesOf(std::move(route_ns));
+  const Quartiles walk = QuartilesOf(std::move(walk_ns));
+  const BandedIndex& index = *model.index();
+  writer.BeginRecord();
+  writer.Add("record", "routed_query");
+  writer.Add("shape", shape_name);
+  writer.Add("clusters", model.num_clusters());
+  writer.Add("fitted_items", index.num_items());
+  writer.Add("bands", index.num_bands());
+  writer.Add("mean_bucket", static_cast<double>(index.num_items()) *
+                                index.num_bands() /
+                                static_cast<double>(index.num_buckets()));
+  writer.Add("cluster_list_entries", shape.model->cluster_list_entries());
+  writer.Add("mean_shortlist",
+             static_cast<double>(shortlisted) / static_cast<double>(queries));
+  writer.Add("queries", queries);
+  writer.Add("reps", static_cast<uint32_t>(kReps));
+  AddQuartiles(writer, "item_walk_ns_per_query", walk);
+  AddQuartiles(writer, "route_ns_per_query", route);
+  writer.Add("speedup_vs_item_walk", walk.median / route.median);
+  writer.Add("identical_routes", routed == walked ? "true" : "false");
+}
+
 /// `git describe --always --dirty` of the working directory, or "unknown"
 /// outside a git checkout. "-dirty" marks uncommitted changes: a record
 /// regenerated in the change that commits it names that change's parent.
@@ -541,8 +730,9 @@ std::string SourceCommit() {
   return commit.empty() ? "unknown" : commit;
 }
 
-/// The --json mode: a provenance record, then kernel timings and the
-/// exhaustive argmin records at every supported dispatch tier.
+/// The --json mode: a provenance record, then kernel timings, the
+/// exhaustive argmin records and the routed-query records at every
+/// supported dispatch tier.
 bool WriteJsonRecords(const std::string& path) {
   bench::JsonBenchWriter writer;
 
@@ -583,6 +773,8 @@ bool WriteJsonRecords(const std::string& path) {
     AddExhaustiveScanRecord(writer, "fit-categorical",
                             CategoricalScanShape());
     AddExhaustiveScanRecord(writer, "fit-numeric", NumericScanShape());
+    AddRoutedQueryRecord(writer, "fit-categorical", CategoricalRoutedShape());
+    AddRoutedQueryRecord(writer, "fit-numeric", NumericRoutedShape());
   }
   simd::ForceSimdTier(detected);
 

@@ -177,7 +177,8 @@ struct FitReport {
   /// Bucket occupancy of the fitted model's banding index.
   BandedIndex::Stats index_stats;
   /// Approximate footprint of the fitted model's shortlist state (banded
-  /// index + fitted assignment; FrozenModel::memory_bytes()).
+  /// index + fitted assignment + any per-bucket cluster lists;
+  /// FrozenModel::memory_bytes()).
   uint64_t index_memory_bytes = 0;
   /// Prepare() split: signature computation vs index construction.
   double signature_seconds = 0;

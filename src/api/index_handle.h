@@ -5,7 +5,10 @@
 /// fitted model — the fit-time LSH state (banded buckets over the fitted
 /// items' signatures plus the fitted assignment as the cluster-reference
 /// store) exposed to callers instead of being thrown away when Fit
-/// returns.
+/// returns. The model may also hold its buckets compacted to per-bucket
+/// cluster lists for routing (see serving/frozen_model.h); the handle
+/// answers from the buckets and the assignment, so its answers do not
+/// depend on whether it does.
 ///
 /// The handle powers two things:
 ///  * diagnostics of the fitted index — bucket occupancy (computed from
@@ -57,7 +60,8 @@ class IndexHandle {
   BandedIndex::Stats ComputeStats() const { return index_->ComputeStats(); }
 
   /// Approximate heap footprint of the model's shortlist state (banded
-  /// index + fitted assignment) — FrozenModel::memory_bytes().
+  /// index + fitted assignment + any per-bucket cluster lists) —
+  /// FrozenModel::memory_bytes().
   uint64_t memory_bytes() const { return memory_bytes_; }
 
   /// Number of full-dataset signing passes that built the index: 1 for a

@@ -101,6 +101,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <concepts>
 #include <cstdint>
 #include <functional>
@@ -229,36 +230,47 @@ struct DistanceScratch {
 /// The exhaustive argmin rule over a scanned distance row: `seed_cluster`
 /// first, then every cluster in ascending id, replacing the best only on
 /// a strictly smaller distance. Ties therefore keep the seed, then the
-/// lowest id, and a NaN distance never wins.
+/// lowest id (+0 and -0 tie), a NaN seed wins and any other NaN never
+/// does.
 ///
-/// Integer rows (mismatch counts) take two passes instead, the first of
-/// which the compiler vectorizes: the minimum, then its first position.
-/// That is the same answer: the sequential rule ends on the first cluster
-/// holding the minimum, unless the seed already holds it.
+/// It runs as two branch-free passes rather than that sequential loop:
+/// the least non-NaN distance, then its first position. That is the same
+/// answer: the sequential rule ends on the first cluster holding the
+/// minimum, unless the seed already holds it (or is NaN, which nothing
+/// beats). Floating-point rows keep four running minima, each updated only
+/// by a strictly smaller value, so a NaN is never taken; integer rows use
+/// one, which the compiler vectorizes.
 template <typename DistanceType>
 uint32_t ArgminFromSeed(std::span<const DistanceType> distances,
                         uint32_t seed_cluster) {
+  const DistanceType seed_distance = distances[seed_cluster];
+  DistanceType least = seed_distance;
   if constexpr (std::is_integral_v<DistanceType>) {
-    DistanceType least = std::numeric_limits<DistanceType>::max();
     for (const DistanceType distance : distances) {
       least = std::min(least, distance);
     }
-    if (least == distances[seed_cluster]) return seed_cluster;
-    uint32_t cluster = 0;
-    while (distances[cluster] != least) ++cluster;
-    return cluster;
   } else {
-    const uint32_t k = static_cast<uint32_t>(distances.size());
-    uint32_t best_cluster = seed_cluster;
-    DistanceType best_distance = distances[seed_cluster];
-    for (uint32_t cluster = 0; cluster < k; ++cluster) {
-      if (distances[cluster] < best_distance) {
-        best_distance = distances[cluster];
-        best_cluster = cluster;
+    if (std::isnan(seed_distance)) return seed_cluster;
+    const size_t k = distances.size();
+    DistanceType lanes[4] = {least, least, least, least};
+    size_t i = 0;
+    for (; i + 4 <= k; i += 4) {
+      for (size_t lane = 0; lane < 4; ++lane) {
+        const DistanceType distance = distances[i + lane];
+        lanes[lane] = distance < lanes[lane] ? distance : lanes[lane];
       }
     }
-    return best_cluster;
+    for (; i < k; ++i) {
+      least = distances[i] < least ? distances[i] : least;
+    }
+    for (const DistanceType lane : lanes) {
+      least = lane < least ? lane : least;
+    }
   }
+  if (least == seed_distance) return seed_cluster;
+  uint32_t cluster = 0;
+  while (distances[cluster] != least) ++cluster;
+  return cluster;
 }
 
 /// Best cluster for `item` among all k clusters: the family's exact

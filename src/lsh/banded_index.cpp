@@ -162,6 +162,33 @@ void BandedIndex::Build(std::span<const uint64_t> signatures,
   }
 }
 
+template <bool kFill>
+void BandedIndex::CompactBand(const Band& band,
+                              std::span<const uint32_t> assignment,
+                              uint32_t num_clusters, uint32_t* stamp,
+                              uint32_t* offsets, uint32_t* clusters) {
+  // stamp[c] == bucket  <=>  c is already listed for `bucket`. Bucket ids
+  // are < n, so the fill value never collides with one.
+  std::fill(stamp, stamp + num_clusters, ~0u);
+  const uint32_t num_buckets =
+      static_cast<uint32_t>(band.bucket_offsets.size()) - 1;
+  uint32_t write = 0;
+  for (uint32_t bucket = 0; bucket < num_buckets; ++bucket) {
+    offsets[bucket] = write;
+    const uint32_t end = band.bucket_offsets[bucket + 1];
+    for (uint32_t i = band.bucket_offsets[bucket]; i < end; ++i) {
+      const uint32_t cluster = assignment[band.bucket_items[i]];
+      LSHC_DCHECK(cluster < num_clusters) << "cluster id out of range";
+      if (stamp[cluster] != bucket) {
+        stamp[cluster] = bucket;
+        if constexpr (kFill) clusters[write] = cluster;
+        ++write;
+      }
+    }
+  }
+  offsets[num_buckets] = write;
+}
+
 void BandedIndex::CompactClusters(std::span<const uint32_t> assignment,
                                   uint32_t num_clusters,
                                   BucketClusterTable* table,
@@ -182,27 +209,10 @@ void BandedIndex::CompactClusters(std::span<const uint32_t> assignment,
   }
 
   const auto compact_band = [&](uint32_t b) {
-    const Band& band = bands_[b];
     BucketClusterTable::Band& lists = table->bands_[b];
-    // stamp[c] == bucket  <=>  c is already listed for `bucket`. Bucket ids
-    // are < n, so the fill value never collides with one.
-    std::fill(lists.stamp.begin(), lists.stamp.end(), ~0u);
-    const uint32_t num_buckets =
-        static_cast<uint32_t>(band.bucket_offsets.size()) - 1;
-    uint32_t write = 0;
-    for (uint32_t bucket = 0; bucket < num_buckets; ++bucket) {
-      lists.offsets[bucket] = write;
-      const uint32_t end = band.bucket_offsets[bucket + 1];
-      for (uint32_t i = band.bucket_offsets[bucket]; i < end; ++i) {
-        const uint32_t cluster = assignment[band.bucket_items[i]];
-        LSHC_DCHECK(cluster < num_clusters) << "cluster id out of range";
-        if (lists.stamp[cluster] != bucket) {
-          lists.stamp[cluster] = bucket;
-          lists.clusters[write++] = cluster;
-        }
-      }
-    }
-    lists.offsets[num_buckets] = write;
+    CompactBand<true>(bands_[b], assignment, num_clusters,
+                      lists.stamp.data(), lists.offsets.data(),
+                      lists.clusters.data());
   };
   if (pool == nullptr) {
     for (uint32_t b = 0; b < num_bands(); ++b) compact_band(b);
@@ -211,6 +221,27 @@ void BandedIndex::CompactClusters(std::span<const uint32_t> assignment,
                       [&](uint32_t begin, uint32_t end, uint32_t) {
                         for (uint32_t b = begin; b < end; ++b) compact_band(b);
                       });
+  }
+}
+
+void BandedIndex::CompactClustersExact(std::span<const uint32_t> assignment,
+                                       uint32_t num_clusters,
+                                       BucketClusterTable* table) const {
+  LSHC_CHECK_EQ(assignment.size(), static_cast<size_t>(num_items_))
+      << "assignment does not cover the indexed items";
+  LSHC_CHECK_GE(num_clusters, 1u) << "need at least one cluster";
+  std::vector<uint32_t> stamp(num_clusters);
+  table->bands_.resize(bands_.size());
+  for (size_t b = 0; b < bands_.size(); ++b) {
+    BucketClusterTable::Band& lists = table->bands_[b];
+    lists.offsets.resize(bands_[b].bucket_offsets.size());
+    CompactBand<false>(bands_[b], assignment, num_clusters, stamp.data(),
+                       lists.offsets.data(), nullptr);
+    lists.clusters.assign(lists.offsets.back(), 0);
+    lists.clusters.shrink_to_fit();
+    CompactBand<true>(bands_[b], assignment, num_clusters, stamp.data(),
+                      lists.offsets.data(), lists.clusters.data());
+    lists.stamp = {};
   }
 }
 
@@ -347,6 +378,12 @@ BandedIndex::Stats BandedIndex::ComputeStats() const {
           : static_cast<double>(total_entries) /
                 static_cast<double>(stats.total_buckets);
   return stats;
+}
+
+uint64_t BucketClusterTable::num_entries() const {
+  uint64_t entries = 0;
+  for (const Band& band : bands_) entries += band.offsets.back();
+  return entries;
 }
 
 uint64_t BucketClusterTable::MemoryUsageBytes() const {

@@ -19,7 +19,9 @@
 /// instead walk a BucketClusterTable: every bucket compacted, under one
 /// assignment, to the distinct clusters of its items. Compaction is one
 /// O(n) sweep per band; each query then visits Σ distinct clusters of its
-/// buckets instead of Σ bucket sizes.
+/// buckets instead of Σ bucket sizes. Fit-time refinement compacts once
+/// per pass (by member item); an immutable fitted model compacts once, at
+/// construction, and routes external signatures over the lists.
 
 #include <cstdint>
 #include <span>
@@ -41,19 +43,32 @@ class ThreadPool;
 /// each in the order the cluster first occurs when the bucket's items are
 /// walked in ascending id.
 ///
-/// Filled by BandedIndex::CompactClusters and read by
-/// BandedIndex::VisitCandidateClusters. Validity window: the lists
-/// describe the assignment *content* of the last CompactClusters call, for
-/// the index it was made from. They go stale the moment that assignment is
-/// written or the index is replaced; nothing here detects either, so the
-/// owner must drop or recompact the table first (ShortlistProvider binds
-/// it to exactly one assignment span and one refinement pass).
+/// Filled by BandedIndex::CompactClusters or CompactClustersExact and
+/// read by BandedIndex::VisitCandidateClusters (member items) and
+/// VisitCandidateClustersOfSignature (external signatures). Validity
+/// window: the lists describe the assignment *content* of the last
+/// compaction, for the index it was made from. They go stale
+/// the moment that assignment is written or the index is replaced; nothing
+/// here detects either, so the owner must drop or recompact the table
+/// first. Two owners exist: ShortlistProvider binds a table to exactly one
+/// assignment span and one refinement pass, and a fitted FrozenModelImpl
+/// owns one next to the immutable index and fit assignment it was
+/// compacted from, so it stays valid for the model's whole life.
 ///
-/// Storage is sized on the first CompactClusters call for an (index, k)
-/// shape and reused by later calls of the same shape, so a run pays the
-/// allocation once, not once per pass.
+/// CompactClusters sizes storage on its first call for an (index, k)
+/// shape and reuses it for later calls of the same shape, so a run pays
+/// the allocation once, not once per pass. CompactClustersExact sizes
+/// each list to its entries instead, for a table that is built once and
+/// then only read.
 class BucketClusterTable {
  public:
+  /// True until the table is first compacted.
+  bool empty() const { return bands_.empty(); }
+
+  /// Cluster entries listed across every bucket of every band: what one
+  /// walk over all buckets would visit (at most n x bands).
+  uint64_t num_entries() const;
+
   /// Approximate heap footprint in bytes.
   uint64_t MemoryUsageBytes() const;
 
@@ -158,6 +173,14 @@ class BandedIndex {
                        uint32_t num_clusters, BucketClusterTable* table,
                        ThreadPool* pool) const;
 
+  /// CompactClusters on the calling thread, with every band's lists
+  /// sized to their entries rather than to n: one sweep per band counts
+  /// them, a second fills them, and no compaction stamps are kept. For a
+  /// table that is compacted once and only read afterwards.
+  void CompactClustersExact(std::span<const uint32_t> assignment,
+                            uint32_t num_clusters,
+                            BucketClusterTable* table) const;
+
   /// Invokes `visit(cluster_id)` for every cluster that `table` lists for
   /// `item`'s bucket, band by band. This is VisitCandidates mapped through
   /// the assignment `table` was compacted from, with repeats *within* a
@@ -177,6 +200,34 @@ class BandedIndex {
       const uint32_t bucket = bands_[b].item_bucket[item];
       const uint32_t begin = lists.offsets[bucket];
       const uint32_t end = lists.offsets[bucket + 1];
+      for (uint32_t i = begin; i < end; ++i) {
+        visit(lists.clusters[i]);
+      }
+    }
+  }
+
+  /// VisitCandidateClusters for an external `signature` (length
+  /// signature_width()): invokes `visit(cluster_id)` for every cluster
+  /// `table` lists for the bucket the signature's key selects in each band,
+  /// band by band. Bands whose key was never inserted are skipped. This is
+  /// VisitCandidatesOfSignature mapped through the assignment `table` was
+  /// compacted from, with repeats within a bucket removed, so
+  /// deduplicating either stream by first occurrence yields the same list.
+  template <typename Visitor>
+  void VisitCandidateClustersOfSignature(std::span<const uint64_t> signature,
+                                         const BucketClusterTable& table,
+                                         Visitor&& visit) const {
+    LSHC_DCHECK(signature.size() == signature_width_)
+        << "signature width mismatch";
+    LSHC_DCHECK(table.bands_.size() == bands_.size())
+        << "cluster table was not compacted from this index";
+    for (uint32_t b = 0; b < num_bands(); ++b) {
+      const uint32_t* bucket =
+          bands_[b].key_to_bucket.Find(BandKey(signature.data(), b));
+      if (bucket == nullptr) continue;
+      const BucketClusterTable::Band& lists = table.bands_[b];
+      const uint32_t begin = lists.offsets[*bucket];
+      const uint32_t end = lists.offsets[*bucket + 1];
       for (uint32_t i = begin; i < end; ++i) {
         visit(lists.clusters[i]);
       }
@@ -210,6 +261,14 @@ class BandedIndex {
     const Band& b = bands_[band];
     const uint32_t bucket = b.item_bucket[item];
     return b.bucket_offsets[bucket + 1] - b.bucket_offsets[bucket];
+  }
+
+  /// Buckets across all bands, in O(bands); n x bands over this is the
+  /// mean bucket size ComputeStats reports, without its O(buckets) loop.
+  uint64_t num_buckets() const {
+    uint64_t buckets = 0;
+    for (const Band& band : bands_) buckets += band.bucket_offsets.size() - 1;
+    return buckets;
   }
 
   /// \brief Aggregate occupancy statistics for diagnostics and tests.
@@ -263,6 +322,17 @@ class BandedIndex {
     uint32_t offset = 0;                  // first signature component
     uint32_t rows = 0;                    // components in this band
   };
+
+  /// Compacts band `band`'s buckets, in order, to the distinct clusters
+  /// of their items under `assignment`: offsets[bucket] becomes the first
+  /// entry of the bucket's list and offsets[buckets] the band's total.
+  /// With kFill the lists are written into `clusters`; without, it only
+  /// counts. `stamp` is k words of scratch.
+  template <bool kFill>
+  static void CompactBand(const Band& band,
+                          std::span<const uint32_t> assignment,
+                          uint32_t num_clusters, uint32_t* stamp,
+                          uint32_t* offsets, uint32_t* clusters);
 
   /// Buckets every band: dense bucket ids in the order their keys first
   /// occur over ascending item ids, then the CSR fill. Bands have disjoint

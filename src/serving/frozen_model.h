@@ -26,8 +26,13 @@
 /// through the same loop (FrozenModelImpl::RouteRange), so routed results
 /// are bit-identical to `PredictRouted` on the fit the model came from.
 ///
-/// `memory_bytes()` reports the model's shortlist state (banded index +
-/// fitted assignment).
+/// A model whose buckets are large (mean occupancy of at least two items)
+/// compacts them once, at construction, to the distinct clusters of their
+/// items under the fitted assignment, and routed queries walk those lists
+/// instead of every co-bucketed item. Saved model files never carry the
+/// lists; loading rebuilds them. `memory_bytes()` reports the model's
+/// shortlist state (banded index + fitted assignment + cluster lists) and
+/// `cluster_list_entries()` the lists' size.
 ///
 /// Obtain models from `Clusterer::Snapshot()` (any fitted modality;
 /// models of the exhaustive or canopy accelerators route as a plain
@@ -111,8 +116,14 @@ class FrozenModel {
   virtual bool has_index() const = 0;
 
   /// Bytes held by the model's shortlist state: the banded index's CSR
-  /// arrays plus the fit assignment (0 for an exhaustive model).
+  /// arrays, the fit assignment and any per-bucket cluster lists (0 for an
+  /// exhaustive model).
   virtual uint64_t memory_bytes() const = 0;
+
+  /// Entries of the per-bucket cluster lists routed queries walk, summed
+  /// over every bucket of every band (at most items x bands); 0 when the
+  /// model routes over bucket items or is exhaustive.
+  virtual uint64_t cluster_list_entries() const = 0;
 
  protected:
   FrozenModel() = default;

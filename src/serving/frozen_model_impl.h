@@ -7,12 +7,16 @@
 /// `FrozenModelImpl<Traits, Family>` owns everything a fitted model is:
 /// the engine options (progress/cancel hooks cleared — a model must never
 /// call back into the Fit that produced it), the centroid/mode table, the
-/// signing family (hashers, seeds and all), the banded index and the
-/// fit-time assignment that serves as the cluster-reference store. It is
-/// immutable once built. A `Clusterer` holds its fitted state as one of
-/// these behind a `shared_ptr<const FrozenModel>`, so `Snapshot()` hands
-/// out that same object, `IndexHandle`s share it, and `PredictRouted` and
-/// `RouteInto` run the same sign-and-route code (RouteRange) over it.
+/// signing family (hashers, seeds and all), the banded index, the
+/// fit-time assignment that serves as the cluster-reference store and —
+/// when the index's buckets are large enough to pay for it
+/// (RoutesOverClusterLists) — those buckets compacted once to the distinct
+/// clusters of their items, which routed queries walk instead of the
+/// items. It is immutable once built. A `Clusterer` holds its fitted state
+/// as one of these behind a `shared_ptr<const FrozenModel>`, so
+/// `Snapshot()` hands out that same object, `IndexHandle`s share it, and
+/// `PredictRouted` and `RouteInto` run the same sign-and-route code
+/// (RouteRange) over it.
 /// `Family = internal::NoFamily` is the exhaustive specialization: no
 /// index, routing degenerates to the exhaustive argmin (exactly Predict).
 ///
@@ -20,7 +24,8 @@
 /// prepared provider's family and index in), `persist::BuildFrozenModel`
 /// (the one load path, shared by `LoadFrozenModel` and
 /// `Clusterer::FromSnapshot`) and `StreamingSession::Snapshot` (a copy of
-/// the live session's state). Applications program against
+/// the live session's state). Each constructs the cluster lists itself,
+/// so model files never carry them. Applications program against
 /// serving/frozen_model.h and never name these types.
 
 #include <cstdint>
@@ -121,8 +126,15 @@ class FrozenModelImpl final : public FrozenModel {
     // never call back into them.
     options_.progress = nullptr;
     options_.cancel = nullptr;
+    if (index_ != nullptr && RoutesOverClusterLists(*index_)) {
+      index_->CompactClustersExact(fit_assignment_, options_.num_clusters,
+                                   &cluster_lists_);
+    }
     memory_bytes_ = (index_ != nullptr ? index_->MemoryUsageBytes() : 0) +
-                    fit_assignment_.size() * sizeof(uint32_t);
+                    fit_assignment_.size() * sizeof(uint32_t) +
+                    (cluster_lists_.empty()
+                         ? 0
+                         : cluster_lists_.MemoryUsageBytes());
   }
 
   std::unique_ptr<RouteScratch> MakeScratch() const override {
@@ -186,7 +198,8 @@ class FrozenModelImpl final : public FrozenModel {
             scratch.distances);
       }
     } else {
-      const RoutedStateView view{index_.get(), fit_assignment_};
+      const RoutedStateView view{index_.get(), fit_assignment_,
+                                 cluster_lists()};
       for (uint32_t item = begin; item < end; ++item) {
         SignQuery(queries, item, scratch);
         out[item] = RouteSignedQuery<Traits>(queries, model_, options_, view,
@@ -204,6 +217,9 @@ class FrozenModelImpl final : public FrozenModel {
   uint32_t num_clusters() const override { return options_.num_clusters; }
   bool has_index() const override { return index_ != nullptr; }
   uint64_t memory_bytes() const override { return memory_bytes_; }
+  uint64_t cluster_list_entries() const override {
+    return cluster_lists_.num_entries();
+  }
 
   // Read-only views of the model's members, for the Clusterer (Predict,
   // index()) and the model-file encoder (persist/model_io.cpp), which
@@ -213,10 +229,16 @@ class FrozenModelImpl final : public FrozenModel {
   const std::optional<Family>& family() const { return family_; }
   const BandedIndex* index() const { return index_.get(); }
   std::span<const uint32_t> fit_assignment() const { return fit_assignment_; }
+  /// The buckets' cluster lists routed queries walk; null when the model
+  /// walks bucket items instead.
+  const BucketClusterTable* cluster_lists() const {
+    return cluster_lists_.empty() ? nullptr : &cluster_lists_;
+  }
   uint32_t shape_primary() const { return shape_primary_; }
   uint32_t shape_secondary() const { return shape_secondary_; }
 
- private:
+  /// Signs query `item` into s.signature with the family's hashers (the
+  /// first step of RouteRange; a no-op for an exhaustive model).
   void SignQuery(const typename Traits::Dataset& queries, uint32_t item,
                  RoutedScratch& s) const {
     if constexpr (kRouted) {
@@ -235,11 +257,13 @@ class FrozenModelImpl final : public FrozenModel {
     }
   }
 
+ private:
   typename Traits::Options options_;
   typename Traits::Centroids model_;
   std::optional<Family> family_;
   std::unique_ptr<const BandedIndex> index_;
   std::vector<uint32_t> fit_assignment_;
+  BucketClusterTable cluster_lists_;  // empty unless RoutesOverClusterLists
   uint32_t shape_primary_ = 0;
   uint32_t shape_secondary_ = 0;
   uint64_t memory_bytes_ = 0;

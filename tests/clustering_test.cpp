@@ -6,8 +6,11 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <set>
+#include <type_traits>
+#include <vector>
 
 #include "clustering/dissimilarity.h"
 #include "clustering/initializers.h"
@@ -599,6 +602,71 @@ TYPED_TEST(ExhaustiveArgminOracleTest, EmptyClusterPoliciesKeepTheCopyInSync) {
                   assignment.end());
     }
   }
+}
+
+// The argmin rule stated as the sequential loop it replaces: the seed
+// first, then every cluster in ascending id, strict improvement only.
+template <typename DistanceType>
+uint32_t SequentialArgmin(const std::vector<DistanceType>& row,
+                          uint32_t seed_cluster) {
+  uint32_t best_cluster = seed_cluster;
+  DistanceType best_distance = row[seed_cluster];
+  for (uint32_t cluster = 0; cluster < row.size(); ++cluster) {
+    if (row[cluster] < best_distance) {
+      best_distance = row[cluster];
+      best_cluster = cluster;
+    }
+  }
+  return best_cluster;
+}
+
+// ArgminFromSeed on crafted rows, every seed: ties keep the seed, then the
+// first position; for floating-point rows a NaN seed wins, any other NaN
+// never does, and +0 / -0 tie (so the first of them wins). Random rows of
+// every length up to 37 cover each remainder of the unrolled min pass.
+TYPED_TEST(ExhaustiveArgminOracleTest, ArgminFromSeedRuleOnCraftedRows) {
+  using DistanceType = typename TypeParam::Traits::DistanceType;
+  std::vector<std::vector<DistanceType>> rows = {
+      {3, 1, 2, 1, 5}, {7}, {4, 4, 4, 4, 4, 4}, {9, 8, 7, 6, 5, 5, 6, 5, 9}};
+  std::vector<DistanceType> values = {0, 1, 2, 3};
+  if constexpr (std::is_floating_point_v<DistanceType>) {
+    constexpr DistanceType kNaN = std::numeric_limits<DistanceType>::quiet_NaN();
+    constexpr DistanceType kInf = std::numeric_limits<DistanceType>::infinity();
+    rows.push_back({1, kNaN, 0});               // NaN seed 1 wins
+    rows.push_back({kNaN, 5, kNaN, 2, kNaN});   // other NaNs never win
+    rows.push_back({5, kNaN});
+    rows.push_back({kNaN, kNaN, kNaN});
+    rows.push_back({1, 0.0, -0.0, 0.0});        // first of the zeros
+    rows.push_back({1, -0.0, 0.0, -0.0, 1});
+    rows.push_back({kInf, kInf, kNaN, kInf});
+    rows.push_back({2, 2, 2, 2, 2, 2, 2, 2, 1, -0.0, 0.0});
+    values = {0.0, -0.0, 1, 2, kInf, kNaN};
+  }
+  Rng rng(31);
+  for (uint32_t length = 1; length <= 37; ++length) {
+    for (int draw = 0; draw < 4; ++draw) {
+      std::vector<DistanceType> row(length);
+      for (auto& value : row) value = values[rng.Below(values.size())];
+      rows.push_back(std::move(row));
+    }
+  }
+  for (size_t r = 0; r < rows.size(); ++r) {
+    const std::vector<DistanceType>& row = rows[r];
+    for (uint32_t seed = 0; seed < row.size(); ++seed) {
+      ASSERT_EQ(ArgminFromSeed<DistanceType>(row, seed),
+                SequentialArgmin(row, seed))
+          << "row " << r << ", seed " << seed;
+    }
+  }
+  if constexpr (std::is_floating_point_v<DistanceType>) {
+    EXPECT_EQ(ArgminFromSeed<DistanceType>(rows[4], 1), 1u);
+    EXPECT_EQ(ArgminFromSeed<DistanceType>(rows[5], 1), 3u);
+    EXPECT_EQ(ArgminFromSeed<DistanceType>(rows[8], 0), 1u);
+    EXPECT_EQ(ArgminFromSeed<DistanceType>(rows[8], 2), 2u);
+    EXPECT_EQ(ArgminFromSeed<DistanceType>(rows[9], 0), 1u);
+  }
+  EXPECT_EQ(ArgminFromSeed<DistanceType>(rows[0], 3), 3u);
+  EXPECT_EQ(ArgminFromSeed<DistanceType>(rows[0], 0), 1u);
 }
 
 TEST(AttributeMajorCopyTest, DirectSettersAndCopies) {

@@ -343,6 +343,25 @@ void ExpectProviderMatchesOracle(const typename Family::Options& options,
     }
     provider.EndPass();
   }
+
+  // The exact-sized table a fitted model keeps: the same lists, and
+  // storage for their entries and offsets only.
+  const BandedIndex& index = *provider.index();
+  BucketClusterTable exact;
+  index.CompactClustersExact(assignment, k, &exact);
+  for (uint32_t item = 0; item < n; ++item) {
+    std::vector<uint32_t> visited;
+    index.VisitCandidateClusters(
+        item, exact, [&](uint32_t cluster) { visited.push_back(cluster); });
+    ASSERT_EQ(visited, expected[item].bucket_clusters)
+        << "exact table, k=" << k << ", item " << item;
+  }
+  EXPECT_LE(exact.num_entries(), uint64_t{n} * index.num_bands());
+  EXPECT_EQ(exact.MemoryUsageBytes(),
+            sizeof(BucketClusterTable) +
+                (index.num_buckets() + index.num_bands() +
+                 exact.num_entries()) *
+                    sizeof(uint32_t));
 }
 
 // Random token codes over a small domain (3 codes per attribute), so

@@ -16,15 +16,25 @@
 //    Clusterer's own model while it predicts and refits) see coherent,
 //    per-version bit-identical results with zero locks on the query
 //    path.
+//  * Routing oracle: RouteInto and PredictRouted equal a naive reference
+//    (item walk through the fit assignment, sort, exact per-pair scoring,
+//    exhaustive fallback) for every query, with and without per-bucket
+//    cluster lists, on both sides of the k/4 scan crossover, under forced
+//    ties, across save -> load and across threads x shards.
 //  * Streaming: the publish-every-N-ingests hook fires at the documented
 //    cadence.
 //  * bench::Percentile (bench/common.h), used by bench/serving_qps.cpp.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <fstream>
+#include <functional>
+#include <iterator>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <span>
 #include <string>
@@ -33,11 +43,19 @@
 
 #include "api/clusterer.h"
 #include "bench/common.h"
+#include "clustering/kmeans.h"
+#include "clustering/kprototypes.h"
+#include "core/cluster_shortlist_index.h"
+#include "core/mixed_shortlist_index.h"
+#include "core/simhash_shortlist_index.h"
 #include "datagen/conjunctive_generator.h"
 #include "datagen/gaussian_mixture.h"
 #include "datagen/mixed_generator.h"
+#include "persist/model_io.h"
 #include "serving/frozen_model.h"
+#include "serving/frozen_model_impl.h"
 #include "serving/model_server.h"
+#include "serving/routing.h"
 
 namespace lshclust {
 namespace {
@@ -432,6 +450,354 @@ TEST(ServingErrorsTest, ScratchIsReusableAcrossModels) {
   EXPECT_EQ(out, *model_b->Route(arrivals));
   ASSERT_TRUE(model_a->RouteInto(arrivals, *scratch, out).ok());
   EXPECT_EQ(out, *model_a->Route(arrivals));
+}
+
+// ------------------------------------------------------- routing oracle ----
+
+using serving::internal::FrozenModelImpl;
+
+/// What the reference saw over a query set: shortlists on each side of
+/// the k/4 scan crossover, empty probes, and answers tied (equal distance)
+/// with another shortlisted cluster.
+struct OracleCounts {
+  uint32_t below_crossover = 0;
+  uint32_t at_or_above_crossover = 0;
+  uint32_t empty_probes = 0;
+  uint32_t ties = 0;
+
+  OracleCounts& operator+=(const OracleCounts& other) {
+    below_crossover += other.below_crossover;
+    at_or_above_crossover += other.at_or_above_crossover;
+    empty_probes += other.empty_probes;
+    ties += other.ties;
+    return *this;
+  }
+};
+
+/// Appends `cluster` unless `clusters` already holds it.
+void AddDistinct(std::vector<uint32_t>& clusters, uint32_t cluster) {
+  if (std::find(clusters.begin(), clusters.end(), cluster) == clusters.end()) {
+    clusters.push_back(cluster);
+  }
+}
+
+/// Routes `queries` through `model` (twice, through one scratch) and
+/// expects exactly the routing rule computed the slow way: sign (with the
+/// model's own hashers), walk every co-bucketed fitted item through the
+/// fit assignment, sort the distinct clusters, score each with the exact
+/// distance and keep the first strict minimum; an empty probe scores all
+/// k clusters from cluster 0 instead. Also checks the cluster-list gate and, when the
+/// model built lists, that walking them reaches the same clusters, in the
+/// same first-occurrence order, as the item walk.
+template <typename Traits, typename Family>
+OracleCounts ExpectRoutesMatchReference(const FrozenModel& model,
+                                        const typename Traits::Dataset& queries,
+                                        const std::string& label) {
+  using Model = FrozenModelImpl<Traits, Family>;
+  const auto* impl = dynamic_cast<const Model*>(&model);
+  if (impl == nullptr) {
+    ADD_FAILURE() << label << ": not a routed model of the expected family";
+    return {};
+  }
+  const BandedIndex& index = *impl->index();
+  const uint32_t k = impl->num_clusters();
+  EXPECT_EQ(impl->cluster_lists() != nullptr,
+            serving::RoutesOverClusterLists(index))
+      << label;
+  EXPECT_EQ(model.cluster_list_entries() > 0, impl->cluster_lists() != nullptr)
+      << label;
+  EXPECT_LE(model.cluster_list_entries(),
+            static_cast<uint64_t>(index.num_items()) * index.num_bands())
+      << label;
+
+  OracleCounts counts;
+  std::vector<uint32_t> expected(queries.num_items());
+  serving::RoutedScratch signing = impl->NewRoutedScratch();
+  const std::span<const uint64_t> signature = signing.signature;
+  for (uint32_t item = 0; item < queries.num_items(); ++item) {
+    impl->SignQuery(queries, item, signing);
+    std::vector<uint32_t> shortlist;
+    index.VisitCandidatesOfSignature(signature, [&](uint32_t other) {
+      AddDistinct(shortlist, impl->fit_assignment()[other]);
+    });
+    if (impl->cluster_lists() != nullptr) {
+      std::vector<uint32_t> listed;
+      index.VisitCandidateClustersOfSignature(
+          signature, *impl->cluster_lists(),
+          [&](uint32_t cluster) { AddDistinct(listed, cluster); });
+      EXPECT_EQ(listed, shortlist) << label << ", cluster lists, item " << item;
+    }
+    std::sort(shortlist.begin(), shortlist.end());
+    if (shortlist.empty()) {
+      ++counts.empty_probes;
+      shortlist.resize(k);
+      std::iota(shortlist.begin(), shortlist.end(), 0u);
+    } else if (shortlist.size() * 4 >= k) {
+      ++counts.at_or_above_crossover;
+    } else {
+      ++counts.below_crossover;
+    }
+    const auto distance = [&](uint32_t cluster) {
+      return Traits::template ComputeDistance<false>(
+          queries, impl->centroids(), impl->options(), item, cluster,
+          Traits::kInfiniteDistance);
+    };
+    uint32_t best = shortlist.front();
+    auto best_distance = distance(best);
+    bool tied = false;
+    for (size_t i = 1; i < shortlist.size(); ++i) {
+      const auto d = distance(shortlist[i]);
+      if (d < best_distance) {
+        best_distance = d;
+        best = shortlist[i];
+        tied = false;
+      } else if (d == best_distance) {
+        tied = true;
+      }
+    }
+    counts.ties += tied ? 1 : 0;
+    expected[item] = best;
+  }
+
+  auto scratch = model.MakeScratch();
+  std::vector<uint32_t> out(queries.num_items());
+  for (int round = 0; round < 2; ++round) {
+    EXPECT_TRUE(model.RouteInto(queries, *scratch, out).ok()) << label;
+    EXPECT_EQ(out, expected) << label << ", RouteInto round " << round;
+  }
+  return counts;
+}
+
+/// `model` saved, decoded and rebuilt with `edit` applied to the decoded
+/// arrays; the rebuilt model makes its own cluster lists.
+std::shared_ptr<const FrozenModel> Rebuilt(
+    const FrozenModel& model, const std::string& name,
+    const std::function<void(persist::DecodedModel&)>& edit) {
+  const std::string path = ::testing::TempDir() + "serving_oracle_" + name;
+  EXPECT_TRUE(serving::SaveFrozenModel(model, path).ok());
+  auto decoded = persist::DecodeModelFile(path);
+  EXPECT_TRUE(decoded.ok()) << decoded.status().ToString();
+  edit(*decoded);
+  auto built = persist::BuildFrozenModel(std::move(*decoded));
+  EXPECT_TRUE(built.ok()) << built.status().ToString();
+  return std::move(*built);
+}
+
+std::string FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+NumericDataset OracleNumeric(uint32_t items) {
+  GaussianMixtureOptions options;
+  options.num_items = items;
+  options.dimensions = 8;
+  options.num_clusters = 24;
+  options.stddev = 1.5;
+  options.seed = 23;
+  return GenerateGaussianMixture(options).ValueOrDie();
+}
+
+ClustererSpec NumericOracleSpec(BandingParams banding, uint32_t threads,
+                                uint32_t shards) {
+  ClustererSpec spec;
+  spec.modality = Modality::kNumeric;
+  spec.accelerator = Accelerator::kSimHash;
+  spec.engine = BaseEngine(24, threads);
+  spec.engine.num_shards = shards;
+  spec.simhash.banding = banding;
+  return spec;
+}
+
+std::shared_ptr<const FrozenModel> FitSnapshot(const ClustererSpec& spec,
+                                               const auto& data) {
+  auto clusterer = Clusterer::Create(spec);
+  EXPECT_TRUE(clusterer.ok()) << clusterer.status().ToString();
+  EXPECT_TRUE(clusterer->Fit(data).ok());
+  return *clusterer->Snapshot();
+}
+
+TEST(RoutingOracleTest, NumericRoutesEqualTheItemWalkReference) {
+  const auto all = OracleNumeric(800);
+  const auto fit_data = SliceNumeric(all, 0, 600);
+  const auto held_out = SliceNumeric(all, 600, 200);
+  OracleCounts total;
+  uint32_t with_lists = 0;
+  for (const BandingParams banding :
+       {BandingParams{8, 3}, BandingParams{6, 5}, BandingParams{3, 9}}) {
+    const auto model = FitSnapshot(NumericOracleSpec(banding, 1, 1), fit_data);
+    const std::string label = "numeric " + std::to_string(banding.bands) +
+                              "b" + std::to_string(banding.rows) + "r";
+    with_lists += model->cluster_list_entries() > 0 ? 1 : 0;
+    // Fitted items as queries reach every bucket of every band.
+    total += ExpectRoutesMatchReference<NumericClusteringTraits,
+                                        SimHashShortlistFamily>(
+        *model, fit_data, label + ", fitted items");
+    total += ExpectRoutesMatchReference<NumericClusteringTraits,
+                                        SimHashShortlistFamily>(
+        *model, held_out, label + ", held out");
+  }
+  EXPECT_GE(with_lists, 1u) << "no banding built cluster lists";
+  EXPECT_GT(total.below_crossover, 0u);
+  EXPECT_GT(total.at_or_above_crossover, 0u);
+}
+
+TEST(RoutingOracleTest, CategoricalAndMixedRoutesEqualTheReference) {
+  const auto all = CategoricalAll();
+  const auto fit_data = SliceCategorical(all, 0, 300);
+  const auto held_out = SliceCategorical(all, 300, 60);
+  OracleCounts categorical;
+  uint32_t without_lists = 0;
+  for (const BandingParams banding :
+       {BandingParams{8, 2}, BandingParams{12, 4}, BandingParams{4, 6}}) {
+    ClustererSpec spec;
+    spec.modality = Modality::kCategorical;
+    spec.accelerator = Accelerator::kMinHash;
+    spec.engine = BaseEngine(16, 1);
+    spec.minhash.banding = banding;
+    const auto model = FitSnapshot(spec, fit_data);
+    const std::string label = "categorical " +
+                              std::to_string(banding.bands) + "b" +
+                              std::to_string(banding.rows) + "r";
+    without_lists += model->cluster_list_entries() == 0 ? 1 : 0;
+    categorical += ExpectRoutesMatchReference<CategoricalClusteringTraits,
+                                              MinHashShortlistFamily>(
+        *model, held_out, label);
+  }
+  EXPECT_GE(without_lists, 1u) << "every categorical banding built lists";
+  EXPECT_GT(categorical.below_crossover, 0u);
+  EXPECT_GT(categorical.at_or_above_crossover, 0u);
+  EXPECT_GT(categorical.ties, 0u);
+
+  // Many small rules over a wide domain: the buckets hold about one item
+  // each, so the model walks bucket items.
+  MixedDataOptions options;
+  options.categorical.num_items = 260;
+  options.categorical.num_attributes = 8;
+  options.categorical.num_clusters = 60;
+  options.categorical.domain_size = 400;
+  options.categorical.seed = 41;
+  options.numeric_dimensions = 4;
+  options.stddev = 1.0;
+  const auto mixed = GenerateMixedData(options).ValueOrDie();
+  const auto mixed_fit =
+      MixedDataset::Combine(SliceCategorical(mixed.categorical(), 0, 200),
+                            SliceNumeric(mixed.numeric(), 0, 200))
+          .ValueOrDie();
+  const auto mixed_held_out =
+      MixedDataset::Combine(SliceCategorical(mixed.categorical(), 200, 60),
+                            SliceNumeric(mixed.numeric(), 200, 60))
+          .ValueOrDie();
+  ClustererSpec spec;
+  spec.modality = Modality::kMixed;
+  spec.accelerator = Accelerator::kMixedConcat;
+  spec.engine = BaseEngine(8, 1);
+  spec.gamma = 0.5;
+  spec.mixed_index.categorical_banding = {3, 5};
+  spec.mixed_index.numeric_banding = {2, 10};
+  const auto model = FitSnapshot(spec, mixed_fit);
+  EXPECT_EQ(model->cluster_list_entries(), 0u);
+  const OracleCounts mixed_counts =
+      ExpectRoutesMatchReference<MixedClusteringTraits, MixedShortlistFamily>(
+          *model, mixed_held_out, "mixed");
+  EXPECT_GT(mixed_counts.at_or_above_crossover, 0u);
+  EXPECT_GT(categorical.empty_probes + mixed_counts.empty_probes, 0u)
+      << "no query took the exhaustive fallback";
+}
+
+TEST(RoutingOracleTest, DuplicateCentroidsTieToTheLowerId) {
+  const auto all = OracleNumeric(800);
+  const auto fit_data = SliceNumeric(all, 0, 600);
+  const auto held_out = SliceNumeric(all, 600, 200);
+  const auto fitted = FitSnapshot(NumericOracleSpec({8, 3}, 1, 1), fit_data);
+  // Every odd cluster gets its even neighbour's centroid, so any query
+  // whose shortlist holds both sees an exact tie.
+  const auto duplicated =
+      Rebuilt(*fitted, "numeric_dup", [](persist::DecodedModel& decoded) {
+        const size_t d = decoded.shape_primary;
+        for (size_t c = 0; c + 1 < decoded.num_clusters; c += 2) {
+          std::copy_n(decoded.centroid_values.begin() + c * d, d,
+                      decoded.centroid_values.begin() + (c + 1) * d);
+        }
+      });
+  EXPECT_GT(duplicated->cluster_list_entries(), 0u);
+  OracleCounts counts =
+      ExpectRoutesMatchReference<NumericClusteringTraits,
+                                 SimHashShortlistFamily>(
+          *duplicated, held_out, "numeric duplicates");
+  EXPECT_GT(counts.ties, 0u);
+  EXPECT_GT(counts.at_or_above_crossover, 0u);
+
+  const auto categorical = CategoricalAll();
+  ClustererSpec spec;
+  spec.modality = Modality::kCategorical;
+  spec.accelerator = Accelerator::kMinHash;
+  spec.engine = BaseEngine(16, 1);
+  spec.minhash.banding = {8, 2};
+  const auto fitted_modes =
+      FitSnapshot(spec, SliceCategorical(categorical, 0, 300));
+  const auto duplicated_modes = Rebuilt(
+      *fitted_modes, "categorical_dup", [](persist::DecodedModel& decoded) {
+        const size_t m = decoded.shape_primary;
+        for (size_t c = 0; c + 1 < decoded.num_clusters; c += 2) {
+          std::copy_n(decoded.mode_codes.begin() + c * m, m,
+                      decoded.mode_codes.begin() + (c + 1) * m);
+        }
+      });
+  counts = ExpectRoutesMatchReference<CategoricalClusteringTraits,
+                                      MinHashShortlistFamily>(
+      *duplicated_modes, SliceCategorical(categorical, 300, 60),
+      "categorical duplicates");
+  EXPECT_GT(counts.ties, 0u);
+}
+
+TEST(RoutingOracleTest, LoadedModelRebuildsItsClusterLists) {
+  const auto all = OracleNumeric(800);
+  const auto fit_data = SliceNumeric(all, 0, 600);
+  const auto held_out = SliceNumeric(all, 600, 200);
+  const auto fitted = FitSnapshot(NumericOracleSpec({8, 3}, 1, 1), fit_data);
+  ASSERT_GT(fitted->cluster_list_entries(), 0u);
+
+  const std::string path = ::testing::TempDir() + "serving_oracle_saved";
+  ASSERT_TRUE(serving::SaveFrozenModel(*fitted, path).ok());
+  auto loaded = serving::LoadFrozenModel(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ((*loaded)->cluster_list_entries(), fitted->cluster_list_entries());
+  EXPECT_EQ(*(*loaded)->Route(held_out), *fitted->Route(held_out));
+  ExpectRoutesMatchReference<NumericClusteringTraits, SimHashShortlistFamily>(
+      **loaded, held_out, "loaded");
+
+  // The lists are rebuilt, never stored: re-saving the loaded model
+  // writes the same bytes.
+  const std::string resaved = path + "_again";
+  ASSERT_TRUE(serving::SaveFrozenModel(**loaded, resaved).ok());
+  EXPECT_EQ(FileBytes(resaved), FileBytes(path));
+}
+
+TEST(RoutingOracleTest, PredictRoutedEqualsTheReferenceAcrossThreadsAndShards) {
+  const auto all = OracleNumeric(800);
+  const auto fit_data = SliceNumeric(all, 0, 600);
+  const auto held_out = SliceNumeric(all, 600, 200);
+  for (const uint32_t threads : {1u, 4u}) {
+    for (const uint32_t shards : {1u, 3u}) {
+      const std::string label = "threads " + std::to_string(threads) +
+                                ", shards " + std::to_string(shards);
+      auto clusterer =
+          Clusterer::Create(NumericOracleSpec({8, 3}, threads, shards));
+      ASSERT_TRUE(clusterer.ok()) << clusterer.status().ToString();
+      ASSERT_TRUE(clusterer->Fit(fit_data).ok());
+      const auto model = *clusterer->Snapshot();
+      ASSERT_GT(model->cluster_list_entries(), 0u) << label;
+      auto routed = clusterer->PredictRouted(held_out);
+      ASSERT_TRUE(routed.ok()) << routed.status().ToString();
+      // The reference pins RouteInto; PredictRouted must equal it.
+      ExpectRoutesMatchReference<NumericClusteringTraits,
+                                 SimHashShortlistFamily>(*model, held_out,
+                                                         label);
+      EXPECT_EQ(*routed, *model->Route(held_out)) << label;
+    }
+  }
 }
 
 // ---------------------------------------------------------- model server ----

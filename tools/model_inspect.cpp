@@ -2,7 +2,8 @@
 /// \brief Dumps a model file written by `lshclust cluster --save-model` /
 /// serving::SaveFrozenModel: the header + table of contents (section ids,
 /// offsets, sizes, checksums), then the decoded model's shape and the
-/// banded index's bucket occupancy. Exit 0 when the file is fully intact,
+/// banded index's bucket occupancy, and whether the loaded model routes
+/// over per-bucket cluster lists (rebuilt at load, never stored). Exit 0 when the file is fully intact,
 /// 1 on any error or checksum mismatch, 2 on usage errors — so CI can use
 /// it as a corruption smoke test on saved artifacts.
 
@@ -12,6 +13,7 @@
 #include <string>
 
 #include "persist/model_io.h"
+#include "serving/frozen_model.h"
 
 namespace {
 
@@ -62,6 +64,26 @@ bool PrintFileInfo(const ModelFileInfo& info) {
     all_ok = all_ok && section.crc_ok;
   }
   return all_ok;
+}
+
+/// Whether the loaded model routes over per-bucket cluster lists, and
+/// their entries against the items x bands a walk over bucket items holds.
+void PrintRouting(const DecodedModel& model,
+                  const lshclust::serving::FrozenModel& loaded) {
+  const uint64_t item_entries =
+      static_cast<uint64_t>(model.index_raw.num_items) *
+      model.index_raw.bands.size();
+  if (loaded.cluster_list_entries() == 0) {
+    std::printf("cluster lists:  no (routes over %" PRIu64
+                " bucket items)\n",
+                item_entries);
+    return;
+  }
+  std::printf("cluster lists:  yes, %" PRIu64 " entries of %" PRIu64
+              " items x bands (%.1f%%)\n",
+              loaded.cluster_list_entries(), item_entries,
+              100.0 * static_cast<double>(loaded.cluster_list_entries()) /
+                  static_cast<double>(item_entries));
 }
 
 void PrintModel(const DecodedModel& model) {
@@ -126,5 +148,13 @@ int main(int argc, char** argv) {
     return 1;
   }
   PrintModel(*model);
+  if (model->has_index) {
+    auto loaded = lshclust::serving::LoadFrozenModel(path);
+    if (!loaded.ok()) {
+      std::fprintf(stderr, "error: %s\n", loaded.status().ToString().c_str());
+      return 1;
+    }
+    PrintRouting(*model, **loaded);
+  }
   return checksums_ok ? 0 : 1;
 }
