@@ -9,7 +9,9 @@
 // tier (with speedup_vs_scalar on the vector tiers), and, at perfbench's
 // two fit shapes and per tier, the exhaustive argmin per-pair vs scan and
 // one routed query (FrozenModel::RouteInto) vs the item-walk route it
-// replaced.
+// replaced. Once, at the detected tier, it times the freeze of a live
+// streaming index and the whole StreamingSession::Snapshot() at
+// perfbench's serve-live shape, as the live index grows.
 
 #include <benchmark/benchmark.h>
 
@@ -17,6 +19,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <optional>
 #include <string>
 #include <thread>
@@ -33,6 +36,7 @@
 #include "hashing/minhash.h"
 #include "hashing/one_permutation_minhash.h"
 #include "lsh/banded_index.h"
+#include "lsh/dynamic_banded_index.h"
 #include "lsh/flat_hash_table.h"
 #include "serving/frozen_model_impl.h"
 #include "simd/dispatch.h"
@@ -712,6 +716,113 @@ void AddRoutedQueryRecord(bench::JsonBenchWriter& writer,
   writer.Add("identical_routes", routed == walked ? "true" : "false");
 }
 
+// The live index at perfbench's serve-live shape: conjunctive-rule data
+// with 10 attributes, domain 4,000 and 200 rules, a MinHash session at the
+// library's default banding bootstrapped on kLiveWarmUp rows with k = 200,
+// then grown by 256-row IngestBatch calls to each of kLiveItems.
+constexpr uint32_t kLiveWarmUp = 45000;
+constexpr uint32_t kLiveItems[] = {45000, 100000, 160000};
+constexpr uint32_t kLiveIngestRows = 256;
+
+/// `timing` (ns) in ms.
+Quartiles InMs(const Quartiles& timing) {
+  return {timing.median * 1e-6, timing.q1 * 1e-6, timing.q3 * 1e-6};
+}
+
+/// One live_snapshot record per size in kLiveItems: the median and
+/// quartiles of kReps calibrated batches of the freeze
+/// (BandedIndex(const DynamicBandedIndex&)) and of the whole
+/// StreamingSession::Snapshot(), and whether both the freeze and the
+/// snapshot's index dump exactly what BandedIndex builds from the same
+/// signatures. The session's live index is not reachable through the
+/// facade, so the freeze runs on a replica fed the same signatures in the
+/// same way (one InsertBatch of the warm-up, then one insert per row),
+/// and the snapshot's index check ties the replica to the session.
+void AddLiveSnapshotRecords(bench::JsonBenchWriter& writer) {
+  const uint32_t total = kLiveItems[std::size(kLiveItems) - 1];
+  const CategoricalDataset all = BenchDataset(total, 10, 200, 4000);
+  const CategoricalDataset warmup = Rows(all, 0, kLiveWarmUp);
+  const ClustererSpec spec =
+      RoutedSpec(Modality::kCategorical, Accelerator::kMinHash, 200, 5);
+  auto clusterer = Clusterer::Create(spec).ValueOrDie();
+  StreamingSession session =
+      clusterer.MakeStreamingSession(warmup).ValueOrDie();
+
+  // Every row's signature, signed as the session signs it: the warm-up
+  // by the batch provider's family, later rows over their codes that the
+  // warm-up does not mark absent.
+  const MinHashShortlistFamily family(spec.minhash);
+  const uint32_t width = family.signature_width();
+  std::vector<uint64_t> signatures;
+  LSHC_CHECK(family.ComputeSignatures(warmup, &signatures).ok());
+  signatures.resize(size_t{total} * width);
+  const uint32_t m = all.num_attributes();
+  std::vector<uint32_t> tokens;
+  for (uint32_t item = kLiveWarmUp; item < total; ++item) {
+    tokens.clear();
+    for (uint32_t a = 0; a < m; ++a) {
+      const uint32_t code = all.codes()[size_t{item} * m + a];
+      if (warmup.has_absence_semantics() && code < warmup.num_codes() &&
+          !warmup.IsPresent(code)) {
+        continue;
+      }
+      tokens.push_back(code);
+    }
+    family.ComputeQuerySignature(tokens,
+                                 signatures.data() + size_t{item} * width);
+  }
+  DynamicBandedIndex live(spec.minhash.banding, kLiveWarmUp);
+  live.InsertBatch({signatures.data(), size_t{kLiveWarmUp} * width},
+                   kLiveWarmUp);
+
+  using SnapshotModel =
+      serving::internal::FrozenModelImpl<CategoricalClusteringTraits,
+                                         MinHashShortlistFamily>;
+  uint32_t items = kLiveWarmUp;
+  for (const uint32_t target : kLiveItems) {
+    for (; items < target; items += kLiveIngestRows) {
+      const uint32_t rows = std::min(kLiveIngestRows, target - items);
+      LSHC_CHECK(session
+                     .IngestBatch({all.codes().data() + size_t{items} * m,
+                                   size_t{rows} * m})
+                     .ok());
+      for (uint32_t row = items; row < items + rows; ++row) {
+        live.Insert({signatures.data() + size_t{row} * width, width});
+      }
+    }
+    items = target;
+    // Each freeze and snapshot is made while the previous one is still
+    // held and dropped after, as a ModelServer holds its last published
+    // model while the next is built.
+    std::unique_ptr<BandedIndex> frozen;
+    const Quartiles freeze =
+        TimeNsPerOp([&] { frozen = std::make_unique<BandedIndex>(live); });
+    std::shared_ptr<const serving::FrozenModel> model;
+    const Quartiles snapshot =
+        TimeNsPerOp([&] { model = session.Snapshot().ValueOrDie(); });
+    const BandedIndex built({signatures.data(), size_t{target} * width},
+                            target, spec.minhash.banding);
+    const BandedIndex::Raw want = built.ToRaw();
+    const bool identical =
+        frozen->ToRaw() == want &&
+        dynamic_cast<const SnapshotModel&>(*model).index()->ToRaw() == want;
+    writer.BeginRecord();
+    writer.Add("record", "live_snapshot");
+    writer.Add("shape", "serve-live");
+    writer.Add("clusters", session.num_clusters());
+    writer.Add("attributes", session.num_attributes());
+    writer.Add("bands", spec.minhash.banding.bands);
+    writer.Add("rows", spec.minhash.banding.rows);
+    writer.Add("live_items", target);
+    writer.Add("buckets", built.num_buckets());
+    writer.Add("live_index_bytes", live.MemoryUsageBytes());
+    writer.Add("reps", static_cast<uint32_t>(kReps));
+    AddQuartiles(writer, "freeze_ms", InMs(freeze));
+    AddQuartiles(writer, "snapshot_ms", InMs(snapshot));
+    writer.Add("identical_to_build", identical ? "true" : "false");
+  }
+}
+
 /// `git describe --always --dirty` of the working directory, or "unknown"
 /// outside a git checkout. "-dirty" marks uncommitted changes: a record
 /// regenerated in the change that commits it names that change's parent.
@@ -732,7 +843,7 @@ std::string SourceCommit() {
 
 /// The --json mode: a provenance record, then kernel timings, the
 /// exhaustive argmin records and the routed-query records at every
-/// supported dispatch tier.
+/// supported dispatch tier, then the live-snapshot records.
 bool WriteJsonRecords(const std::string& path) {
   bench::JsonBenchWriter writer;
 
@@ -777,6 +888,7 @@ bool WriteJsonRecords(const std::string& path) {
     AddRoutedQueryRecord(writer, "fit-numeric", NumericRoutedShape());
   }
   simd::ForceSimdTier(detected);
+  AddLiveSnapshotRecords(writer);
 
   return writer.WriteFile(path);
 }

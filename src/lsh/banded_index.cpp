@@ -52,45 +52,44 @@ BandedIndex::BandedIndex(std::span<const uint64_t> signatures,
 BandedIndex::BandedIndex(const DynamicBandedIndex& dynamic)
     : num_items_(dynamic.num_items_), params_(dynamic.params_) {
   signature_width_ = params_.num_hashes();
-  const uint32_t num_items = num_items_;
   bands_.resize(params_.bands);
   for (uint32_t b = 0; b < params_.bands; ++b) {
     Band& band = bands_[b];
     const DynamicBandedIndex::Band& source = dynamic.bands_[b];
     band.offset = b * params_.rows;
     band.rows = params_.rows;
-    band.key_to_bucket.Reserve(source.key_to_head.size());
-    band.item_bucket.resize(num_items);
-    band.bucket_items.resize(num_items);
-    band.bucket_offsets.reserve(source.key_to_head.size() + 1);
-    band.bucket_offsets.push_back(0);
-    // One CSR bucket per dynamic key. The dynamic chains are newest-first
-    // (each insert prepends), and ids are insert order, so walking a chain
-    // yields strictly descending ids — filling the bucket's CSR slice
-    // backwards stores them ascending, matching the static Build's order.
-    // Bucket *enumeration* order follows the hash map's slot order rather
-    // than first-insert order; candidate visitation order across buckets
-    // differs from a signature-built index, which is immaterial because
-    // every consumer deduplicates and sorts its shortlist.
-    source.key_to_head.ForEach([&](uint64_t key, uint32_t head) {
-      const uint32_t bucket =
-          static_cast<uint32_t>(band.bucket_offsets.size()) - 1;
-      band.key_to_bucket.FindOrInsert(key, bucket);
-      uint32_t count = 0;
-      for (uint32_t cursor = head; cursor != 0;
-           cursor = source.next[cursor - 1]) {
-        ++count;
-      }
-      const uint32_t end = band.bucket_offsets.back() + count;
-      band.bucket_offsets.push_back(end);
-      uint32_t write = end;
-      for (uint32_t cursor = head; cursor != 0;
-           cursor = source.next[cursor - 1]) {
-        const uint32_t item = cursor - 1;
-        band.bucket_items[--write] = item;
-        band.item_bucket[item] = bucket;
-      }
-    });
+    // The live band already holds Build's pass-1 state: dense ids in
+    // first-occurrence order and every item's bucket. Copy both, count
+    // the buckets' sizes and run Build's fill. A live map can hold more
+    // slots than its keys need (InsertBatch reserves one key per item);
+    // its copy is shrunk so no snapshot carries those slots.
+    band.key_to_bucket = source.key_to_bucket;
+    band.key_to_bucket.ShrinkToFit();
+    band.item_bucket = source.item_bucket;
+    const uint32_t num_buckets = static_cast<uint32_t>(source.heads.size());
+    band.bucket_offsets.assign(static_cast<size_t>(num_buckets) + 1, 0);
+    for (const uint32_t bucket : band.item_bucket) {
+      ++band.bucket_offsets[bucket + 1];
+    }
+    band.bucket_items.resize(num_items_);
+    FillBuckets(num_buckets, band);
+  }
+}
+
+void BandedIndex::FillBuckets(uint32_t num_buckets, Band& band) {
+  // offsets[id + 1] becomes the bucket's start and serves as its fill
+  // cursor; after the fill it is the bucket's end, i.e. the CSR offset of
+  // bucket id + 1.
+  uint32_t* offsets = band.bucket_offsets.data();
+  uint32_t start = 0;
+  for (uint32_t bucket = 0; bucket < num_buckets; ++bucket) {
+    const uint32_t size = offsets[bucket + 1];
+    offsets[bucket + 1] = start;
+    start += size;
+  }
+  const uint32_t num_items = static_cast<uint32_t>(band.item_bucket.size());
+  for (uint32_t item = 0; item < num_items; ++item) {
+    band.bucket_items[offsets[band.item_bucket[item] + 1]++] = item;
   }
 }
 
@@ -104,8 +103,9 @@ void BandedIndex::Build(std::span<const uint64_t> signatures,
   const uint32_t width = signature_width_;
 
   // Size every array here, on the calling thread: the band workers below
-  // only write into storage that already exists. A band has at most n
-  // buckets, so n + 1 offsets and a map reserved for n keys always fit.
+  // only write into storage that already exists, except when one shrinks
+  // its band's map at the end. A band has at most n buckets, so n + 1
+  // offsets and a map reserved for n keys always fit.
   for (Band& band : bands_) {
     band.key_to_bucket.Reserve(num_items);
     band.item_bucket.resize(num_items);
@@ -131,20 +131,19 @@ void BandedIndex::Build(std::span<const uint64_t> signatures,
       ++offsets[bucket + 1];
     }
 
-    // Pass 2: offsets[id + 1] becomes the bucket's start and serves as its
-    // fill cursor; after the fill it is the bucket's end, i.e. the CSR
-    // offset of bucket id + 1.
-    uint32_t start = 0;
-    for (uint32_t bucket = 0; bucket < num_buckets; ++bucket) {
-      const uint32_t size = offsets[bucket + 1];
-      offsets[bucket + 1] = start;
-      start += size;
-    }
-    for (uint32_t item = 0; item < num_items; ++item) {
-      band.bucket_items[offsets[band.item_bucket[item] + 1]++] = item;
-    }
+    // Pass 2: the counting-sort fill.
+    FillBuckets(num_buckets, band);
     LSHC_DCHECK(band.key_to_bucket.capacity() == reserved)
         << "a band worker grew its hash map";
+
+    // A map reserved for n keys but holding far fewer (a few wide
+    // buckets, as SimHash's coarse bands make) is rehashed to fit. Within
+    // 4x it stays: the O(capacity) rehash would save little memory, and
+    // a fuller map lengthens the probe chains of routed lookups.
+    if (FlatHashMap64::CapacityFor(num_buckets) * 4 <=
+        band.key_to_bucket.capacity()) {
+      band.key_to_bucket.ShrinkToFit();
+    }
   };
   if (pool == nullptr) {
     for (uint32_t b = 0; b < num_bands(); ++b) build_band(b);

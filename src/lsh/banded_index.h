@@ -127,10 +127,14 @@ class BandedIndex {
   BandedIndex(std::span<const uint64_t> signatures, uint32_t num_items,
               std::span<const uint32_t> band_rows, ThreadPool* pool = nullptr);
 
-  /// Freezes a streaming DynamicBandedIndex into the CSR layout: same
-  /// band-key function, same buckets, items stored in ascending id order
-  /// within each bucket. The dynamic index keeps no signature matrix, so
-  /// this walks its per-band hash maps directly — no re-signing pass.
+  /// Freezes a streaming DynamicBandedIndex into the CSR layout. The
+  /// result equals the index built from the same signatures by the
+  /// constructors above: same bucket ids, same CSR arrays, same ToRaw
+  /// dump. The dynamic index already holds Build's first pass (dense
+  /// bucket ids in first-occurrence order, each item's bucket), so this
+  /// copies it, shrinking any band map larger than its keys need, and
+  /// runs Build's counting-sort fill: O(n + slots) per band, no
+  /// signatures.
   /// Used by StreamingSession::Snapshot to hand the serving layer a
   /// scan-friendly immutable copy of the live index.
   explicit BandedIndex(const DynamicBandedIndex& dynamic);
@@ -293,11 +297,13 @@ class BandedIndex {
     std::vector<uint32_t> bucket_offsets;  ///< size buckets + 1
     std::vector<uint32_t> bucket_items;    ///< size n
     std::vector<uint32_t> item_bucket;     ///< size n
+    bool operator==(const RawBand&) const = default;
   };
   /// \brief The whole index as plain arrays (see RawBand).
   struct Raw {
     uint32_t num_items = 0;
     std::vector<RawBand> bands;
+    bool operator==(const Raw&) const = default;
   };
 
   /// Dumps the CSR state as plain arrays, keyed by dense bucket id.
@@ -338,10 +344,16 @@ class BandedIndex {
   /// occur over ascending item ids, then the CSR fill. Bands have disjoint
   /// bucket spaces (§III-A2), so with a `pool` they are fanned out across
   /// its workers. All storage is sized first, on the calling thread, and
-  /// workers only write into it, so the index — and its ToRaw dump — is
-  /// identical for every pool size including none. Must not be called
-  /// from a worker of `pool`.
+  /// workers only write into it (or shrink their own band's map), so the
+  /// index — and its ToRaw dump — is identical for every pool size
+  /// including none. Must not be called from a worker of `pool`.
   void Build(std::span<const uint64_t> signatures, ThreadPool* pool);
+
+  /// Build's second pass, shared with the freeze: given `item_bucket`
+  /// and each bucket's size in bucket_offsets[id + 1] (bucket_offsets[0]
+  /// is 0), turns the offsets into CSR offsets and fills `bucket_items`
+  /// (already n long) with every bucket's items in ascending order.
+  static void FillBuckets(uint32_t num_buckets, Band& band);
 
   /// Band key of one band of a full signature.
   uint64_t BandKey(const uint64_t* signature, uint32_t band) const {

@@ -39,6 +39,21 @@ class FlatHashMap64 {
     if (needed > keys_.size()) Rehash(needed);
   }
 
+  /// Rehashes into CapacityFor(size()) slots when the table has more,
+  /// e.g. after a Reserve for far more keys than were inserted.
+  void ShrinkToFit() {
+    const size_t fitted = CapacityFor(size_);
+    if (fitted < keys_.size()) Rehash(fitted);
+  }
+
+  /// Slot count for `entries` entries: the smallest power of two, at least
+  /// 16, that keeps the load factor under 0.7.
+  static size_t CapacityFor(size_t entries) {
+    size_t capacity = 16;
+    while (capacity * 7 < entries * 10) capacity *= 2;
+    return capacity;
+  }
+
   /// Removes all entries, keeping the current capacity.
   void Clear() {
     std::fill(occupied_.begin(), occupied_.end(), 0);
@@ -76,13 +91,6 @@ class FlatHashMap64 {
   }
 
  private:
-  static size_t CapacityFor(size_t entries) {
-    size_t capacity = 16;
-    // Keep the load factor under 0.7 after `entries` insertions.
-    while (capacity * 7 < entries * 10) capacity *= 2;
-    return capacity;
-  }
-
   /// Returns the slot of `key` or the first empty slot of its probe chain.
   size_t Probe(uint64_t key) const {
     const size_t mask = keys_.size() - 1;

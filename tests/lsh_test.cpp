@@ -1,5 +1,6 @@
 // Unit and property tests for src/lsh: the flat hash map, the analytic
-// probability model (Tables I/II values), and the banding index.
+// probability model (Tables I/II values), the banding index, and the
+// freeze of the growable index into it.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +11,7 @@
 #include "hashing/minhash.h"
 #include "hashing/simhash.h"
 #include "lsh/banded_index.h"
+#include "lsh/dynamic_banded_index.h"
 #include "lsh/flat_hash_table.h"
 #include "lsh/probability.h"
 #include "util/rng.h"
@@ -391,7 +393,7 @@ std::vector<uint64_t> RandomSimHashSignatures(uint32_t n, uint32_t width,
   return signatures;
 }
 
-void ExpectSameIndex(const BandedIndex& expected, const BandedIndex& actual) {
+void ExpectSameRaw(const BandedIndex& expected, const BandedIndex& actual) {
   const BandedIndex::Raw want = expected.ToRaw();
   const BandedIndex::Raw got = actual.ToRaw();
   ASSERT_EQ(got.num_items, want.num_items);
@@ -405,6 +407,10 @@ void ExpectSameIndex(const BandedIndex& expected, const BandedIndex& actual) {
     EXPECT_EQ(got.bands[b].bucket_items, want.bands[b].bucket_items);
     EXPECT_EQ(got.bands[b].item_bucket, want.bands[b].item_bucket);
   }
+}
+
+void ExpectSameIndex(const BandedIndex& expected, const BandedIndex& actual) {
+  ExpectSameRaw(expected, actual);
   EXPECT_EQ(actual.MemoryUsageBytes(), expected.MemoryUsageBytes());
   EXPECT_EQ(actual.params().bands, expected.params().bands);
   EXPECT_EQ(actual.params().rows, expected.params().rows);
@@ -485,6 +491,181 @@ TEST(BandedIndexBuildTest, OneBucketPerBandIsPoolInvariant) {
   const BandedIndex sequential(signatures, kItems, layout);
   ASSERT_EQ(sequential.ComputeStats().total_buckets, layout.size());
   ExpectPoolInvariantBuild(signatures, kItems, layout);
+}
+
+TEST(BandedIndexBuildTest, FewWideBucketsShrinkTheMapToFit) {
+  // 16 buckets per band over 2,000 items: the build reserves each map
+  // for 2,000 keys, then shrinks it to the size a load of the dump
+  // reserves, so a fitted index is no larger than its reloaded copy.
+  constexpr uint32_t kItems = 2000;
+  constexpr uint32_t kWidth = 8;
+  std::vector<uint64_t> signatures(kItems * kWidth);
+  Rng rng(51);
+  for (uint64_t& component : signatures) component = rng.Below(2);
+  const BandedIndex built(signatures, kItems, std::vector<uint32_t>(2, 4));
+  ASSERT_EQ(built.ComputeStats().total_buckets, 2u * 16u);
+  const auto reloaded = BandedIndex::FromRaw(built.ToRaw());
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+  ExpectSameIndex(built, *reloaded);
+}
+
+// ------------------------------------------------------- freeze oracle --
+
+// How a step of the oracle feeds items into the growable index.
+enum class InsertPath { kInsert, kBatch, kDetectingRecent };
+
+struct InsertStep {
+  InsertPath path;
+  uint32_t count;
+};
+
+// Expects the freeze of `dynamic` to equal the index built by Build from
+// the first num_items() rows of `signatures`: identical dumps, including
+// bucket keys in id order, and every band's map right-sized, i.e. no
+// larger than FromRaw makes it.
+void ExpectFreezeEqualsBuild(const DynamicBandedIndex& dynamic,
+                             const std::vector<uint64_t>& signatures) {
+  const uint32_t n = dynamic.num_items();
+  const BandingParams params = dynamic.params();
+  const BandedIndex built(
+      std::span<const uint64_t>(signatures.data(),
+                                size_t{n} * params.num_hashes()),
+      n, params);
+  const BandedIndex frozen(dynamic);
+  ExpectSameRaw(built, frozen);
+  EXPECT_EQ(frozen.params().bands, params.bands);
+  EXPECT_EQ(frozen.params().rows, params.rows);
+  const auto reloaded = BandedIndex::FromRaw(frozen.ToRaw());
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+  EXPECT_EQ(frozen.MemoryUsageBytes(), reloaded->MemoryUsageBytes())
+      << "a frozen map is larger than its keys need";
+}
+
+// Feeds `signatures` into a growable index `steps` at a time, each step
+// through one insert path, and checks the freeze after every step. A
+// kDetectingRecent step passes the step's first id as `min_item`, as the
+// streaming apply phase does with its micro-batch.
+void ExpectFreezeEqualsBuildAfterEachStep(
+    const std::vector<uint64_t>& signatures, BandingParams params,
+    const std::vector<InsertStep>& steps, uint32_t expected_items = 0) {
+  const uint32_t width = params.num_hashes();
+  DynamicBandedIndex dynamic(params, expected_items);
+  for (size_t s = 0; s < steps.size(); ++s) {
+    SCOPED_TRACE(testing::Message() << "after step " << s);
+    const uint32_t first = dynamic.num_items();
+    const uint32_t count = steps[s].count;
+    ASSERT_LE(size_t{first + count} * width, signatures.size());
+    const auto row = [&](uint32_t item) {
+      return std::span<const uint64_t>(
+          signatures.data() + size_t{item} * width, width);
+    };
+    switch (steps[s].path) {
+      case InsertPath::kInsert:
+        for (uint32_t i = 0; i < count; ++i) {
+          EXPECT_EQ(dynamic.Insert(row(first + i)), first + i);
+        }
+        break;
+      case InsertPath::kBatch:
+        dynamic.InsertBatch(
+            std::span<const uint64_t>(signatures.data() + size_t{first} * width,
+                                      size_t{count} * width),
+            count);
+        break;
+      case InsertPath::kDetectingRecent:
+        for (uint32_t i = 0; i < count; ++i) {
+          bool saw_recent = false;
+          EXPECT_EQ(
+              dynamic.InsertDetectingRecent(row(first + i), first, &saw_recent),
+              first + i);
+        }
+        break;
+    }
+    ASSERT_EQ(dynamic.num_items(), first + count);
+    ExpectFreezeEqualsBuild(dynamic, signatures);
+  }
+}
+
+const std::vector<InsertStep> kMixedSteps{
+    {InsertPath::kBatch, 40},          {InsertPath::kInsert, 7},
+    {InsertPath::kDetectingRecent, 9}, {InsertPath::kBatch, 1},
+    {InsertPath::kInsert, 1},          {InsertPath::kBatch, 33},
+    {InsertPath::kDetectingRecent, 30}, {InsertPath::kInsert, 19}};
+
+TEST(FreezeOracleTest, HeavyCollisionsOneRowPerBand) {
+  // r = 1 over four distinct signatures: every band has at most four
+  // buckets, each holding about a quarter of the items.
+  constexpr uint32_t kItems = 140;
+  const BandingParams params{6, 1};
+  std::vector<uint64_t> distinct(4 * params.num_hashes());
+  Rng rng(53);
+  for (uint64_t& component : distinct) component = rng.Below(3);
+  std::vector<uint64_t> signatures;
+  for (uint32_t item = 0; item < kItems; ++item) {
+    const auto first = distinct.begin() + rng.Below(4) * params.num_hashes();
+    signatures.insert(signatures.end(), first, first + params.num_hashes());
+  }
+  ExpectFreezeEqualsBuildAfterEachStep(signatures, params, kMixedSteps);
+  const BandedIndex built(signatures, kItems, params);
+  EXPECT_LE(built.ComputeStats().total_buckets, 4u * params.bands);
+  EXPECT_GT(built.ComputeStats().largest_bucket, kItems / 8);
+}
+
+TEST(FreezeOracleTest, AllUniqueKeys) {
+  constexpr uint32_t kItems = 140;
+  const BandingParams params{4, 2};
+  std::vector<uint64_t> signatures(kItems * params.num_hashes());
+  for (uint32_t i = 0; i < signatures.size(); ++i) signatures[i] = i;
+  ExpectFreezeEqualsBuildAfterEachStep(signatures, params, kMixedSteps);
+  EXPECT_EQ(BandedIndex(signatures, kItems, params).ComputeStats()
+                .total_buckets,
+            kItems * params.bands);
+}
+
+TEST(FreezeOracleTest, RealMinHashSignaturesAtTheDefaultBanding) {
+  constexpr uint32_t kItems = 140;
+  const BandingParams params{20, 5};
+  ExpectFreezeEqualsBuildAfterEachStep(
+      RandomMinHashSignatures(kItems, params.num_hashes(), 55), params,
+      kMixedSteps);
+}
+
+TEST(FreezeOracleTest, WideBucketsFreezeToRightSizedMaps) {
+  // InsertBatch reserves each map for every item it adds; over five
+  // distinct signatures that is hundreds of slots for five keys. The
+  // freeze must not carry those slots into the snapshot.
+  constexpr uint32_t kItems = 3000;
+  const BandingParams params{3, 2};
+  std::vector<uint64_t> signatures(kItems * params.num_hashes());
+  for (uint32_t item = 0; item < kItems; ++item) {
+    for (uint32_t h = 0; h < params.num_hashes(); ++h) {
+      signatures[item * params.num_hashes() + h] = item % 5;
+    }
+  }
+  DynamicBandedIndex dynamic(params);
+  dynamic.InsertBatch(signatures, kItems);
+  ExpectFreezeEqualsBuild(dynamic, signatures);
+  ExpectFreezeEqualsBuildAfterEachStep(
+      signatures, params,
+      {{InsertPath::kBatch, 2000}, {InsertPath::kDetectingRecent, 500},
+       {InsertPath::kBatch, 500}});
+}
+
+TEST(FreezeOracleTest, WarmUpThenMicroBatchIngest) {
+  // StreamingMHKModes' sequence: an index sized for the warm-up, one
+  // InsertBatch of the warm-up matrix, then micro-batches of
+  // InsertDetectingRecent (single rows take Insert).
+  constexpr uint32_t kWarmUp = 300;
+  const BandingParams params{20, 5};
+  const auto signatures =
+      RandomMinHashSignatures(kWarmUp + 200, params.num_hashes(), 57);
+  ExpectFreezeEqualsBuildAfterEachStep(
+      signatures, params,
+      {{InsertPath::kBatch, kWarmUp},
+       {InsertPath::kDetectingRecent, 64},
+       {InsertPath::kInsert, 1},
+       {InsertPath::kDetectingRecent, 64},
+       {InsertPath::kDetectingRecent, 71}},
+      kWarmUp);
 }
 
 /// Property sweep: the empirical banding collision rate of real MinHash

@@ -764,6 +764,9 @@ TEST(RoutingOracleTest, LoadedModelRebuildsItsClusterLists) {
   auto loaded = serving::LoadFrozenModel(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ((*loaded)->cluster_list_entries(), fitted->cluster_list_entries());
+  // A fitted index's key maps are sized to its buckets, as loading sizes
+  // them, so the round trip keeps the footprint.
+  EXPECT_EQ((*loaded)->memory_bytes(), fitted->memory_bytes());
   EXPECT_EQ(*(*loaded)->Route(held_out), *fitted->Route(held_out));
   ExpectRoutesMatchReference<NumericClusteringTraits, SimHashShortlistFamily>(
       **loaded, held_out, "loaded");
