@@ -753,7 +753,7 @@ void AddLiveSnapshotRecords(bench::JsonBenchWriter& writer) {
   // warm-up does not mark absent.
   const MinHashShortlistFamily family(spec.minhash);
   const uint32_t width = family.signature_width();
-  std::vector<uint64_t> signatures;
+  SignatureMatrix signatures;
   LSHC_CHECK(family.ComputeSignatures(warmup, &signatures).ok());
   signatures.resize(size_t{total} * width);
   const uint32_t m = all.num_attributes();

@@ -44,7 +44,7 @@ MinHashShortlistFamily& MinHashShortlistFamily::operator=(
 }
 
 Status MinHashShortlistFamily::ComputeSignatures(
-    const Dataset& dataset, std::vector<uint64_t>* signatures,
+    const Dataset& dataset, SignatureMatrix* signatures,
     ThreadPool* pool, const std::function<bool()>* cancel) const {
   const uint32_t n = dataset.num_items();
   const uint32_t width = options_.banding.num_hashes();

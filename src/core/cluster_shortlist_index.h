@@ -77,7 +77,7 @@ class MinHashShortlistFamily {
   /// (kSignatureChunkSize items; thread-safe hook required) and a true
   /// answer aborts with StatusCode::kCancelled.
   [[nodiscard]] Status ComputeSignatures(const Dataset& dataset,
-                           std::vector<uint64_t>* signatures,
+                           SignatureMatrix* signatures,
                            ThreadPool* pool = nullptr,
                            const std::function<bool()>* cancel =
                                nullptr) const;

@@ -85,7 +85,7 @@ class MixedShortlistFamily {
   /// batch boundaries of both passes (thread-safe hook required); a true
   /// answer aborts with StatusCode::kCancelled.
   [[nodiscard]] Status ComputeSignatures(const Dataset& dataset,
-                           std::vector<uint64_t>* signatures,
+                           SignatureMatrix* signatures,
                            ThreadPool* pool = nullptr,
                            const std::function<bool()>* cancel = nullptr) {
     const uint32_t n = dataset.num_items();

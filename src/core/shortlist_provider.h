@@ -64,7 +64,7 @@
 ///     // bit-identical either way. `cancel` (may be null) is polled at
 ///     // batch boundaries; a true answer returns kCancelled (Prepare
 ///     // forwards the engine's cooperative-cancel hook).
-///     Status ComputeSignatures(const Dataset&, std::vector<uint64_t>*,
+///     Status ComputeSignatures(const Dataset&, SignatureMatrix*,
 ///                              ThreadPool* pool,
 ///                              const std::function<bool()>* cancel);
 ///     // Rows per band, concatenated over the signature.
@@ -88,6 +88,7 @@
 #include "lsh/banded_index.h"
 #include "util/macros.h"
 #include "util/result.h"
+#include "util/large_block_allocator.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
 
@@ -98,6 +99,13 @@ namespace lshclust {
 /// every pool size; smaller than the engine's assignment chunk because a
 /// signature costs far more than a distance.
 inline constexpr uint32_t kSignatureChunkSize = 256;
+
+/// Row-major n x width signature matrix of a signing pass: a Fit's
+/// largest transient (n x width x 8 B, 40 MB at 50,000 items x 100
+/// hashes). A matrix of 32 MB or more gets its own mapping, so where it
+/// lands never depends on what the heap held before (see
+/// util/large_block_allocator.h).
+using SignatureMatrix = std::vector<uint64_t, LargeBlockAllocator<uint64_t>>;
 
 /// \brief Per-caller query state for epoch-stamped cluster deduplication:
 /// no per-query allocation, O(1) reset. Shared by every shortlist-style
@@ -231,7 +239,7 @@ class ShortlistProvider {
     DropClusterTable();
 
     Stopwatch watch;
-    std::vector<uint64_t> signatures;
+    SignatureMatrix signatures;
     LSHC_RETURN_NOT_OK(
         family_.ComputeSignatures(dataset, &signatures, pool, cancel));
     ++dataset_sign_passes_;
@@ -387,7 +395,7 @@ class ShortlistProvider {
   std::unique_ptr<BandedIndex> index_;
   BucketClusterTable table_;            // filled by BeginPass
   std::span<const uint32_t> bound_;     // the span table_ describes
-  std::vector<uint64_t> signatures_;  // kept only if family says so
+  SignatureMatrix signatures_;  // kept only if family says so
   Scratch scratch_;                   // for GetCandidatesForQuery
   std::vector<uint64_t> query_signature_;  // GetCandidatesForQuery buffer
 

@@ -68,7 +68,7 @@ class SimHashShortlistFamily {
   /// non-null it is polled at batch boundaries (thread-safe hook
   /// required); a true answer aborts with StatusCode::kCancelled.
   [[nodiscard]] Status ComputeSignatures(const Dataset& dataset,
-                           std::vector<uint64_t>* signatures,
+                           SignatureMatrix* signatures,
                            ThreadPool* pool = nullptr,
                            const std::function<bool()>* cancel = nullptr) {
     const uint32_t n = dataset.num_items();

@@ -6,13 +6,16 @@
 
 #include "persist/model_io.h"
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -244,20 +247,39 @@ std::string EncodeFamily(const DecodedModel& model) {
   return payload;
 }
 
-std::string EncodeIndex(const BandedIndex::Raw& raw) {
-  std::string payload;
-  AppendLeU32(&payload, raw.num_items);
-  AppendLeU32(&payload, static_cast<uint32_t>(raw.bands.size()));
+/// Bytes a streamed section hands its sink at a time.
+constexpr size_t kEmitChunkBytes = size_t{64} << 10;
+
+/// Streams the Index section to `emit` in chunks of about
+/// kEmitChunkBytes: the section is the bulk of a routed model's file (the
+/// whole CSR state), and is never held as one buffer.
+void EmitIndex(const BandedIndex::Raw& raw,
+               const std::function<void(std::string_view)>& emit) {
+  std::string buffer;
+  const auto append = [&]<typename T>(const std::vector<T>& values) {
+    constexpr size_t kChunk = kEmitChunkBytes / sizeof(T);
+    const std::span<const T> all(values);
+    for (size_t first = 0; first < all.size(); first += kChunk) {
+      AppendLeArray<T>(&buffer,
+                       all.subspan(first, std::min(kChunk, all.size() - first)));
+      if (buffer.size() >= kEmitChunkBytes) {
+        emit(buffer);
+        buffer.clear();
+      }
+    }
+  };
+  AppendLeU32(&buffer, raw.num_items);
+  AppendLeU32(&buffer, static_cast<uint32_t>(raw.bands.size()));
   for (const BandedIndex::RawBand& band : raw.bands) {
-    AppendLeU32(&payload, band.offset);
-    AppendLeU32(&payload, band.rows);
-    AppendLeU32(&payload, static_cast<uint32_t>(band.bucket_keys.size()));
-    AppendLeArray<uint64_t>(&payload, band.bucket_keys);
-    AppendLeArray<uint32_t>(&payload, band.bucket_offsets);
-    AppendLeArray<uint32_t>(&payload, band.bucket_items);
-    AppendLeArray<uint32_t>(&payload, band.item_bucket);
+    AppendLeU32(&buffer, band.offset);
+    AppendLeU32(&buffer, band.rows);
+    AppendLeU32(&buffer, static_cast<uint32_t>(band.bucket_keys.size()));
+    append(band.bucket_keys);
+    append(band.bucket_offsets);
+    append(band.bucket_items);
+    append(band.item_bucket);
   }
-  return payload;
+  emit(buffer);
 }
 
 std::string EncodeAssignment(const DecodedModel& model) {
@@ -267,37 +289,61 @@ std::string EncodeAssignment(const DecodedModel& model) {
   return payload;
 }
 
-std::string EncodeModel(const DecodedModel& model) {
-  std::vector<std::pair<uint32_t, std::string>> sections;
-  sections.emplace_back(static_cast<uint32_t>(SectionId::kModelInfo),
-                        EncodeModelInfo(model));
-  sections.emplace_back(static_cast<uint32_t>(SectionId::kCentroids),
-                        EncodeCentroids(model));
+/// Writes the model file to `out`. Every section is emitted twice: once
+/// into a size and CRC-32 tally for the TOC, then into `out`. The small
+/// sections are encoded up front; the Index section streams from
+/// `model.index_raw`, so saving never holds a copy of the whole file.
+void WriteModel(const DecodedModel& model, std::ostream& out) {
+  using Emit = std::function<void(std::string_view)>;
+  struct Section {
+    uint32_t id;
+    std::function<void(const Emit&)> emit_to;
+  };
+  const auto encoded = [](uint32_t id, std::string payload) {
+    return Section{id, [payload = std::move(payload)](const Emit& emit) {
+                     emit(payload);
+                   }};
+  };
+  std::vector<Section> sections;
+  sections.push_back(encoded(static_cast<uint32_t>(SectionId::kModelInfo),
+                             EncodeModelInfo(model)));
+  sections.push_back(encoded(static_cast<uint32_t>(SectionId::kCentroids),
+                             EncodeCentroids(model)));
   if (model.family != ModelFamilyKind::kNone) {
-    sections.emplace_back(static_cast<uint32_t>(SectionId::kFamily),
-                          EncodeFamily(model));
-    sections.emplace_back(static_cast<uint32_t>(SectionId::kIndex),
-                          EncodeIndex(model.index_raw));
-    sections.emplace_back(static_cast<uint32_t>(SectionId::kAssignment),
-                          EncodeAssignment(model));
+    sections.push_back(encoded(static_cast<uint32_t>(SectionId::kFamily),
+                               EncodeFamily(model)));
+    sections.push_back(Section{static_cast<uint32_t>(SectionId::kIndex),
+                               [&model](const Emit& emit) {
+                                 EmitIndex(model.index_raw, emit);
+                               }});
+    sections.push_back(encoded(static_cast<uint32_t>(SectionId::kAssignment),
+                               EncodeAssignment(model)));
   }
 
-  std::string file;
-  file.append(kModelMagic, sizeof(kModelMagic));
-  AppendLeU32(&file, kModelFormatVersion);
-  AppendLeU32(&file, static_cast<uint32_t>(sections.size()));
+  std::string header;
+  header.append(kModelMagic, sizeof(kModelMagic));
+  AppendLeU32(&header, kModelFormatVersion);
+  AppendLeU32(&header, static_cast<uint32_t>(sections.size()));
   uint64_t offset = 4 + 4 + 4 + sections.size() * 24u;
-  for (const auto& [id, payload] : sections) {
-    AppendLeU32(&file, id);
-    AppendLeU64(&file, offset);
-    AppendLeU64(&file, payload.size());
-    AppendLeU32(&file, Crc32(payload.data(), payload.size()));
-    offset += payload.size();
+  for (const Section& section : sections) {
+    uint64_t size = 0;
+    uint32_t crc = 0;
+    section.emit_to([&](std::string_view bytes) {
+      size += bytes.size();
+      crc = Crc32Update(crc, bytes.data(), bytes.size());
+    });
+    AppendLeU32(&header, section.id);
+    AppendLeU64(&header, offset);
+    AppendLeU64(&header, size);
+    AppendLeU32(&header, crc);
+    offset += size;
   }
-  for (const auto& section : sections) {
-    file += section.second;
+  out.write(header.data(), static_cast<std::streamsize>(header.size()));
+  for (const Section& section : sections) {
+    section.emit_to([&](std::string_view bytes) {
+      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    });
   }
-  return file;
 }
 
 // ---------------------------------------------------------------------------
@@ -960,12 +1006,11 @@ using persist::DecodedModel;
 
 Status SaveFrozenModel(const FrozenModel& model, const std::string& path) {
   LSHC_ASSIGN_OR_RETURN(DecodedModel decoded, persist::ExtractModel(model));
-  const std::string bytes = persist::EncodeModel(decoded);
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) {
     return Status::IOError("cannot open '" + path + "' for writing");
   }
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  persist::WriteModel(decoded, out);
   out.flush();
   if (!out) {
     return Status::IOError("failed writing model file '" + path + "'");

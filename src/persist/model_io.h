@@ -194,7 +194,9 @@ namespace lshclust::serving {
 
 /// Writes `model` to `path` in the versioned section format above. The
 /// encoding is deterministic: saving, loading and saving again produces a
-/// byte-identical file.
+/// byte-identical file. The Index section streams to the file in 64 KiB
+/// chunks, so a save holds the model's CSR dump but never a copy of the
+/// whole file.
 [[nodiscard]] Status SaveFrozenModel(const FrozenModel& model, const std::string& path);
 
 /// Loads a model file into a routing-ready FrozenModel. The loaded

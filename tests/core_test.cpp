@@ -252,7 +252,7 @@ std::vector<OracleLists> BruteForceShortlists(
     const typename Family::Dataset& dataset,
     const std::vector<uint32_t>& assignment) {
   Family family(options);
-  std::vector<uint64_t> signatures;
+  SignatureMatrix signatures;
   EXPECT_TRUE(family.ComputeSignatures(dataset, &signatures).ok());
   const std::vector<uint32_t> layout = family.BandLayout();
   const uint32_t width = family.signature_width();

@@ -31,6 +31,7 @@
 #include "lsh/banded_index.h"
 #include "persist/model_io.h"
 #include "serving/frozen_model.h"
+#include "serving/frozen_model_impl.h"
 #include "serving/model_server.h"
 #include "simd/dispatch.h"
 
@@ -366,6 +367,76 @@ TEST(PersistRoundTripTest, SaveLoadSaveIsByteIdentical) {
   ASSERT_TRUE(resnapshot.ok()) << resnapshot.status().ToString();
   ASSERT_TRUE(serving::SaveFrozenModel(**resnapshot, third).ok());
   EXPECT_EQ(ReadFileBytes(first), ReadFileBytes(third));
+}
+
+/// Little-endian u32 / u64 at `at` of a file image.
+uint64_t LeAt(const std::string& bytes, size_t at, int width) {
+  uint64_t value = 0;
+  for (int i = width - 1; i >= 0; --i) {
+    value = value << 8 | static_cast<uint8_t>(bytes[at + i]);
+  }
+  return value;
+}
+
+TEST(PersistRoundTripTest, IndexSectionLargerThanAWriteChunkSavesExactly) {
+  // 4,000 items x 8 bands: the Index section is ~400 KB, so the saver
+  // streams it through several of its 64 KiB write chunks, with arrays
+  // straddling chunk ends.
+  ConjunctiveDataOptions options;
+  options.num_items = 4000;
+  options.num_attributes = 12;
+  options.num_clusters = 8;
+  options.domain_size = 40;
+  options.seed = 23;
+  const auto data = GenerateConjunctiveRuleData(options).ValueOrDie();
+  auto fitted = Clusterer::Create(MinHashSpec(4));
+  ASSERT_TRUE(fitted.ok());
+  auto report = fitted->Fit(data);
+  ASSERT_TRUE(report.ok());
+  auto snapshot = fitted->Snapshot();
+  ASSERT_TRUE(snapshot.ok());
+  using Routed =
+      serving::internal::FrozenModelImpl<CategoricalClusteringTraits,
+                                         MinHashShortlistFamily>;
+  const auto* routed = dynamic_cast<const Routed*>(snapshot->get());
+  ASSERT_NE(routed, nullptr);
+  const BandedIndex::Raw raw = routed->index()->ToRaw();
+
+  const std::string path = TempPath("streamed.lshm");
+  ASSERT_TRUE(serving::SaveFrozenModel(**snapshot, path).ok());
+
+  // The TOC's Index entry has the encoding's exact size, and the sections
+  // tile the file.
+  const std::string bytes = ReadFileBytes(path);
+  const uint32_t sections = static_cast<uint32_t>(LeAt(bytes, 8, 4));
+  uint64_t index_bytes = 8;
+  for (const BandedIndex::RawBand& band : raw.bands) {
+    index_bytes += 12 + band.bucket_keys.size() * 8 +
+                   (band.bucket_offsets.size() + band.bucket_items.size() +
+                    band.item_bucket.size()) * 4;
+  }
+  ASSERT_GT(index_bytes, uint64_t{4} << 16);
+  uint64_t end = 12 + uint64_t{sections} * 24;
+  bool saw_index = false;
+  for (uint32_t s = 0; s < sections; ++s) {
+    const size_t entry = 12 + size_t{s} * 24;
+    EXPECT_EQ(LeAt(bytes, entry + 4, 8), end);
+    const uint64_t id = LeAt(bytes, entry, 4);
+    const uint64_t size = LeAt(bytes, entry + 12, 8);
+    if (id == static_cast<uint32_t>(persist::SectionId::kIndex)) {
+      EXPECT_EQ(size, index_bytes);
+      saw_index = true;
+    }
+    end += size;
+  }
+  EXPECT_TRUE(saw_index);
+  EXPECT_EQ(end, bytes.size());
+
+  // Decoding checks every section's CRC-32 and gives back the dump.
+  auto decoded = persist::DecodeModelFile(path);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_TRUE(decoded->index_raw == raw);
+  EXPECT_EQ(decoded->fit_assignment, report->result.assignment);
 }
 
 // ----------------------------------------------------------- corruption ----

@@ -4,10 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 #include <set>
+#include <vector>
 
 #include "util/flags.h"
+#include "util/large_block_allocator.h"
 #include "util/logging.h"
 #include "util/macros.h"
 #include "util/result.h"
@@ -440,6 +443,28 @@ TEST(LoggingTest, ChecksPassOnTrueCondition) {
   LSHC_CHECK_GT(3, 2);
   LSHC_CHECK_GE(3, 3);
   LSHC_CHECK_OK(Status::OK());
+}
+
+TEST(LargeBlockAllocatorTest, LargeBlocksAreMappedAndKeepTheirContents) {
+  using Allocator = LargeBlockAllocator<uint64_t>;
+  const size_t large = Allocator::kMinMappedBytes / sizeof(uint64_t);
+  std::vector<uint64_t, Allocator> values(1000);
+  std::iota(values.begin(), values.end(), uint64_t{7});
+
+  // Growing past the threshold moves the contents into a mapping of its
+  // own, which starts on a page boundary (malloc's own mapped chunks start
+  // 16 bytes past one).
+  values.resize(large);
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(values.data()) % 4096, 0u);
+  for (size_t i = 0; i < 1000; ++i) ASSERT_EQ(values[i], i + 7);
+  EXPECT_EQ(values[1000], 0u);
+  EXPECT_EQ(values.back(), 0u);
+  values.back() = 42;
+
+  // And shrinking back below it returns them to operator new.
+  values.resize(10);
+  values.shrink_to_fit();
+  for (size_t i = 0; i < 10; ++i) EXPECT_EQ(values[i], i + 7);
 }
 
 TEST(LoggingDeathTest, CheckFailureAborts) {
