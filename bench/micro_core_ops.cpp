@@ -9,13 +9,15 @@
 // tier (with speedup_vs_scalar on the vector tiers), and, at perfbench's
 // two fit shapes and per tier, the exhaustive argmin per-pair vs scan and
 // one routed query (FrozenModel::RouteInto) vs the item-walk route it
-// replaced. Once, at the detected tier, it times the freeze of a live
+// replaced, and at the fit-numeric shape one Fit refinement pass, cluster
+// bitmasks vs the cluster-list walk. Once, at the detected tier, it times the freeze of a live
 // streaming index and the whole StreamingSession::Snapshot() at
 // perfbench's serve-live shape, as the live index grows.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -31,6 +33,7 @@
 #include "clustering/kmeans.h"
 #include "clustering/modes.h"
 #include "core/cluster_shortlist_index.h"
+#include "core/simhash_shortlist_index.h"
 #include "datagen/conjunctive_generator.h"
 #include "datagen/gaussian_mixture.h"
 #include "hashing/minhash.h"
@@ -478,6 +481,11 @@ std::vector<KernelTiming> TimeKernelsAtActiveTier() {
   return timings;
 }
 
+/// `timing` (ns) in ms.
+Quartiles InMs(const Quartiles& timing) {
+  return {timing.median * 1e-6, timing.q1 * 1e-6, timing.q3 * 1e-6};
+}
+
 /// Writes `prefix` + _median / _q1 / _q3.
 void AddQuartiles(bench::JsonBenchWriter& writer, const std::string& prefix,
                   const Quartiles& timing) {
@@ -716,6 +724,155 @@ void AddRoutedQueryRecord(bench::JsonBenchWriter& writer,
   writer.Add("identical_routes", routed == walked ? "true" : "false");
 }
 
+// One Fit refinement pass at perfbench's fit-numeric shape (10,000 items
+// of the 16-d, 200-component Gaussian mixture, k = 200, SimHash at the
+// library's default banding), from the state after the initial exhaustive
+// pass and its centroid update: every item scored against its shortlist,
+// single-threaded, the pass's own per-bucket state built first.
+struct ShortlistPassShape {
+  NumericDataset dataset;
+  CentroidTable centroids{1, 1};
+  KMeansOptions options;
+  std::vector<uint32_t> assignment;
+  std::unique_ptr<ShortlistProvider<SimHashShortlistFamily>> provider;
+};
+
+ShortlistPassShape& NumericShortlistPassShape() {
+  static auto shape = [] {
+    GaussianMixtureOptions data;
+    data.num_items = 10000;
+    data.dimensions = 16;
+    data.num_clusters = 200;
+    ShortlistPassShape out;
+    out.dataset = GenerateGaussianMixture(data).ValueOrDie();
+    out.options.num_clusters = 200;
+    out.options.max_iterations = 0;  // the initial pass and update only
+    out.options.seed = 1;
+    ExhaustiveProvider exhaustive;
+    out.assignment = RunKMeansEngine(out.dataset, out.options, exhaustive,
+                                     &out.centroids)
+                         .ValueOrDie()
+                         .assignment;
+    out.provider = std::make_unique<ShortlistProvider<SimHashShortlistFamily>>(
+        SimHashIndexOptions{}, 200);
+    LSHC_CHECK(out.provider->Prepare(out.dataset).ok());
+    return out;
+  }();
+  return shape;
+}
+
+/// The shortlist walk's argmin (the engine's BestClusterShortlist): the
+/// seed cluster, then each listed cluster with the early-exit kernel,
+/// replacing the best only on a strictly smaller distance.
+uint32_t ListedArgmin(const ShortlistPassShape& shape, uint32_t item,
+                      uint32_t seed_cluster,
+                      const std::vector<uint32_t>& shortlist) {
+  using Traits = NumericClusteringTraits;
+  uint32_t best_cluster = seed_cluster;
+  double best_distance = Traits::ComputeDistance<false>(
+      shape.dataset, shape.centroids, shape.options, item, seed_cluster,
+      Traits::kInfiniteDistance);
+  for (const uint32_t cluster : shortlist) {
+    if (cluster == seed_cluster) continue;
+    const double distance = Traits::ComputeDistance<true>(
+        shape.dataset, shape.centroids, shape.options, item, cluster,
+        best_distance);
+    if (distance < best_distance) {
+      best_distance = distance;
+      best_cluster = cluster;
+    }
+  }
+  return best_cluster;
+}
+
+/// One shortlist_pass record at the active tier: ns per pass of the mask
+/// path (cluster bitmasks per bucket, one masked all-clusters scan per
+/// item, the listed walk for an item the set cannot settle) and of the
+/// list walk it replaces at this shape (buckets compacted to cluster
+/// lists, each item's shortlist collected from them and scored pair by
+/// pair), kReps batches each, alternating; whether both assigned every
+/// item alike; and the pass's mean shortlist and walked items.
+void AddShortlistPassRecord(bench::JsonBenchWriter& writer) {
+  const ShortlistPassShape& shape = NumericShortlistPassShape();
+  using Traits = NumericClusteringTraits;
+  ShortlistProvider<SimHashShortlistFamily>& provider = *shape.provider;
+  const BandedIndex& index = *provider.index();
+  const uint32_t n = shape.dataset.num_items();
+  const uint32_t k = shape.options.num_clusters;
+  const std::span<const uint32_t> reference = shape.assignment;
+  std::vector<uint32_t> masked(n), listed(n);
+  std::vector<uint64_t> mask((k + 63) / 64);
+  std::vector<uint32_t> shortlist;
+  DistanceScratch distances;
+  ClusterDedupScratch scratch = provider.MakeScratch();
+  BucketClusterTable table;
+  uint64_t shortlisted = 0;
+  uint64_t walked = 0;
+
+  const auto mask_op = [&] {
+    provider.BeginPass(reference, nullptr);
+    for (uint32_t item = 0; item < n; ++item) {
+      const uint32_t seed_cluster = reference[item];
+      LSHC_CHECK(provider.CandidateMask(item, reference, mask));
+      uint64_t size = 0;
+      for (const uint64_t word : mask) size += std::popcount(word);
+      shortlisted += size;
+      uint32_t best = seed_cluster;
+      if (!ShortlistScoresByScan(size, k) ||
+          !MaskedArgminFromSeed(
+              Traits::ScanDistances(shape.dataset, shape.centroids,
+                                    shape.options, item, distances),
+              std::span<const uint64_t>(mask), seed_cluster, &best)) {
+        provider.GetCandidates(item, reference, scratch, &shortlist);
+        best = ListedArgmin(shape, item, seed_cluster, shortlist);
+        ++walked;
+      }
+      masked[item] = best;
+    }
+    provider.EndPass();
+  };
+  const auto list_op = [&] {
+    index.CompactClusters(reference, k, &table, nullptr);
+    for (uint32_t item = 0; item < n; ++item) {
+      CollectDistinctClusters(reference[item], scratch, &shortlist,
+                              [&](auto&& sink) {
+                                index.VisitCandidateClusters(item, table,
+                                                             sink);
+                              });
+      listed[item] = ListedArgmin(shape, item, reference[item], shortlist);
+    }
+  };
+  const uint64_t mask_batch = CalibratedBatch(mask_op);
+  const uint64_t list_batch = CalibratedBatch(list_op);
+  std::vector<double> mask_ns, list_ns;
+  for (int rep = 0; rep < kReps; ++rep) {
+    mask_ns.push_back(BatchNsPerOp(mask_op, mask_batch));
+    list_ns.push_back(BatchNsPerOp(list_op, list_batch));
+  }
+  shortlisted = 0;
+  walked = 0;
+  mask_op();
+  list_op();
+  const Quartiles mask_pass = QuartilesOf(std::move(mask_ns));
+  const Quartiles list_pass = QuartilesOf(std::move(list_ns));
+  writer.BeginRecord();
+  writer.Add("record", "shortlist_pass");
+  writer.Add("shape", "fit-numeric");
+  writer.Add("clusters", k);
+  writer.Add("items", n);
+  writer.Add("bands", index.num_bands());
+  writer.Add("buckets", index.num_buckets());
+  writer.Add("masks_fit", index.ClusterMasksFit(k) ? "true" : "false");
+  writer.Add("mean_shortlist",
+             static_cast<double>(shortlisted) / static_cast<double>(n));
+  writer.Add("walked_items", walked);
+  writer.Add("reps", static_cast<uint32_t>(kReps));
+  AddQuartiles(writer, "list_walk_ms_per_pass", InMs(list_pass));
+  AddQuartiles(writer, "mask_ms_per_pass", InMs(mask_pass));
+  writer.Add("speedup_vs_list_walk", list_pass.median / mask_pass.median);
+  writer.Add("identical_assignments", masked == listed ? "true" : "false");
+}
+
 // The live index at perfbench's serve-live shape: conjunctive-rule data
 // with 10 attributes, domain 4,000 and 200 rules, a MinHash session at the
 // library's default banding bootstrapped on kLiveWarmUp rows with k = 200,
@@ -723,11 +880,6 @@ void AddRoutedQueryRecord(bench::JsonBenchWriter& writer,
 constexpr uint32_t kLiveWarmUp = 45000;
 constexpr uint32_t kLiveItems[] = {45000, 100000, 160000};
 constexpr uint32_t kLiveIngestRows = 256;
-
-/// `timing` (ns) in ms.
-Quartiles InMs(const Quartiles& timing) {
-  return {timing.median * 1e-6, timing.q1 * 1e-6, timing.q3 * 1e-6};
-}
 
 /// One live_snapshot record per size in kLiveItems: the median and
 /// quartiles of kReps calibrated batches of the freeze
@@ -842,7 +994,7 @@ std::string SourceCommit() {
 }
 
 /// The --json mode: a provenance record, then kernel timings, the
-/// exhaustive argmin records and the routed-query records at every
+/// exhaustive argmin, routed-query and shortlist-pass records at every
 /// supported dispatch tier, then the live-snapshot records.
 bool WriteJsonRecords(const std::string& path) {
   bench::JsonBenchWriter writer;
@@ -886,6 +1038,7 @@ bool WriteJsonRecords(const std::string& path) {
     AddExhaustiveScanRecord(writer, "fit-numeric", NumericScanShape());
     AddRoutedQueryRecord(writer, "fit-categorical", CategoricalRoutedShape());
     AddRoutedQueryRecord(writer, "fit-numeric", NumericRoutedShape());
+    AddShortlistPassRecord(writer);
   }
   simd::ForceSimdTier(detected);
   AddLiveSnapshotRecords(writer);

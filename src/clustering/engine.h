@@ -56,6 +56,26 @@
 ///  * `void EndPass()` — called once when refinement ends, on every exit
 ///    path; state bound to the snapshot must not outlive it.
 ///
+/// and, with the pass hook, the optional mask hook:
+///
+///  * `bool CandidateMask(item, assignment, std::span<uint64_t> mask)
+///    const` — when the provider can answer for `assignment` (the bound
+///    snapshot), writes the *set* of `item`'s shortlist into `mask`
+///    (⌈k/64⌉ words, bit c = cluster c, the current cluster included) and
+///    returns true; false sends the item down GetCandidates.
+///    ShortlistProvider answers where its buckets are few and wide, so a
+///    shortlist holds most of the k clusters. The engine then scores the
+///    item from one Traits::ScanDistances row with MaskedArgminFromSeed,
+///    which picks what BestClusterShortlist picks over the listed
+///    shortlist: the seed unless a cluster is strictly nearer, else the
+///    unique nearest. Where that is not settled by the set — the nearest
+///    distance is held by several clusters, whose shortlist order breaks
+///    the tie — or the set is too small to pay for a scan
+///    (ShortlistScoresByScan), the item takes GetCandidates and the
+///    ordered walk. Either way the shortlist size, and so
+///    `exact_distances_evaluated` and the mean shortlist, is the set's
+///    size.
+///
 /// Phases, timed separately (see ClusteringResult):
 ///   1. init: seed selection, initial centroids = seed items.
 ///   2. initial assignment: one exhaustive pass (the paper performs this
@@ -101,6 +121,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <concepts>
 #include <cstdint>
@@ -271,6 +292,51 @@ uint32_t ArgminFromSeed(std::span<const DistanceType> distances,
   uint32_t cluster = 0;
   while (distances[cluster] != least) ++cluster;
   return cluster;
+}
+
+/// ArgminFromSeed restricted to the clusters set in `mask` (bit c =
+/// cluster c), which holds `seed_cluster`: the seed unless a masked
+/// cluster is strictly nearer, else the least masked distance. That is the
+/// shortlist walk's answer (the seed, then each listed cluster replacing
+/// the best only on a strictly smaller distance) whenever the least
+/// distance below the seed's is held by one cluster alone: a NaN seed
+/// wins, other NaNs never do, and equal distances the seed holds keep it.
+/// When several masked clusters hold that least distance the walk takes
+/// whichever it lists first, an order the mask does not keep: then this
+/// returns false and leaves `best` alone (+0 and -0 count as a tie).
+template <typename DistanceType>
+bool MaskedArgminFromSeed(std::span<const DistanceType> distances,
+                          std::span<const uint64_t> mask,
+                          uint32_t seed_cluster, uint32_t* best) {
+  DistanceType least = distances[seed_cluster];
+  uint32_t least_cluster = seed_cluster;
+  bool tied = false;
+  for (size_t word = 0; word < mask.size(); ++word) {
+    for (uint64_t bits = mask[word]; bits != 0; bits &= bits - 1) {
+      const uint32_t cluster = static_cast<uint32_t>(
+          word * 64 + static_cast<size_t>(std::countr_zero(bits)));
+      const DistanceType distance = distances[cluster];
+      if (distance < least) {
+        least = distance;
+        least_cluster = cluster;
+        tied = false;
+      } else if (distance == least && cluster != least_cluster) {
+        tied = true;
+      }
+    }
+  }
+  if (tied && least_cluster != seed_cluster) return false;
+  *best = least_cluster;
+  return true;
+}
+
+/// Whether a shortlist of `size` of `num_clusters` clusters is scored
+/// from one all-clusters scan rather than pair by pair: from a quarter of
+/// the clusters up. The crossover comes from BENCH_core.json
+/// `exhaustive_scan`: on perfbench's fit shapes a scanned cluster costs a
+/// fifth to a half of a pair scored with the early-exit kernels.
+inline bool ShortlistScoresByScan(uint64_t size, uint32_t num_clusters) {
+  return size * 4 >= num_clusters;
 }
 
 /// Best cluster for `item` among all k clusters: the family's exact
@@ -703,6 +769,15 @@ class ClusteringEngine {
         provider.EndPass();
       };
 
+  /// Whether the provider offers the optional mask hook (file comment).
+  static constexpr bool kHasMaskHook =
+      requires(const Provider& provider, uint32_t item,
+               std::span<const uint32_t> assignment,
+               std::span<uint64_t> mask) {
+        { provider.CandidateMask(item, assignment, mask) }
+            -> std::same_as<bool>;
+      };
+
   /// Calls the provider's EndPass, if it has one, when refinement exits.
   struct PassHookGuard {
     Provider& provider;
@@ -831,7 +906,9 @@ class ClusteringEngine {
   }
 
   /// One shortlist chunk: queries `provider` against the frozen
-  /// `reference` snapshot, writes into the live assignment. Local
+  /// `reference` snapshot, writes into the live assignment. An item the
+  /// mask hook answers for is scored from one all-clusters scan (see the
+  /// file comment); every other item walks its listed shortlist. Local
   /// accumulators for the same false-sharing reason as ExhaustiveChunk.
   template <bool EarlyExit>
   static void ShortlistChunk(const Dataset& dataset,
@@ -843,17 +920,40 @@ class ClusteringEngine {
                              uint32_t end, Scratch& scratch,
                              std::vector<uint32_t>& shortlist,
                              ChunkStats* stats) {
+    const uint32_t k = options.num_clusters;
+    std::vector<uint64_t> mask;
+    DistanceScratch distances;
+    if constexpr (kHasMaskHook) mask.resize((k + 63) / 64);
     uint64_t moves = 0;
     uint64_t shortlist_total = 0;
     for (uint32_t item = begin; item < end; ++item) {
-      provider.GetCandidates(item, reference, scratch, &shortlist);
-      // Every shortlist entry gets one exact distance: the seed cluster
-      // (always the shortlist's first entry) exactly once, the rest in
-      // the scan.
-      shortlist_total += shortlist.size();
       const uint32_t seed_cluster = assignment[item];
-      const uint32_t best = BestClusterShortlist<EarlyExit>(
-          dataset, centroids, options, item, seed_cluster, shortlist);
+      // The shortlist's size as a set; 0 = the mask hook did not answer
+      // (a mask holds at least the seed cluster).
+      uint64_t mask_size = 0;
+      if constexpr (kHasMaskHook) {
+        if (provider.CandidateMask(item, reference, mask)) {
+          LSHC_DCHECK((mask[seed_cluster / 64] >> (seed_cluster % 64)) & 1)
+              << "the mask lacks the item's own cluster";
+          for (const uint64_t word : mask) mask_size += std::popcount(word);
+        }
+      }
+      uint32_t best = seed_cluster;
+      if (mask_size == 0 || !ShortlistScoresByScan(mask_size, k) ||
+          !MaskedArgminFromSeed(
+              Traits::ScanDistances(dataset, centroids, options, item,
+                                    distances),
+              std::span<const uint64_t>(mask), seed_cluster, &best)) {
+        provider.GetCandidates(item, reference, scratch, &shortlist);
+        LSHC_DCHECK(mask_size == 0 || shortlist.size() == mask_size)
+            << "mask and listed shortlist disagree";
+        best = BestClusterShortlist<EarlyExit>(
+            dataset, centroids, options, item, seed_cluster, shortlist);
+        mask_size = shortlist.size();
+      }
+      // Every shortlist entry counts as one exact distance, however the
+      // item was scored: the seed cluster once, the rest in the scan.
+      shortlist_total += mask_size;
       if (best != seed_cluster) {
         assignment[item] = best;
         ++moves;

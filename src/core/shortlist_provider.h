@@ -30,7 +30,13 @@
 ///     query walks each bucket's clusters rather than its items. The
 ///     compacted walk is taken only for the exact span BeginPass was
 ///     given; any other span gets the item walk. Both produce the same
-///     shortlist, in content and order.
+///     shortlist, in content and order. Where buckets are few and wide
+///     (BandedIndex::ClusterMasksFit), BeginPass instead fills one
+///     ⌈k/64⌉-word cluster bitmask per bucket and builds no lists, and the
+///     optional mask hook CandidateMask answers for the bound span with
+///     the OR of the item's bucket masks: the shortlist as a set, with no
+///     order. GetCandidates then takes the item walk, for the rare item
+///     whose scan the engine cannot settle from the set alone.
 ///  3. "Updating the index after a move" is writing assignment[item] — an
 ///     assignment array is the cluster reference store, which is why
 ///     updates are "a fast operation ... merely update the item's cluster
@@ -48,7 +54,8 @@
 /// clustering/engine.h): `kExhaustive = false`, `MakeScratch() const`,
 /// `Prepare(dataset, pool, cancel)` and a const
 /// `GetCandidates(item, assignment, scratch, out)`, plus the optional pass
-/// hook `BeginPass(reference, pool)` / `EndPass()`. Queries take an
+/// hook `BeginPass(reference, pool)` / `EndPass()` and the optional mask
+/// hook `CandidateMask(item, assignment, mask)`. Queries take an
 /// explicit Scratch, so the engine runs them from many worker threads at
 /// once (one scratch per worker).
 ///
@@ -267,13 +274,21 @@ class ShortlistProvider {
   /// fanned out over `pool` when given) and binds the result to that exact
   /// span. Until EndPass, the next BeginPass, Prepare or Release, a
   /// GetCandidates call passing the same span (same data pointer and size)
-  /// walks the compacted lists. The caller must not write `reference`'s
-  /// contents while it is bound. The table's storage is allocated by the
-  /// first call after Prepare, on the calling thread, and reused by later
-  /// passes.
+  /// walks the compacted lists. When the index's buckets are few and wide
+  /// (BandedIndex::ClusterMasksFit) it fills cluster bitmasks instead
+  /// (BandedIndex::FillClusterMasks) and builds no lists: CandidateMask
+  /// then answers for the bound span, and GetCandidates walks items. The
+  /// caller must not write `reference`'s contents while it is bound. The
+  /// storage is allocated by the first call after Prepare, on the calling
+  /// thread, and reused by later passes.
   void BeginPass(std::span<const uint32_t> reference, ThreadPool* pool) {
     LSHC_CHECK(index_ != nullptr) << "Prepare() must run before BeginPass";
-    index_->CompactClusters(reference, num_clusters_, &table_, pool);
+    masked_ = index_->ClusterMasksFit(num_clusters_);
+    if (masked_) {
+      index_->FillClusterMasks(reference, num_clusters_, &masks_, pool);
+    } else {
+      index_->CompactClusters(reference, num_clusters_, &table_, pool);
+    }
     bound_ = reference;
   }
 
@@ -294,8 +309,7 @@ class ShortlistProvider {
   void GetCandidates(uint32_t item, std::span<const uint32_t> assignment,
                      Scratch& scratch, std::vector<uint32_t>* out) const {
     LSHC_DCHECK(index_ != nullptr) << "Prepare() must run before queries";
-    if (!bound_.empty() && assignment.data() == bound_.data() &&
-        assignment.size() == bound_.size()) {
+    if (!masked_ && IsBound(assignment)) {
       CollectDistinctClusters(assignment[item], scratch, out,
                               [&](auto&& sink) {
                                 index_->VisitCandidateClusters(item, table_,
@@ -307,6 +321,19 @@ class ShortlistProvider {
                              [&](auto&& sink) {
                                index_->VisitCandidates(item, sink);
                              });
+  }
+
+  /// Engine mask hook: when BeginPass bound cluster masks to exactly
+  /// `assignment`, writes into `mask` (⌈k/64⌉ words) the set of `item`'s
+  /// shortlist — the clusters GetCandidates would list, in no order —
+  /// and returns true. Otherwise leaves `mask` alone and returns false.
+  /// Thread-safe.
+  bool CandidateMask(uint32_t item, std::span<const uint32_t> assignment,
+                     std::span<uint64_t> mask) const {
+    if (!masked_ || !IsBound(assignment)) return false;
+    LSHC_DCHECK(mask.size() == masks_.words()) << "mask width mismatch";
+    index_->OrClusterMasks(item, masks_, mask.data());
+    return true;
   }
 
   /// As GetCandidates but for an external item given by its
@@ -360,11 +387,12 @@ class ShortlistProvider {
   }
 
   /// Approximate heap footprint (index + any kept signatures + the
-  /// per-pass cluster table).
+  /// per-pass cluster table or masks).
   uint64_t MemoryUsageBytes() const {
     uint64_t bytes = sizeof(*this);
     if (index_ != nullptr) bytes += index_->MemoryUsageBytes();
     bytes += table_.MemoryUsageBytes() - sizeof(table_);
+    bytes += masks_.MemoryUsageBytes() - sizeof(masks_);
     bytes += signatures_.size() * sizeof(uint64_t);
     bytes += scratch_.cluster_stamp.size() * sizeof(uint32_t);
     bytes += query_signature_.capacity() * sizeof(uint64_t);
@@ -385,16 +413,27 @@ class ShortlistProvider {
   uint64_t dataset_sign_passes() const { return dataset_sign_passes_; }
 
  private:
+  /// Whether `assignment` is the span BeginPass bound (same data pointer
+  /// and size).
+  bool IsBound(std::span<const uint32_t> assignment) const {
+    return !bound_.empty() && assignment.data() == bound_.data() &&
+           assignment.size() == bound_.size();
+  }
+
   void DropClusterTable() {
     bound_ = {};
     table_ = {};
+    masks_ = {};
+    masked_ = false;
   }
 
   Family family_;
   uint32_t num_clusters_;
   std::unique_ptr<BandedIndex> index_;
-  BucketClusterTable table_;            // filled by BeginPass
-  std::span<const uint32_t> bound_;     // the span table_ describes
+  BucketClusterTable table_;            // filled by BeginPass, or
+  BucketClusterMasks masks_;            // these when masked_
+  bool masked_ = false;
+  std::span<const uint32_t> bound_;     // the span they describe
   SignatureMatrix signatures_;  // kept only if family says so
   Scratch scratch_;                   // for GetCandidatesForQuery
   std::vector<uint64_t> query_signature_;  // GetCandidatesForQuery buffer

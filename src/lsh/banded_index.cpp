@@ -65,7 +65,7 @@ BandedIndex::BandedIndex(const DynamicBandedIndex& dynamic)
     // its copy is shrunk so no snapshot carries those slots.
     band.key_to_bucket = source.key_to_bucket;
     band.key_to_bucket.ShrinkToFit();
-    band.item_bucket = source.item_bucket;
+    CopyInto<uint32_t>(source.item_bucket, &band.item_bucket);
     const uint32_t num_buckets = static_cast<uint32_t>(source.heads.size());
     band.bucket_offsets.assign(static_cast<size_t>(num_buckets) + 1, 0);
     for (const uint32_t bucket : band.item_bucket) {
@@ -102,19 +102,25 @@ void BandedIndex::Build(std::span<const uint64_t> signatures,
   const uint32_t num_items = num_items_;
   const uint32_t width = signature_width_;
 
-  // Size every array here, on the calling thread: the band workers below
+  // Allocate every array here, on the calling thread, so where the index
+  // lands in the heap does not depend on the pool; the band workers below
   // only write into storage that already exists, except when one shrinks
   // its band's map at the end. A band has at most n buckets, so n + 1
-  // offsets and a map reserved for n keys always fit.
+  // offsets and a map sized for n keys always fit. Nothing is written
+  // here: pass 1 and the fill overwrite item_bucket, bucket_items and
+  // every map slot they use, and each band's worker clears the rest
+  // itself, so the first-touch page faults are taken in parallel.
   for (Band& band : bands_) {
-    band.key_to_bucket.Reserve(num_items);
+    band.key_to_bucket.AllocateUncleared(num_items);
     band.item_bucket.resize(num_items);
     band.bucket_items.resize(num_items);
-    band.bucket_offsets.assign(static_cast<size_t>(num_items) + 1, 0);
+    band.bucket_offsets.reserve(static_cast<size_t>(num_items) + 1);
   }
 
   const auto build_band = [&](uint32_t b) {
     Band& band = bands_[b];
+    band.key_to_bucket.Clear();
+    band.bucket_offsets.assign(static_cast<size_t>(num_items) + 1, 0);
     [[maybe_unused]] const size_t reserved = band.key_to_bucket.capacity();
     uint32_t* offsets = band.bucket_offsets.data();
 
@@ -223,6 +229,44 @@ void BandedIndex::CompactClusters(std::span<const uint32_t> assignment,
   }
 }
 
+void BandedIndex::FillClusterMasks(std::span<const uint32_t> assignment,
+                                   uint32_t num_clusters,
+                                   BucketClusterMasks* masks,
+                                   ThreadPool* pool) const {
+  LSHC_CHECK_EQ(assignment.size(), static_cast<size_t>(num_items_))
+      << "assignment does not cover the indexed items";
+  LSHC_CHECK_GE(num_clusters, 1u) << "need at least one cluster";
+
+  // Size every array here, on the calling thread: workers below only write
+  // into storage that already exists.
+  const uint32_t words = (num_clusters + 63) / 64;
+  masks->words_ = words;
+  masks->bands_.resize(bands_.size());
+  for (size_t b = 0; b < bands_.size(); ++b) {
+    masks->bands_[b].resize((bands_[b].bucket_offsets.size() - 1) * words);
+  }
+
+  const auto fill_band = [&](uint32_t b) {
+    std::vector<uint64_t>& rows = masks->bands_[b];
+    std::fill(rows.begin(), rows.end(), uint64_t{0});
+    const uint32_t* item_bucket = bands_[b].item_bucket.data();
+    for (uint32_t item = 0; item < num_items_; ++item) {
+      const uint32_t cluster = assignment[item];
+      LSHC_DCHECK(cluster < num_clusters) << "cluster id out of range";
+      rows[static_cast<size_t>(item_bucket[item]) * words + cluster / 64] |=
+          uint64_t{1} << (cluster % 64);
+    }
+  };
+  if (pool == nullptr) {
+    for (uint32_t b = 0; b < num_bands(); ++b) fill_band(b);
+  } else {
+    pool->ParallelFor(0, num_bands(), 1,
+                      [&](uint32_t begin, uint32_t end, uint32_t) {
+                        for (uint32_t b = begin; b < end; ++b) fill_band(b);
+                      });
+  }
+}
+
 void BandedIndex::CompactClustersExact(std::span<const uint32_t> assignment,
                                        uint32_t num_clusters,
                                        BucketClusterTable* table) const {
@@ -254,8 +298,8 @@ BandedIndex::Raw BandedIndex::ToRaw() const {
     out.offset = band.offset;
     out.rows = band.rows;
     out.bucket_offsets = band.bucket_offsets;
-    out.bucket_items = band.bucket_items;
-    out.item_bucket = band.item_bucket;
+    CopyInto<uint32_t>(band.bucket_items, &out.bucket_items);
+    CopyInto<uint32_t>(band.item_bucket, &out.item_bucket);
     // Flatten the hash map into dense-bucket-id order: the map's slot
     // order is capacity-dependent, bucket ids are not, so the dump is
     // deterministic (save -> load -> save is byte-identical).
@@ -391,6 +435,14 @@ uint64_t BucketClusterTable::MemoryUsageBytes() const {
     bytes += (band.offsets.capacity() + band.clusters.capacity() +
               band.stamp.capacity()) *
              sizeof(uint32_t);
+  }
+  return bytes;
+}
+
+uint64_t BucketClusterMasks::MemoryUsageBytes() const {
+  uint64_t bytes = sizeof(*this);
+  for (const std::vector<uint64_t>& rows : bands_) {
+    bytes += rows.capacity() * sizeof(uint64_t);
   }
   return bytes;
 }

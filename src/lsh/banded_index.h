@@ -22,13 +22,20 @@
 /// buckets instead of Σ bucket sizes. Fit-time refinement compacts once
 /// per pass (by member item); an immutable fitted model compacts once, at
 /// construction, and routes external signatures over the lists.
+///
+/// Where buckets are few and wide, a list walk still visits most of the k
+/// clusters once per band. A BucketClusterMasks keeps each bucket as a
+/// ⌈k/64⌉-word cluster bitmask instead, and a query ORs its buckets'
+/// masks: its shortlist as a set, without the order of first occurrence.
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
 
 #include "lsh/flat_hash_table.h"
 #include "lsh/probability.h"
+#include "util/default_init_allocator.h"
 #include "util/logging.h"
 #include "util/result.h"
 #include "util/rng.h"
@@ -37,6 +44,11 @@ namespace lshclust {
 
 class DynamicBandedIndex;
 class ThreadPool;
+
+/// One n-sized array of a band (bucket_items, item_bucket). `resize`
+/// leaves it unwritten: the build, the freeze and a load write every
+/// entry anyway (see util/default_init_allocator.h).
+using ItemArray = std::vector<uint32_t, DefaultInitAllocator<uint32_t>>;
 
 /// \brief Each bucket of a BandedIndex compacted to the distinct clusters
 /// of its items under one assignment: per band, a CSR of cluster lists,
@@ -82,6 +94,30 @@ class BucketClusterTable {
   };
 
   std::vector<Band> bands_;
+};
+
+/// \brief Each bucket of a BandedIndex as a bitmask of the clusters of its
+/// items under one assignment: per band, buckets x words() words, bit c
+/// of a bucket's row set iff one of its items is in cluster c.
+///
+/// Filled by BandedIndex::FillClusterMasks and read by
+/// BandedIndex::OrClusterMasks. The validity window is
+/// BucketClusterTable's: the masks describe the assignment content of the
+/// last fill, for the index they were filled from. Storage is sized by
+/// the first fill of an (index, k) shape and reused by later fills.
+class BucketClusterMasks {
+ public:
+  /// Words per mask: ⌈k/64⌉ for the k of the last fill.
+  uint32_t words() const { return words_; }
+
+  /// Approximate heap footprint in bytes.
+  uint64_t MemoryUsageBytes() const;
+
+ private:
+  friend class BandedIndex;
+
+  uint32_t words_ = 0;
+  std::vector<std::vector<uint64_t>> bands_;  // buckets x words_ per band
 };
 
 /// Hashes the `rows` signature components of band `band` into a bucket
@@ -210,6 +246,47 @@ class BandedIndex {
     }
   }
 
+  /// Whether BucketClusterMasks for `num_clusters` clusters take no more
+  /// memory than the lists CompactClusters sizes: buckets x ⌈k/64⌉ x 8 B
+  /// summed over bands, against n x 4 B per band. That holds where
+  /// buckets are few and wide (SimHash's coarse bands), which is where a
+  /// list walk visits most clusters once per band. O(bands).
+  bool ClusterMasksFit(uint32_t num_clusters) const {
+    const uint64_t words = (uint64_t{num_clusters} + 63) / 64;
+    return num_buckets() * words * sizeof(uint64_t) <=
+           uint64_t{num_items_} * num_bands() * sizeof(uint32_t);
+  }
+
+  /// Fills `masks` with every bucket's cluster bitmask under `assignment`
+  /// (cluster ids < `num_clusters`), one sequential sweep over the items
+  /// per band. Storage the masks lack for this shape is allocated here, on
+  /// the calling thread; with a `pool` the bands are fanned out across its
+  /// workers, which only write into that storage. Must not be called from
+  /// a worker of `pool`.
+  void FillClusterMasks(std::span<const uint32_t> assignment,
+                        uint32_t num_clusters, BucketClusterMasks* masks,
+                        ThreadPool* pool) const;
+
+  /// Writes into `mask` (masks.words() words) the OR of the masks of
+  /// `item`'s bucket in every band: the set of clusters
+  /// VisitCandidateClusters would visit under the masks' assignment, which
+  /// includes `item`'s own cluster. `masks` must come from
+  /// FillClusterMasks on this index and still be valid.
+  void OrClusterMasks(uint32_t item, const BucketClusterMasks& masks,
+                      uint64_t* mask) const {
+    LSHC_DCHECK(item < num_items_) << "item index out of range";
+    LSHC_DCHECK(masks.bands_.size() == bands_.size())
+        << "cluster masks were not filled from this index";
+    const uint32_t words = masks.words_;
+    std::fill(mask, mask + words, uint64_t{0});
+    for (size_t b = 0; b < bands_.size(); ++b) {
+      const uint64_t* row =
+          masks.bands_[b].data() +
+          static_cast<size_t>(bands_[b].item_bucket[item]) * words;
+      for (uint32_t w = 0; w < words; ++w) mask[w] |= row[w];
+    }
+  }
+
   /// VisitCandidateClusters for an external `signature` (length
   /// signature_width()): invokes `visit(cluster_id)` for every cluster
   /// `table` lists for the bucket the signature's key selects in each band,
@@ -295,8 +372,8 @@ class BandedIndex {
     uint32_t rows = 0;                     ///< components in this band
     std::vector<uint64_t> bucket_keys;     ///< size buckets
     std::vector<uint32_t> bucket_offsets;  ///< size buckets + 1
-    std::vector<uint32_t> bucket_items;    ///< size n
-    std::vector<uint32_t> item_bucket;     ///< size n
+    ItemArray bucket_items;                ///< size n
+    ItemArray item_bucket;                 ///< size n
     bool operator==(const RawBand&) const = default;
   };
   /// \brief The whole index as plain arrays (see RawBand).
@@ -323,8 +400,8 @@ class BandedIndex {
   struct Band {
     FlatHashMap64 key_to_bucket;          // band key -> dense bucket id
     std::vector<uint32_t> bucket_offsets; // CSR offsets, size buckets+1
-    std::vector<uint32_t> bucket_items;   // CSR payload, size n
-    std::vector<uint32_t> item_bucket;    // item -> its bucket id, size n
+    ItemArray bucket_items;               // CSR payload, size n
+    ItemArray item_bucket;                // item -> its bucket id, size n
     uint32_t offset = 0;                  // first signature component
     uint32_t rows = 0;                    // components in this band
   };
@@ -343,10 +420,12 @@ class BandedIndex {
   /// Buckets every band: dense bucket ids in the order their keys first
   /// occur over ascending item ids, then the CSR fill. Bands have disjoint
   /// bucket spaces (§III-A2), so with a `pool` they are fanned out across
-  /// its workers. All storage is sized first, on the calling thread, and
-  /// workers only write into it (or shrink their own band's map), so the
-  /// index — and its ToRaw dump — is identical for every pool size
-  /// including none. Must not be called from a worker of `pool`.
+  /// its workers. All storage is allocated first, on the calling thread,
+  /// but left unwritten: each band's worker clears what needs clearing
+  /// and is the first to touch its pages. Workers only write into that
+  /// storage (or shrink their own band's map), so the index — and its
+  /// ToRaw dump — is identical for every pool size including none. Must
+  /// not be called from a worker of `pool`.
   void Build(std::span<const uint64_t> signatures, ThreadPool* pool);
 
   /// Build's second pass, shared with the freeze: given `item_bucket`

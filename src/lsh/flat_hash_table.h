@@ -8,12 +8,14 @@
 /// time at that fan-in, so this is a flat, linear-probing, power-of-two
 /// table in the spirit of the Swiss/F14 tables used across database
 /// engines. Insert-only (the index never deletes), which keeps probing
-/// tombstone-free.
+/// tombstone-free. Only the occupancy bytes are ever cleared: a key or
+/// value slot is first written when a key lands in it.
 
 #include <algorithm>
 #include <cstdint>
 #include <vector>
 
+#include "util/default_init_allocator.h"
 #include "util/logging.h"
 #include "util/rng.h"
 
@@ -27,6 +29,19 @@ class FlatHashMap64 {
     Rehash(CapacityFor(expected_entries));
   }
 
+  FlatHashMap64(const FlatHashMap64& other) { *this = other; }
+  FlatHashMap64& operator=(const FlatHashMap64& other) {
+    if (this != &other) {
+      CopyInto<uint64_t>(other.keys_, &keys_);
+      CopyInto<uint32_t>(other.values_, &values_);
+      CopyInto<uint8_t>(other.occupied_, &occupied_);
+      size_ = other.size_;
+    }
+    return *this;
+  }
+  FlatHashMap64(FlatHashMap64&&) noexcept = default;
+  FlatHashMap64& operator=(FlatHashMap64&&) noexcept = default;
+
   /// Number of stored entries.
   size_t size() const { return size_; }
 
@@ -37,6 +52,22 @@ class FlatHashMap64 {
   void Reserve(size_t expected_entries) {
     const size_t needed = CapacityFor(expected_entries);
     if (needed > keys_.size()) Rehash(needed);
+  }
+
+  /// Replaces the contents of an empty map with CapacityFor(
+  /// `expected_entries`) slots that are allocated but not yet written, so
+  /// one thread can allocate a map that another fills: the map holds
+  /// garbage until Clear(), which must run before any other call and is
+  /// the first write to its pages.
+  void AllocateUncleared(size_t expected_entries) {
+    LSHC_DCHECK(size_ == 0) << "AllocateUncleared drops entries";
+    const size_t capacity = CapacityFor(expected_entries);
+    keys_ = {};
+    values_ = {};
+    occupied_ = {};
+    keys_.resize(capacity);
+    values_.resize(capacity);
+    occupied_.resize(capacity);
   }
 
   /// Rehashes into CapacityFor(size()) slots when the table has more,
@@ -104,11 +135,13 @@ class FlatHashMap64 {
   void Rehash(size_t new_capacity) {
     LSHC_DCHECK((new_capacity & (new_capacity - 1)) == 0)
         << "capacity must be a power of two";
-    std::vector<uint64_t> old_keys = std::move(keys_);
-    std::vector<uint32_t> old_values = std::move(values_);
-    std::vector<uint8_t> old_occupied = std::move(occupied_);
-    keys_.assign(new_capacity, 0);
-    values_.assign(new_capacity, 0);
+    Slots<uint64_t> old_keys = std::move(keys_);
+    Slots<uint32_t> old_values = std::move(values_);
+    Slots<uint8_t> old_occupied = std::move(occupied_);
+    keys_ = {};
+    values_ = {};
+    keys_.resize(new_capacity);
+    values_.resize(new_capacity);
     occupied_.assign(new_capacity, 0);
     for (size_t slot = 0; slot < old_keys.size(); ++slot) {
       if (!old_occupied[slot]) continue;
@@ -119,9 +152,12 @@ class FlatHashMap64 {
     }
   }
 
-  std::vector<uint64_t> keys_;
-  std::vector<uint32_t> values_;
-  std::vector<uint8_t> occupied_;
+  template <typename T>
+  using Slots = std::vector<T, DefaultInitAllocator<T>>;
+
+  Slots<uint64_t> keys_;
+  Slots<uint32_t> values_;
+  Slots<uint8_t> occupied_;
   size_t size_ = 0;
 };
 

@@ -336,12 +336,29 @@ void ExpectProviderMatchesOracle(const typename Family::Options& options,
     // Later passes reuse the first pass's storage.
     if (table_bytes == 0) table_bytes = provider.MemoryUsageBytes();
     EXPECT_EQ(provider.MemoryUsageBytes(), table_bytes);
+    // Few, wide buckets get cluster masks instead of lists; each item's
+    // mask must then be its shortlist as a set.
+    const bool masked = provider.index()->ClusterMasksFit(k);
+    std::vector<uint64_t> mask((k + 63) / 64);
     for (uint32_t item = 0; item < n; ++item) {
       provider.GetCandidates(item, assignment, scratch, &shortlist);
       ASSERT_EQ(shortlist, expected[item].shortlist)
-          << "compacted walk, " << path << ", k=" << k << ", item " << item;
+          << "bound walk, " << path << ", k=" << k << ", item " << item;
+      ASSERT_EQ(provider.CandidateMask(item, assignment, mask), masked);
+      if (!masked) continue;
+      std::vector<uint32_t> members;
+      for (uint32_t cluster = 0; cluster < k; ++cluster) {
+        if ((mask[cluster / 64] >> (cluster % 64)) & 1) {
+          members.push_back(cluster);
+        }
+      }
+      std::vector<uint32_t> want = expected[item].shortlist;
+      std::sort(want.begin(), want.end());
+      ASSERT_EQ(members, want)
+          << "cluster mask, " << path << ", k=" << k << ", item " << item;
     }
     provider.EndPass();
+    EXPECT_FALSE(provider.CandidateMask(0, assignment, mask));
   }
 
   // The exact-sized table a fitted model keeps: the same lists, and
@@ -459,6 +476,15 @@ TYPED_TEST(ShortlistOracleTest, SingleItem) {
   using Case = OracleCase<TypeParam>;
   ExpectProviderMatchesOracle<TypeParam>(
       Case::Options(), Case::Make(1, 22, /*identical=*/false), 1, 1);
+}
+
+TYPED_TEST(ShortlistOracleTest, WideBucketsAndManyClusters) {
+  // k = 130 takes three mask words, the last one partly used; 200 items
+  // keep the buckets few enough for masks (each family's coarse bands).
+  using Case = OracleCase<TypeParam>;
+  constexpr uint32_t kItems = 200;
+  const auto dataset = Case::Make(kItems, 24, /*identical=*/false);
+  ExpectProviderMatchesOracle<TypeParam>(Case::Options(), dataset, 130, 5);
 }
 
 TYPED_TEST(ShortlistOracleTest, EveryItemSharesOneBucket) {

@@ -19,6 +19,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <bit>
 #include <cstdint>
 #include <string>
 
@@ -27,6 +29,8 @@
 #include "core/lsh_kmeans.h"
 #include "core/lsh_kprototypes.h"
 #include "core/mh_kmodes.h"
+#include "core/mixed_shortlist_index.h"
+#include "core/simhash_shortlist_index.h"
 #include "datagen/conjunctive_generator.h"
 #include "datagen/gaussian_mixture.h"
 #include "datagen/mixed_generator.h"
@@ -465,6 +469,282 @@ TEST(EngineShardParityTest, RejectsZeroShardsAndZeroChunkSize) {
   options.num_shards = 1;
   options.chunk_size = 0;
   EXPECT_TRUE(RunKModes(dataset, options).status().IsInvalidArgument());
+}
+
+// ---------------------------------------------------- mask-path oracle --
+//
+// Where buckets are few and wide, ShortlistProvider answers the engine's
+// mask hook, and the engine scores an item from one all-clusters scan
+// masked to its shortlist instead of walking the listed shortlist. The
+// oracle is the same provider with the hook hidden: the engine then walks
+// every listed shortlist, the path whose first-occurrence tie-breaking
+// defines the answer. Both must report the same Fit in every detail.
+
+// Forwards a ShortlistProvider, with the mask hook (kShowMask) or without
+// it, and counts which way the engine took each refinement query.
+template <typename Family, bool kShowMask>
+class MaskProbe {
+ public:
+  using Inner = ShortlistProvider<Family>;
+  using Scratch = typename Inner::Scratch;
+  static constexpr bool kExhaustive = false;
+
+  MaskProbe(const typename Family::Options& options, uint32_t k)
+      : inner_(options, k), k_(k) {}
+
+  Scratch MakeScratch() const { return inner_.MakeScratch(); }
+  Status Prepare(const typename Family::Dataset& dataset, ThreadPool* pool,
+                 const std::function<bool()>* cancel) {
+    return inner_.Prepare(dataset, pool, cancel);
+  }
+  void BeginPass(std::span<const uint32_t> reference, ThreadPool* pool) {
+    inner_.BeginPass(reference, pool);
+  }
+  void EndPass() { inner_.EndPass(); }
+  void GetCandidates(uint32_t item, std::span<const uint32_t> assignment,
+                     Scratch& scratch, std::vector<uint32_t>* out) const {
+    ++walks_;
+    inner_.GetCandidates(item, assignment, scratch, out);
+  }
+  bool CandidateMask(uint32_t item, std::span<const uint32_t> assignment,
+                     std::span<uint64_t> mask) const
+    requires kShowMask
+  {
+    if (!inner_.CandidateMask(item, assignment, mask)) return false;
+    ++answers_;
+    uint64_t size = 0;
+    for (const uint64_t word : mask) size += std::popcount(word);
+    if (!ShortlistScoresByScan(size, k_)) ++small_;
+    return true;
+  }
+
+  // Queries that walked a listed shortlist.
+  uint64_t walks() const { return walks_; }
+  // Queries the mask hook answered, and those of them too small to scan.
+  uint64_t answers() const { return answers_; }
+  uint64_t small() const { return small_; }
+
+ private:
+  Inner inner_;
+  uint32_t k_;
+  mutable std::atomic<uint64_t> walks_{0};
+  mutable std::atomic<uint64_t> answers_{0};
+  mutable std::atomic<uint64_t> small_{0};
+};
+
+// How the masked runs scored their items (the same for every run).
+struct MaskPaths {
+  uint64_t answers = 0;  // items the mask hook answered
+  uint64_t small = 0;    // ... of which walked: below the scan crossover
+  uint64_t ties = 0;     // ... of which walked: several nearest clusters
+};
+
+// Fits `dataset` with and without the mask hook at threads {1, 4} x
+// shards {1, 3}; every run must equal the first hook-less one.
+template <typename Traits, typename Family>
+MaskPaths ExpectMaskPathMatchesWalk(
+    const typename Traits::Dataset& dataset, typename Traits::Options options,
+    const typename Family::Options& index_options) {
+  const uint32_t k = options.num_clusters;
+  options.chunk_size = 64;  // enough chunks for three shards
+  std::optional<ClusteringResult> reference;
+  std::optional<MaskPaths> paths;
+  for (const uint32_t threads : {1u, 4u}) {
+    for (const uint32_t shards : {1u, 3u}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " shards=" + std::to_string(shards));
+      options.num_threads = threads;
+      options.num_shards = shards;
+      MaskProbe<Family, false> walked(index_options, k);
+      MaskProbe<Family, true> masked(index_options, k);
+      const auto walk_run =
+          ClusteringEngine<Traits, MaskProbe<Family, false>>::Run(
+              dataset, options, walked);
+      const auto mask_run =
+          ClusteringEngine<Traits, MaskProbe<Family, true>>::Run(
+              dataset, options, masked);
+      EXPECT_TRUE(walk_run.ok() && mask_run.ok());
+      if (!walk_run.ok() || !mask_run.ok()) return {};
+      if (!reference.has_value()) reference = *walk_run;
+      ExpectIdenticalRuns(*reference, *walk_run);
+      ExpectIdenticalRuns(*reference, *mask_run);
+      EXPECT_EQ(mask_run->exact_distances_evaluated,
+                reference->exact_distances_evaluated);
+      EXPECT_EQ(walk_run->exact_distances_evaluated,
+                reference->exact_distances_evaluated);
+
+      // The hook answers for every refinement query or for none; each
+      // answered item then either settled from its scan or walked once.
+      const uint64_t queries =
+          uint64_t{dataset.num_items()} * mask_run->iterations.size();
+      const bool answered = masked.answers() != 0;
+      EXPECT_EQ(masked.answers(), answered ? queries : 0u);
+      if (!answered) {
+        EXPECT_EQ(masked.walks(), queries);
+      }
+      // Shortlists below the scan crossover are walked, not scanned.
+      EXPECT_GE(masked.walks(), masked.small());
+      const MaskPaths run{masked.answers(), masked.small(),
+                          answered ? masked.walks() - masked.small() : 0};
+      if (!paths.has_value()) paths = run;
+      EXPECT_EQ(run.answers, paths->answers);
+      EXPECT_EQ(run.small, paths->small);
+      EXPECT_EQ(run.ties, paths->ties);
+    }
+  }
+  return *paths;
+}
+
+// 2-d points of a small integer layout, shifted to (50, 50) so that every
+// point lies within a few degrees of the others: SimHash buckets then hold
+// nearly everything. Written B first so that a listed shortlist meets B's
+// cluster before A's.
+//   B = (2, 0) and A = (-2, 0), `copies` rows each: clusters 1 and 0;
+//   C = (0, 1), one row: cluster 2, whose seed pulls in
+//   F = (0, 9) and Y = (0, 0), `copies` rows each.
+// After the first update C's centroid sits near (0, 4.4), so Y and C are
+// nearer A and B, at exactly the same distance from both: a tie below the
+// current cluster's distance, which the listed walk breaks towards B.
+struct TieLayout {
+  NumericDataset numeric;
+  std::vector<uint32_t> seeds;  // rows of A, B, C
+};
+
+TieLayout MakeTieLayout(uint32_t copies) {
+  std::vector<double> values;
+  const auto add = [&](double x, double y, uint32_t count) {
+    for (uint32_t i = 0; i < count; ++i) {
+      values.push_back(50 + x);
+      values.push_back(50 + y);
+    }
+  };
+  add(2, 0, copies);   // B: rows [0, copies)
+  add(-2, 0, copies);  // A: rows [copies, 2 copies)
+  add(0, 1, 1);        // C: row 2 copies
+  add(0, 9, copies);
+  add(0, 0, copies);
+  const uint32_t n = static_cast<uint32_t>(values.size() / 2);
+  return {NumericDataset::FromValues(n, 2, std::move(values)).ValueOrDie(),
+          {copies, 0, 2 * copies}};
+}
+
+TEST(EngineMaskPathTest, SimHashDenseBucketsMatchTheListedWalk) {
+  GaussianMixtureOptions data;
+  data.num_items = 2000;
+  data.dimensions = 8;
+  data.num_clusters = 40;
+  data.seed = 61;
+  const auto dataset = GenerateGaussianMixture(data).ValueOrDie();
+  KMeansOptions options;
+  options.num_clusters = 80;  // two mask words
+  options.max_iterations = 6;
+  options.seed = 63;
+  SimHashIndexOptions index;
+  index.banding = {6, 5};
+  index.seed = 65;
+  ShortlistProvider<SimHashShortlistFamily> probe(index, 80);
+  ASSERT_TRUE(probe.Prepare(dataset).ok());
+  ASSERT_TRUE(probe.index()->ClusterMasksFit(80));
+
+  const MaskPaths paths =
+      ExpectMaskPathMatchesWalk<NumericClusteringTraits,
+                                SimHashShortlistFamily>(dataset, options,
+                                                        index);
+  EXPECT_GT(paths.answers, paths.small + paths.ties)
+      << "no item was scored from a scan";
+  EXPECT_GT(paths.small, 0u) << "no shortlist fell below the crossover";
+}
+
+TEST(EngineMaskPathTest, MixedDenseBucketsMatchTheListedWalk) {
+  MixedDataOptions data;
+  data.categorical.num_items = 1500;
+  data.categorical.num_attributes = 6;
+  data.categorical.num_clusters = 12;
+  data.categorical.domain_size = 10;
+  data.categorical.seed = 67;
+  data.numeric_dimensions = 4;
+  data.stddev = 0.6;
+  const auto dataset = GenerateMixedData(data).ValueOrDie();
+  KPrototypesOptions options;
+  options.num_clusters = 30;
+  options.max_iterations = 6;
+  options.seed = 69;
+  options.gamma = 0.5;
+  MixedIndexOptions index;
+  index.categorical_banding = {3, 3};
+  index.numeric_banding = {3, 4};
+  index.seed = 71;
+
+  const MaskPaths paths =
+      ExpectMaskPathMatchesWalk<MixedClusteringTraits, MixedShortlistFamily>(
+          dataset, options, index);
+  EXPECT_GT(paths.answers, paths.small + paths.ties)
+      << "no item was scored from a scan";
+}
+
+TEST(EngineMaskPathTest, TiedNearestClustersTakeTheListedWalk) {
+  const TieLayout layout = MakeTieLayout(20);
+  const uint32_t n = layout.numeric.num_items();
+
+  KMeansOptions numeric;
+  numeric.num_clusters = 3;
+  numeric.max_iterations = 4;
+  numeric.initial_seeds = layout.seeds;
+  SimHashIndexOptions simhash;
+  simhash.banding = {8, 2};
+  const MaskPaths simhash_paths =
+      ExpectMaskPathMatchesWalk<NumericClusteringTraits,
+                                SimHashShortlistFamily>(layout.numeric,
+                                                        numeric, simhash);
+  EXPECT_GT(simhash_paths.ties, 0u) << "no tie reached the listed walk";
+
+  // The same points with one shared categorical row: mismatches are all
+  // 0, so the mixed distances tie exactly where the numeric ones do.
+  const auto categorical =
+      CategoricalDataset::FromCodes(n, 3, 3,
+                                    std::vector<uint32_t>(n * 3, 1))
+          .ValueOrDie();
+  const auto mixed =
+      MixedDataset::Combine(categorical, layout.numeric).ValueOrDie();
+  KPrototypesOptions prototypes;
+  prototypes.num_clusters = 3;
+  prototypes.max_iterations = 4;
+  prototypes.initial_seeds = layout.seeds;
+  MixedIndexOptions mixed_index;
+  mixed_index.categorical_banding = {4, 2};
+  mixed_index.numeric_banding = {4, 2};
+  const MaskPaths mixed_paths =
+      ExpectMaskPathMatchesWalk<MixedClusteringTraits, MixedShortlistFamily>(
+          mixed, prototypes, mixed_index);
+  EXPECT_GT(mixed_paths.ties, 0u) << "no tie reached the listed walk";
+}
+
+TEST(EngineMaskPathTest, SparseBucketsKeepTheListedWalk) {
+  // 16-row bands give each of n items nearly its own bucket: masks would
+  // outweigh the lists, so the hook never answers.
+  GaussianMixtureOptions data;
+  data.num_items = 600;
+  data.dimensions = 8;
+  data.num_clusters = 12;
+  data.center_box = 1.0;  // mostly noise: directions spread evenly
+  data.stddev = 4.0;
+  data.seed = 73;
+  const auto dataset = GenerateGaussianMixture(data).ValueOrDie();
+  KMeansOptions options;
+  options.num_clusters = 12;
+  options.max_iterations = 4;
+  options.seed = 75;
+  SimHashIndexOptions index;
+  index.banding = {4, 16};
+  ShortlistProvider<SimHashShortlistFamily> probe(index, 12);
+  ASSERT_TRUE(probe.Prepare(dataset).ok());
+  ASSERT_FALSE(probe.index()->ClusterMasksFit(12));
+
+  const MaskPaths paths =
+      ExpectMaskPathMatchesWalk<NumericClusteringTraits,
+                                SimHashShortlistFamily>(dataset, options,
+                                                        index);
+  EXPECT_EQ(paths.answers, 0u);
 }
 
 // The unified engine must also accept an exhaustive provider through the
