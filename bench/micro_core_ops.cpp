@@ -737,28 +737,28 @@ struct ShortlistPassShape {
   std::unique_ptr<ShortlistProvider<SimHashShortlistFamily>> provider;
 };
 
-ShortlistPassShape& NumericShortlistPassShape() {
-  static auto shape = [] {
-    GaussianMixtureOptions data;
-    data.num_items = 10000;
-    data.dimensions = 16;
-    data.num_clusters = 200;
-    ShortlistPassShape out;
-    out.dataset = GenerateGaussianMixture(data).ValueOrDie();
-    out.options.num_clusters = 200;
-    out.options.max_iterations = 0;  // the initial pass and update only
-    out.options.seed = 1;
-    ExhaustiveProvider exhaustive;
-    out.assignment = RunKMeansEngine(out.dataset, out.options, exhaustive,
-                                     &out.centroids)
-                         .ValueOrDie()
-                         .assignment;
-    out.provider = std::make_unique<ShortlistProvider<SimHashShortlistFamily>>(
-        SimHashIndexOptions{}, 200);
-    LSHC_CHECK(out.provider->Prepare(out.dataset).ok());
-    return out;
-  }();
-  return shape;
+/// Built per record, not kept in a static like the other shapes: a shape
+/// left on the heap shifts where the later live-snapshot records' large
+/// arrays land, and with it their page-fault cost.
+ShortlistPassShape MakeNumericShortlistPassShape() {
+  GaussianMixtureOptions data;
+  data.num_items = 10000;
+  data.dimensions = 16;
+  data.num_clusters = 200;
+  ShortlistPassShape out;
+  out.dataset = GenerateGaussianMixture(data).ValueOrDie();
+  out.options.num_clusters = 200;
+  out.options.max_iterations = 0;  // the initial pass and update only
+  out.options.seed = 1;
+  ExhaustiveProvider exhaustive;
+  out.assignment =
+      RunKMeansEngine(out.dataset, out.options, exhaustive, &out.centroids)
+          .ValueOrDie()
+          .assignment;
+  out.provider = std::make_unique<ShortlistProvider<SimHashShortlistFamily>>(
+      SimHashIndexOptions{}, 200);
+  LSHC_CHECK(out.provider->Prepare(out.dataset).ok());
+  return out;
 }
 
 /// The shortlist walk's argmin (the engine's BestClusterShortlist): the
@@ -793,7 +793,7 @@ uint32_t ListedArgmin(const ShortlistPassShape& shape, uint32_t item,
 /// pair), kReps batches each, alternating; whether both assigned every
 /// item alike; and the pass's mean shortlist and walked items.
 void AddShortlistPassRecord(bench::JsonBenchWriter& writer) {
-  const ShortlistPassShape& shape = NumericShortlistPassShape();
+  const ShortlistPassShape shape = MakeNumericShortlistPassShape();
   using Traits = NumericClusteringTraits;
   ShortlistProvider<SimHashShortlistFamily>& provider = *shape.provider;
   const BandedIndex& index = *provider.index();
@@ -818,8 +818,7 @@ void AddShortlistPassRecord(bench::JsonBenchWriter& writer) {
       for (const uint64_t word : mask) size += std::popcount(word);
       shortlisted += size;
       uint32_t best = seed_cluster;
-      if (!ShortlistScoresByScan(size, k) ||
-          !MaskedArgminFromSeed(
+      if (!MaskedArgminFromSeed(
               Traits::ScanDistances(shape.dataset, shape.centroids,
                                     shape.options, item, distances),
               std::span<const uint64_t>(mask), seed_cluster, &best)) {

@@ -70,11 +70,9 @@
 ///    shortlist: the seed unless a cluster is strictly nearer, else the
 ///    unique nearest. Where that is not settled by the set — the nearest
 ///    distance is held by several clusters, whose shortlist order breaks
-///    the tie — or the set is too small to pay for a scan
-///    (ShortlistScoresByScan), the item takes GetCandidates and the
-///    ordered walk. Either way the shortlist size, and so
-///    `exact_distances_evaluated` and the mean shortlist, is the set's
-///    size.
+///    the tie — the item takes GetCandidates and the ordered walk. Either
+///    way the shortlist size, and so `exact_distances_evaluated` and the
+///    mean shortlist, is the set's size.
 ///
 /// Phases, timed separately (see ClusteringResult):
 ///   1. init: seed selection, initial centroids = seed items.
@@ -328,15 +326,6 @@ bool MaskedArgminFromSeed(std::span<const DistanceType> distances,
   if (tied && least_cluster != seed_cluster) return false;
   *best = least_cluster;
   return true;
-}
-
-/// Whether a shortlist of `size` of `num_clusters` clusters is scored
-/// from one all-clusters scan rather than pair by pair: from a quarter of
-/// the clusters up. The crossover comes from BENCH_core.json
-/// `exhaustive_scan`: on perfbench's fit shapes a scanned cluster costs a
-/// fifth to a half of a pair scored with the early-exit kernels.
-inline bool ShortlistScoresByScan(uint64_t size, uint32_t num_clusters) {
-  return size * 4 >= num_clusters;
 }
 
 /// Best cluster for `item` among all k clusters: the family's exact
@@ -939,7 +928,7 @@ class ClusteringEngine {
         }
       }
       uint32_t best = seed_cluster;
-      if (mask_size == 0 || !ShortlistScoresByScan(mask_size, k) ||
+      if (mask_size == 0 ||
           !MaskedArgminFromSeed(
               Traits::ScanDistances(dataset, centroids, options, item,
                                     distances),

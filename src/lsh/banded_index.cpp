@@ -65,7 +65,7 @@ BandedIndex::BandedIndex(const DynamicBandedIndex& dynamic)
     // its copy is shrunk so no snapshot carries those slots.
     band.key_to_bucket = source.key_to_bucket;
     band.key_to_bucket.ShrinkToFit();
-    CopyInto<uint32_t>(source.item_bucket, &band.item_bucket);
+    band.item_bucket = source.item_bucket;
     const uint32_t num_buckets = static_cast<uint32_t>(source.heads.size());
     band.bucket_offsets.assign(static_cast<size_t>(num_buckets) + 1, 0);
     for (const uint32_t bucket : band.item_bucket) {
@@ -102,25 +102,27 @@ void BandedIndex::Build(std::span<const uint64_t> signatures,
   const uint32_t num_items = num_items_;
   const uint32_t width = signature_width_;
 
-  // Allocate every array here, on the calling thread, so where the index
-  // lands in the heap does not depend on the pool; the band workers below
-  // only write into storage that already exists, except when one shrinks
-  // its band's map at the end. A band has at most n buckets, so n + 1
-  // offsets and a map sized for n keys always fit. Nothing is written
-  // here: pass 1 and the fill overwrite item_bucket, bucket_items and
-  // every map slot they use, and each band's worker clears the rest
-  // itself, so the first-touch page faults are taken in parallel.
+  // Reserve every array here, on the calling thread, so where the index
+  // lands in the heap does not depend on the pool. Reserving writes
+  // nothing: each band's worker sizes (and zeroes) its arrays within that
+  // storage, so the first-touch page faults are taken in parallel, and
+  // workers never allocate, except when one shrinks its band's map at the
+  // end. A band has at most n buckets, so n + 1 offsets and a map sized
+  // for n keys always fit.
+  const size_t num_offsets = static_cast<size_t>(num_items) + 1;
   for (Band& band : bands_) {
-    band.key_to_bucket.AllocateUncleared(num_items);
-    band.item_bucket.resize(num_items);
-    band.bucket_items.resize(num_items);
-    band.bucket_offsets.reserve(static_cast<size_t>(num_items) + 1);
+    band.key_to_bucket.ReserveStorage(num_items);
+    band.item_bucket.reserve(num_items);
+    band.bucket_items.reserve(num_items);
+    band.bucket_offsets.reserve(num_offsets);
   }
 
   const auto build_band = [&](uint32_t b) {
     Band& band = bands_[b];
-    band.key_to_bucket.Clear();
-    band.bucket_offsets.assign(static_cast<size_t>(num_items) + 1, 0);
+    band.key_to_bucket.Reserve(num_items);
+    band.item_bucket.resize(num_items);
+    band.bucket_items.resize(num_items);
+    band.bucket_offsets.resize(num_offsets);
     [[maybe_unused]] const size_t reserved = band.key_to_bucket.capacity();
     uint32_t* offsets = band.bucket_offsets.data();
 
@@ -298,8 +300,8 @@ BandedIndex::Raw BandedIndex::ToRaw() const {
     out.offset = band.offset;
     out.rows = band.rows;
     out.bucket_offsets = band.bucket_offsets;
-    CopyInto<uint32_t>(band.bucket_items, &out.bucket_items);
-    CopyInto<uint32_t>(band.item_bucket, &out.item_bucket);
+    out.bucket_items = band.bucket_items;
+    out.item_bucket = band.item_bucket;
     // Flatten the hash map into dense-bucket-id order: the map's slot
     // order is capacity-dependent, bucket ids are not, so the dump is
     // deterministic (save -> load -> save is byte-identical).

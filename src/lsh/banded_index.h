@@ -35,7 +35,6 @@
 
 #include "lsh/flat_hash_table.h"
 #include "lsh/probability.h"
-#include "util/default_init_allocator.h"
 #include "util/logging.h"
 #include "util/result.h"
 #include "util/rng.h"
@@ -44,11 +43,6 @@ namespace lshclust {
 
 class DynamicBandedIndex;
 class ThreadPool;
-
-/// One n-sized array of a band (bucket_items, item_bucket). `resize`
-/// leaves it unwritten: the build, the freeze and a load write every
-/// entry anyway (see util/default_init_allocator.h).
-using ItemArray = std::vector<uint32_t, DefaultInitAllocator<uint32_t>>;
 
 /// \brief Each bucket of a BandedIndex compacted to the distinct clusters
 /// of its items under one assignment: per band, a CSR of cluster lists,
@@ -372,8 +366,8 @@ class BandedIndex {
     uint32_t rows = 0;                     ///< components in this band
     std::vector<uint64_t> bucket_keys;     ///< size buckets
     std::vector<uint32_t> bucket_offsets;  ///< size buckets + 1
-    ItemArray bucket_items;                ///< size n
-    ItemArray item_bucket;                 ///< size n
+    std::vector<uint32_t> bucket_items;    ///< size n
+    std::vector<uint32_t> item_bucket;     ///< size n
     bool operator==(const RawBand&) const = default;
   };
   /// \brief The whole index as plain arrays (see RawBand).
@@ -400,8 +394,8 @@ class BandedIndex {
   struct Band {
     FlatHashMap64 key_to_bucket;          // band key -> dense bucket id
     std::vector<uint32_t> bucket_offsets; // CSR offsets, size buckets+1
-    ItemArray bucket_items;               // CSR payload, size n
-    ItemArray item_bucket;                // item -> its bucket id, size n
+    std::vector<uint32_t> bucket_items;   // CSR payload, size n
+    std::vector<uint32_t> item_bucket;    // item -> its bucket id, size n
     uint32_t offset = 0;                  // first signature component
     uint32_t rows = 0;                    // components in this band
   };
@@ -420,12 +414,12 @@ class BandedIndex {
   /// Buckets every band: dense bucket ids in the order their keys first
   /// occur over ascending item ids, then the CSR fill. Bands have disjoint
   /// bucket spaces (§III-A2), so with a `pool` they are fanned out across
-  /// its workers. All storage is allocated first, on the calling thread,
-  /// but left unwritten: each band's worker clears what needs clearing
-  /// and is the first to touch its pages. Workers only write into that
-  /// storage (or shrink their own band's map), so the index — and its
-  /// ToRaw dump — is identical for every pool size including none. Must
-  /// not be called from a worker of `pool`.
+  /// its workers. All storage is reserved first, on the calling thread,
+  /// but not written: each band's worker sizes its own arrays inside that
+  /// storage, so it is the first to touch their pages. Workers never
+  /// allocate (a band may shrink its own map at the end), so the index —
+  /// and its ToRaw dump — is identical for every pool size including
+  /// none. Must not be called from a worker of `pool`.
   void Build(std::span<const uint64_t> signatures, ThreadPool* pool);
 
   /// Build's second pass, shared with the freeze: given `item_bucket`

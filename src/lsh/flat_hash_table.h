@@ -8,14 +8,12 @@
 /// time at that fan-in, so this is a flat, linear-probing, power-of-two
 /// table in the spirit of the Swiss/F14 tables used across database
 /// engines. Insert-only (the index never deletes), which keeps probing
-/// tombstone-free. Only the occupancy bytes are ever cleared: a key or
-/// value slot is first written when a key lands in it.
+/// tombstone-free.
 
 #include <algorithm>
 #include <cstdint>
 #include <vector>
 
-#include "util/default_init_allocator.h"
 #include "util/logging.h"
 #include "util/rng.h"
 
@@ -29,19 +27,6 @@ class FlatHashMap64 {
     Rehash(CapacityFor(expected_entries));
   }
 
-  FlatHashMap64(const FlatHashMap64& other) { *this = other; }
-  FlatHashMap64& operator=(const FlatHashMap64& other) {
-    if (this != &other) {
-      CopyInto<uint64_t>(other.keys_, &keys_);
-      CopyInto<uint32_t>(other.values_, &values_);
-      CopyInto<uint8_t>(other.occupied_, &occupied_);
-      size_ = other.size_;
-    }
-    return *this;
-  }
-  FlatHashMap64(FlatHashMap64&&) noexcept = default;
-  FlatHashMap64& operator=(FlatHashMap64&&) noexcept = default;
-
   /// Number of stored entries.
   size_t size() const { return size_; }
 
@@ -54,20 +39,16 @@ class FlatHashMap64 {
     if (needed > keys_.size()) Rehash(needed);
   }
 
-  /// Replaces the contents of an empty map with CapacityFor(
-  /// `expected_entries`) slots that are allocated but not yet written, so
-  /// one thread can allocate a map that another fills: the map holds
-  /// garbage until Clear(), which must run before any other call and is
-  /// the first write to its pages.
-  void AllocateUncleared(size_t expected_entries) {
-    LSHC_DCHECK(size_ == 0) << "AllocateUncleared drops entries";
+  /// Allocates, without writing it, the storage Reserve(
+  /// `expected_entries`) sizes on an empty map, so that one thread can
+  /// allocate a map whose slots another thread touches first. Changes no
+  /// entry and no capacity(); a later Reserve on the still empty map
+  /// takes this storage instead of allocating.
+  void ReserveStorage(size_t expected_entries) {
     const size_t capacity = CapacityFor(expected_entries);
-    keys_ = {};
-    values_ = {};
-    occupied_ = {};
-    keys_.resize(capacity);
-    values_.resize(capacity);
-    occupied_.resize(capacity);
+    keys_.reserve(capacity);
+    values_.reserve(capacity);
+    occupied_.reserve(capacity);
   }
 
   /// Rehashes into CapacityFor(size()) slots when the table has more,
@@ -135,13 +116,19 @@ class FlatHashMap64 {
   void Rehash(size_t new_capacity) {
     LSHC_DCHECK((new_capacity & (new_capacity - 1)) == 0)
         << "capacity must be a power of two";
-    Slots<uint64_t> old_keys = std::move(keys_);
-    Slots<uint32_t> old_values = std::move(values_);
-    Slots<uint8_t> old_occupied = std::move(occupied_);
-    keys_ = {};
-    values_ = {};
-    keys_.resize(new_capacity);
-    values_.resize(new_capacity);
+    if (size_ == 0 && new_capacity >= keys_.size()) {
+      // Growing an empty map: nothing to move, so size the slots in
+      // place, within any storage ReserveStorage set aside.
+      keys_.assign(new_capacity, 0);
+      values_.assign(new_capacity, 0);
+      occupied_.assign(new_capacity, 0);
+      return;
+    }
+    std::vector<uint64_t> old_keys = std::move(keys_);
+    std::vector<uint32_t> old_values = std::move(values_);
+    std::vector<uint8_t> old_occupied = std::move(occupied_);
+    keys_.assign(new_capacity, 0);
+    values_.assign(new_capacity, 0);
     occupied_.assign(new_capacity, 0);
     for (size_t slot = 0; slot < old_keys.size(); ++slot) {
       if (!old_occupied[slot]) continue;
@@ -152,12 +139,9 @@ class FlatHashMap64 {
     }
   }
 
-  template <typename T>
-  using Slots = std::vector<T, DefaultInitAllocator<T>>;
-
-  Slots<uint64_t> keys_;
-  Slots<uint32_t> values_;
-  Slots<uint8_t> occupied_;
+  std::vector<uint64_t> keys_;
+  std::vector<uint32_t> values_;
+  std::vector<uint8_t> occupied_;
   size_t size_ = 0;
 };
 

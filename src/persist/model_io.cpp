@@ -256,8 +256,7 @@ constexpr size_t kEmitChunkBytes = size_t{64} << 10;
 void EmitIndex(const BandedIndex::Raw& raw,
                const std::function<void(std::string_view)>& emit) {
   std::string buffer;
-  const auto append = [&]<typename T, typename Allocator>(
-                          const std::vector<T, Allocator>& values) {
+  const auto append = [&]<typename T>(const std::vector<T>& values) {
     constexpr size_t kChunk = kEmitChunkBytes / sizeof(T);
     const std::span<const T> all(values);
     for (size_t first = 0; first < all.size(); first += kChunk) {

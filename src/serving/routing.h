@@ -15,9 +15,10 @@
 /// RoutesOverClusterLists), and otherwise maps the bucket's items through
 /// the fit assignment; both give the same shortlist. A short shortlist is
 /// scored pair by pair; one holding at least a quarter of the clusters is
-/// scored from a single all-clusters scan (ShortlistScoresByScan, the
-/// crossover Fit refinement uses too; here the pair path also sorts its
-/// shortlist).
+/// scored from a single all-clusters scan. The k/4 crossover comes from
+/// BENCH_core.json `exhaustive_scan`: on perfbench's fit shapes a scanned
+/// cluster costs a fifth to a half of a pair scored with the early-exit
+/// kernels, and the pair path also sorts its shortlist.
 ///
 /// The kernel is pure per item and reads only immutable state through
 /// RoutedStateView, so any number of threads may route concurrently as
@@ -137,7 +138,7 @@ uint32_t RouteSignedQuery(const typename Traits::Dataset& dataset,
                                          scratch.distances);
   }
   const uint32_t k = options.num_clusters;
-  if (ShortlistScoresByScan(scratch.shortlist.size(), k)) {
+  if (scratch.shortlist.size() * 4 >= k) {
     // The stamps mark the shortlist: start at its lowest id, then take
     // each later shortlisted cluster that strictly improves.
     const std::span<const typename Traits::DistanceType> distances =

@@ -187,8 +187,8 @@ class ByteReader {
   /// contents). The element count is validated against the remaining
   /// bytes *before* any allocation, so a corrupt length cannot trigger a
   /// huge resize.
-  template <typename T, typename Allocator>
-  bool ReadArray(size_t count, std::vector<T, Allocator>* out) {
+  template <typename T>
+  bool ReadArray(size_t count, std::vector<T>* out) {
     static_assert(std::is_same_v<T, uint32_t> || std::is_same_v<T, uint64_t> ||
                       std::is_same_v<T, double>,
                   "ReadArray supports u32, u64 and f64 elements");

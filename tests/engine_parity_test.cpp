@@ -20,7 +20,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <bit>
 #include <cstdint>
 #include <string>
 
@@ -490,7 +489,7 @@ class MaskProbe {
   static constexpr bool kExhaustive = false;
 
   MaskProbe(const typename Family::Options& options, uint32_t k)
-      : inner_(options, k), k_(k) {}
+      : inner_(options, k) {}
 
   Scratch MakeScratch() const { return inner_.MakeScratch(); }
   Status Prepare(const typename Family::Dataset& dataset, ThreadPool* pool,
@@ -512,30 +511,23 @@ class MaskProbe {
   {
     if (!inner_.CandidateMask(item, assignment, mask)) return false;
     ++answers_;
-    uint64_t size = 0;
-    for (const uint64_t word : mask) size += std::popcount(word);
-    if (!ShortlistScoresByScan(size, k_)) ++small_;
     return true;
   }
 
   // Queries that walked a listed shortlist.
   uint64_t walks() const { return walks_; }
-  // Queries the mask hook answered, and those of them too small to scan.
+  // Queries the mask hook answered.
   uint64_t answers() const { return answers_; }
-  uint64_t small() const { return small_; }
 
  private:
   Inner inner_;
-  uint32_t k_;
   mutable std::atomic<uint64_t> walks_{0};
   mutable std::atomic<uint64_t> answers_{0};
-  mutable std::atomic<uint64_t> small_{0};
 };
 
 // How the masked runs scored their items (the same for every run).
 struct MaskPaths {
   uint64_t answers = 0;  // items the mask hook answered
-  uint64_t small = 0;    // ... of which walked: below the scan crossover
   uint64_t ties = 0;     // ... of which walked: several nearest clusters
 };
 
@@ -574,7 +566,8 @@ MaskPaths ExpectMaskPathMatchesWalk(
                 reference->exact_distances_evaluated);
 
       // The hook answers for every refinement query or for none; each
-      // answered item then either settled from its scan or walked once.
+      // answered item then either settled from its scan or, on a tie,
+      // walked once.
       const uint64_t queries =
           uint64_t{dataset.num_items()} * mask_run->iterations.size();
       const bool answered = masked.answers() != 0;
@@ -582,13 +575,9 @@ MaskPaths ExpectMaskPathMatchesWalk(
       if (!answered) {
         EXPECT_EQ(masked.walks(), queries);
       }
-      // Shortlists below the scan crossover are walked, not scanned.
-      EXPECT_GE(masked.walks(), masked.small());
-      const MaskPaths run{masked.answers(), masked.small(),
-                          answered ? masked.walks() - masked.small() : 0};
+      const MaskPaths run{masked.answers(), answered ? masked.walks() : 0};
       if (!paths.has_value()) paths = run;
       EXPECT_EQ(run.answers, paths->answers);
-      EXPECT_EQ(run.small, paths->small);
       EXPECT_EQ(run.ties, paths->ties);
     }
   }
@@ -650,9 +639,7 @@ TEST(EngineMaskPathTest, SimHashDenseBucketsMatchTheListedWalk) {
       ExpectMaskPathMatchesWalk<NumericClusteringTraits,
                                 SimHashShortlistFamily>(dataset, options,
                                                         index);
-  EXPECT_GT(paths.answers, paths.small + paths.ties)
-      << "no item was scored from a scan";
-  EXPECT_GT(paths.small, 0u) << "no shortlist fell below the crossover";
+  EXPECT_GT(paths.answers, paths.ties) << "no item was scored from a scan";
 }
 
 TEST(EngineMaskPathTest, MixedDenseBucketsMatchTheListedWalk) {
@@ -678,8 +665,7 @@ TEST(EngineMaskPathTest, MixedDenseBucketsMatchTheListedWalk) {
   const MaskPaths paths =
       ExpectMaskPathMatchesWalk<MixedClusteringTraits, MixedShortlistFamily>(
           dataset, options, index);
-  EXPECT_GT(paths.answers, paths.small + paths.ties)
-      << "no item was scored from a scan";
+  EXPECT_GT(paths.answers, paths.ties) << "no item was scored from a scan";
 }
 
 TEST(EngineMaskPathTest, TiedNearestClustersTakeTheListedWalk) {

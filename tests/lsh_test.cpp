@@ -98,6 +98,25 @@ TEST(FlatHashMapTest, ReserveAvoidsIncrementalGrowth) {
   EXPECT_EQ(map.capacity(), capacity);  // no rehash happened
 }
 
+TEST(FlatHashMapTest, ReserveStorageKeepsTheMapAndEmptyRehashesStartClean) {
+  FlatHashMap64 map;
+  for (uint64_t key = 0; key < 100; ++key) map.FindOrInsert(key, 1);
+  const size_t capacity = map.capacity();
+  map.ReserveStorage(100000);
+  EXPECT_EQ(map.capacity(), capacity);
+  EXPECT_EQ(map.size(), 100u);
+  EXPECT_EQ(*map.Find(99), 1u);
+
+  // An empty map grows in place: no entry of before the Clear survives.
+  map.Clear();
+  map.Reserve(100000);
+  EXPECT_EQ(map.capacity(), FlatHashMap64::CapacityFor(100000));
+  EXPECT_EQ(map.size(), 0u);
+  EXPECT_EQ(map.Find(5), nullptr);
+  map.FindOrInsert(5, 3);
+  EXPECT_EQ(*map.Find(5), 3u);
+}
+
 TEST(FlatHashMapTest, MatchesStdMapUnderRandomWorkload) {
   FlatHashMap64 map;
   std::map<uint64_t, uint32_t> reference;
