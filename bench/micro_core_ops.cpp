@@ -10,8 +10,8 @@
 // two fit shapes and per tier, the exhaustive argmin per-pair vs scan and
 // one routed query (FrozenModel::RouteInto) vs the item-walk route it
 // replaced, and at the fit-numeric shape one Fit refinement pass, cluster
-// bitmasks vs the cluster-list walk. Once, at the detected tier, it times the freeze of a live
-// streaming index and the whole StreamingSession::Snapshot() at
+// bitmasks vs the item walk. Once, at the detected tier, it times the
+// freeze of a live streaming index and the whole StreamingSession::Snapshot() at
 // perfbench's serve-live shape, as the live index grows.
 
 #include <benchmark/benchmark.h>
@@ -622,20 +622,28 @@ CategoricalRoutedShape() {
   return shape;
 }
 
-/// The routed query as it ran before per-bucket cluster lists: walk every
+/// The item-walk route's own state: the routed scratch it signs into,
+/// plus the epoch-stamped dedup and the shortlist it sorts.
+struct ItemWalkScratch {
+  serving::RoutedScratch routed;
+  ClusterDedupScratch dedup;
+  std::vector<uint32_t> shortlist;
+};
+
+/// The routed query as it ran before the query mask: walk every
 /// co-bucketed fitted item through the fit assignment, sort the distinct
 /// clusters and score them pair by pair with the early-exit kernels; an
 /// empty probe takes the exhaustive scan. Also counts the shortlist.
 template <typename Traits, typename Family>
 uint32_t ItemWalkRoute(const RoutedShape<Traits, Family>& shape,
-                       uint32_t item, serving::RoutedScratch& scratch,
+                       uint32_t item, ItemWalkScratch& scratch,
                        uint64_t* shortlisted) {
   const auto& model = shape.impl();
-  model.SignQuery(shape.queries, item, scratch);
+  model.SignQuery(shape.queries, item, scratch.routed);
   scratch.shortlist.clear();
   BumpDedupEpoch(scratch.dedup);
   model.index()->VisitCandidatesOfSignature(
-      scratch.signature, [&](uint32_t other) {
+      scratch.routed.signature, [&](uint32_t other) {
         const uint32_t cluster = model.fit_assignment()[other];
         if (scratch.dedup.cluster_stamp[cluster] == scratch.dedup.epoch) {
           return;
@@ -647,7 +655,7 @@ uint32_t ItemWalkRoute(const RoutedShape<Traits, Family>& shape,
   if (scratch.shortlist.empty()) {
     return BestClusterExhaustive<Traits>(shape.queries, model.centroids(),
                                          model.options(), item, 0,
-                                         scratch.distances);
+                                         scratch.routed.distances);
   }
   std::sort(scratch.shortlist.begin(), scratch.shortlist.end());
   uint32_t best_cluster = scratch.shortlist.front();
@@ -670,7 +678,8 @@ uint32_t ItemWalkRoute(const RoutedShape<Traits, Family>& shape,
 /// One routed-query record at the active tier: ns per query of RouteInto
 /// and of the item-walk route, kReps batches of all queries each (the two
 /// alternate batch by batch), whether both routed every query alike, and
-/// the model's shape: mean bucket, cluster-list entries, mean shortlist.
+/// the model's shape: mean bucket, whether it routes over cluster masks,
+/// mean shortlist.
 template <typename Traits, typename Family>
 void AddRoutedQueryRecord(bench::JsonBenchWriter& writer,
                           const char* shape_name,
@@ -680,7 +689,9 @@ void AddRoutedQueryRecord(bench::JsonBenchWriter& writer,
   std::vector<uint32_t> routed(queries);
   std::vector<uint32_t> walked(queries);
   auto route_scratch = shape.model->MakeScratch();
-  serving::RoutedScratch walk_scratch = model.NewRoutedScratch();
+  ItemWalkScratch walk_scratch{model.NewRoutedScratch(),
+                              MakeClusterDedupScratch(model.num_clusters()),
+                              {}};
   uint64_t shortlisted = 0;
   const auto route_op = [&] {
     LSHC_CHECK(
@@ -713,7 +724,7 @@ void AddRoutedQueryRecord(bench::JsonBenchWriter& writer,
   writer.Add("mean_bucket", static_cast<double>(index.num_items()) *
                                 index.num_bands() /
                                 static_cast<double>(index.num_buckets()));
-  writer.Add("cluster_list_entries", shape.model->cluster_list_entries());
+  writer.Add("masks_fit", model.cluster_masks() != nullptr ? "true" : "false");
   writer.Add("mean_shortlist",
              static_cast<double>(shortlisted) / static_cast<double>(queries));
   writer.Add("queries", queries);
@@ -788,10 +799,10 @@ uint32_t ListedArgmin(const ShortlistPassShape& shape, uint32_t item,
 /// One shortlist_pass record at the active tier: ns per pass of the mask
 /// path (cluster bitmasks per bucket, one masked all-clusters scan per
 /// item, the listed walk for an item the set cannot settle) and of the
-/// list walk it replaces at this shape (buckets compacted to cluster
-/// lists, each item's shortlist collected from them and scored pair by
-/// pair), kReps batches each, alternating; whether both assigned every
-/// item alike; and the pass's mean shortlist and walked items.
+/// item walk it replaces at this shape (each item's shortlist collected
+/// from its co-bucketed items and scored pair by pair), kReps batches
+/// each, alternating; whether both assigned every item alike; and the
+/// pass's mean shortlist and walked items.
 void AddShortlistPassRecord(bench::JsonBenchWriter& writer) {
   const ShortlistPassShape shape = MakeNumericShortlistPassShape();
   using Traits = NumericClusteringTraits;
@@ -800,12 +811,11 @@ void AddShortlistPassRecord(bench::JsonBenchWriter& writer) {
   const uint32_t n = shape.dataset.num_items();
   const uint32_t k = shape.options.num_clusters;
   const std::span<const uint32_t> reference = shape.assignment;
-  std::vector<uint32_t> masked(n), listed(n);
+  std::vector<uint32_t> masked(n), by_walk(n);
   std::vector<uint64_t> mask((k + 63) / 64);
   std::vector<uint32_t> shortlist;
   DistanceScratch distances;
   ClusterDedupScratch scratch = provider.MakeScratch();
-  BucketClusterTable table;
   uint64_t shortlisted = 0;
   uint64_t walked = 0;
 
@@ -830,30 +840,25 @@ void AddShortlistPassRecord(bench::JsonBenchWriter& writer) {
     }
     provider.EndPass();
   };
-  const auto list_op = [&] {
-    index.CompactClusters(reference, k, &table, nullptr);
+  const auto walk_op = [&] {
     for (uint32_t item = 0; item < n; ++item) {
-      CollectDistinctClusters(reference[item], scratch, &shortlist,
-                              [&](auto&& sink) {
-                                index.VisitCandidateClusters(item, table,
-                                                             sink);
-                              });
-      listed[item] = ListedArgmin(shape, item, reference[item], shortlist);
+      provider.GetCandidates(item, reference, scratch, &shortlist);
+      by_walk[item] = ListedArgmin(shape, item, reference[item], shortlist);
     }
   };
   const uint64_t mask_batch = CalibratedBatch(mask_op);
-  const uint64_t list_batch = CalibratedBatch(list_op);
-  std::vector<double> mask_ns, list_ns;
+  const uint64_t walk_batch = CalibratedBatch(walk_op);
+  std::vector<double> mask_ns, walk_ns;
   for (int rep = 0; rep < kReps; ++rep) {
     mask_ns.push_back(BatchNsPerOp(mask_op, mask_batch));
-    list_ns.push_back(BatchNsPerOp(list_op, list_batch));
+    walk_ns.push_back(BatchNsPerOp(walk_op, walk_batch));
   }
   shortlisted = 0;
   walked = 0;
   mask_op();
-  list_op();
+  walk_op();
   const Quartiles mask_pass = QuartilesOf(std::move(mask_ns));
-  const Quartiles list_pass = QuartilesOf(std::move(list_ns));
+  const Quartiles walk_pass = QuartilesOf(std::move(walk_ns));
   writer.BeginRecord();
   writer.Add("record", "shortlist_pass");
   writer.Add("shape", "fit-numeric");
@@ -866,10 +871,10 @@ void AddShortlistPassRecord(bench::JsonBenchWriter& writer) {
              static_cast<double>(shortlisted) / static_cast<double>(n));
   writer.Add("walked_items", walked);
   writer.Add("reps", static_cast<uint32_t>(kReps));
-  AddQuartiles(writer, "list_walk_ms_per_pass", InMs(list_pass));
+  AddQuartiles(writer, "item_walk_ms_per_pass", InMs(walk_pass));
   AddQuartiles(writer, "mask_ms_per_pass", InMs(mask_pass));
-  writer.Add("speedup_vs_list_walk", list_pass.median / mask_pass.median);
-  writer.Add("identical_assignments", masked == listed ? "true" : "false");
+  writer.Add("speedup_vs_item_walk", walk_pass.median / mask_pass.median);
+  writer.Add("identical_assignments", masked == by_walk ? "true" : "false");
 }
 
 // The live index at perfbench's serve-live shape: conjunctive-rule data

@@ -255,7 +255,7 @@ std::vector<uint32_t> AssignRouted(const FrozenModelImpl<Traits, Family>& model,
     ThreadPool pool(num_threads);
     // Scratches are materialised lazily on the worker that first runs a
     // chunk; their contents never influence results (every query
-    // epoch-resets the dedup and overwrites the signature buffer).
+    // rewrites its shortlist mask and its signature buffer).
     std::vector<std::optional<serving::RoutedScratch>> scratches(num_threads);
     ForEachShardChunk(
         plan, &pool,

@@ -51,8 +51,8 @@
 ///    pass, right after the assignment snapshot is frozen; `reference` is
 ///    that snapshot, the very span the pass's GetCandidates calls receive,
 ///    and it is not written until the pass ends. A provider may precompute
-///    per-pass state from it (ShortlistProvider compacts its buckets to
-///    cluster lists), using `pool` between passes.
+///    per-pass state from it (ShortlistProvider fills per-bucket cluster
+///    masks where its buckets are dense), using `pool` between passes.
 ///  * `void EndPass()` — called once when refinement ends, on every exit
 ///    path; state bound to the snapshot must not outlive it.
 ///

@@ -24,19 +24,15 @@
 ///     inserted, so the buckets are known — no re-hashing) and collects
 ///     the clusters of the co-bucketed items, read through the
 ///     `assignment` span the caller passes; the deduplicated cluster list,
-///     the item's current cluster first, is the shortlist. At the start of
-///     each engine pass, BeginPass compacts every bucket to the distinct
-///     clusters of its items under that pass's assignment snapshot, so a
-///     query walks each bucket's clusters rather than its items. The
-///     compacted walk is taken only for the exact span BeginPass was
-///     given; any other span gets the item walk. Both produce the same
-///     shortlist, in content and order. Where buckets are few and wide
-///     (BandedIndex::ClusterMasksFit), BeginPass instead fills one
-///     ⌈k/64⌉-word cluster bitmask per bucket and builds no lists, and the
-///     optional mask hook CandidateMask answers for the bound span with
-///     the OR of the item's bucket masks: the shortlist as a set, with no
-///     order. GetCandidates then takes the item walk, for the rare item
-///     whose scan the engine cannot settle from the set alone.
+///     the item's current cluster first, is the shortlist. Where buckets
+///     are few and wide (BandedIndex::ClusterMasksFit), BeginPass fills
+///     one ⌈k/64⌉-word cluster bitmask per bucket under the pass's
+///     assignment snapshot, and the optional mask hook CandidateMask
+///     answers for exactly that span with the OR of the item's bucket
+///     masks: the shortlist as a set, with no order. GetCandidates always
+///     takes the item walk: for every item when the buckets are sparse,
+///     and for the rare masked item whose scan the engine cannot settle
+///     from the set alone.
 ///  3. "Updating the index after a move" is writing assignment[item] — an
 ///     assignment array is the cluster reference store, which is why
 ///     updates are "a fast operation ... merely update the item's cluster
@@ -109,7 +105,7 @@ inline constexpr uint32_t kSignatureChunkSize = 256;
 
 /// Row-major n x width signature matrix of a signing pass: a Fit's
 /// largest transient (n x width x 8 B, 40 MB at 50,000 items x 100
-/// hashes). A matrix of 32 MB or more gets its own mapping, so where it
+/// hashes). A matrix of 1 MB or more gets its own mapping, so where it
 /// lands never depends on what the heap held before (see
 /// util/large_block_allocator.h).
 using SignatureMatrix = std::vector<uint64_t, LargeBlockAllocator<uint64_t>>;
@@ -147,35 +143,10 @@ inline void BumpDedupEpoch(ClusterDedupScratch& scratch) {
   }
 }
 
-/// Collects into `out` the clusters that `visit_clusters` enumerates,
-/// deduplicated by first occurrence, first entry being `current` (the
-/// querying item's own cluster). The one dedup loop behind every shortlist
-/// provider.
-///
-/// \param visit_clusters callable invoked as visit_clusters(sink) where
-///        sink is a callable taking a cluster id; clusters may repeat freely
-template <typename VisitClustersFn>
-void CollectDistinctClusters(uint32_t current, ClusterDedupScratch& scratch,
-                             std::vector<uint32_t>* out,
-                             VisitClustersFn&& visit_clusters) {
-  out->clear();
-  BumpDedupEpoch(scratch);
-  // The current cluster is always a candidate (the item collides with
-  // itself, but make it unconditional so the contract holds even for
-  // degenerate banding).
-  scratch.cluster_stamp[current] = scratch.epoch;
-  out->push_back(current);
-  visit_clusters([&](uint32_t cluster) {
-    if (scratch.cluster_stamp[cluster] != scratch.epoch) {
-      scratch.cluster_stamp[cluster] = scratch.epoch;
-      out->push_back(cluster);
-    }
-  });
-}
-
-/// CollectDistinctClusters over the clusters (per `assignment`) of the
-/// peers that `visit_peers` enumerates, first entry being `item`'s own
-/// current cluster.
+/// Collects into `out` the clusters (per `assignment`) of the peers that
+/// `visit_peers` enumerates, deduplicated by first occurrence, first entry
+/// being `item`'s own current cluster. The one dedup loop behind every
+/// shortlist provider.
 ///
 /// \param visit_peers callable invoked as visit_peers(sink) where sink is
 ///        a callable taking a peer item id; peers may repeat freely
@@ -185,8 +156,20 @@ void CollectCandidateClusters(uint32_t item,
                               ClusterDedupScratch& scratch,
                               std::vector<uint32_t>* out,
                               VisitPeersFn&& visit_peers) {
-  CollectDistinctClusters(assignment[item], scratch, out, [&](auto&& sink) {
-    visit_peers([&](uint32_t other) { sink(assignment[other]); });
+  out->clear();
+  BumpDedupEpoch(scratch);
+  // The current cluster is always a candidate (the item collides with
+  // itself, but make it unconditional so the contract holds even for
+  // degenerate banding).
+  const uint32_t current = assignment[item];
+  scratch.cluster_stamp[current] = scratch.epoch;
+  out->push_back(current);
+  visit_peers([&](uint32_t other) {
+    const uint32_t cluster = assignment[other];
+    if (scratch.cluster_stamp[cluster] != scratch.epoch) {
+      scratch.cluster_stamp[cluster] = scratch.epoch;
+      out->push_back(cluster);
+    }
   });
 }
 
@@ -240,10 +223,10 @@ class ShortlistProvider {
 
     // Either this Prepare completes and installs a fresh index, or the
     // provider ends up with none — never a half-built or stale one. The
-    // cluster table describes the old index, so it goes too.
+    // cluster masks describe the old index, so they go too.
     index_.reset();
     signatures_.clear();
-    DropClusterTable();
+    DropClusterMasks();
 
     Stopwatch watch;
     SignatureMatrix signatures;
@@ -269,54 +252,39 @@ class ShortlistProvider {
     return Status::OK();
   }
 
-  /// Engine pass hook: compacts every bucket to the distinct clusters of
-  /// its items under `reference` (BandedIndex::CompactClusters, bands
-  /// fanned out over `pool` when given) and binds the result to that exact
-  /// span. Until EndPass, the next BeginPass, Prepare or Release, a
-  /// GetCandidates call passing the same span (same data pointer and size)
-  /// walks the compacted lists. When the index's buckets are few and wide
-  /// (BandedIndex::ClusterMasksFit) it fills cluster bitmasks instead
-  /// (BandedIndex::FillClusterMasks) and builds no lists: CandidateMask
-  /// then answers for the bound span, and GetCandidates walks items. The
-  /// caller must not write `reference`'s contents while it is bound. The
-  /// storage is allocated by the first call after Prepare, on the calling
-  /// thread, and reused by later passes.
+  /// Engine pass hook: when the index's buckets are few and wide
+  /// (BandedIndex::ClusterMasksFit), fills every bucket's cluster bitmask
+  /// under `reference` (BandedIndex::FillClusterMasks, bands fanned out
+  /// over `pool` when given) and binds the masks to that exact span. Until
+  /// EndPass, the next BeginPass, Prepare or Release, CandidateMask then
+  /// answers for a call passing the same span (same data pointer and
+  /// size). Otherwise it binds nothing and refinement takes the item walk.
+  /// The caller must not write `reference`'s contents while it is bound.
+  /// The storage is allocated by the first fill after Prepare, on the
+  /// calling thread, and reused by later passes.
   void BeginPass(std::span<const uint32_t> reference, ThreadPool* pool) {
     LSHC_CHECK(index_ != nullptr) << "Prepare() must run before BeginPass";
-    masked_ = index_->ClusterMasksFit(num_clusters_);
-    if (masked_) {
-      index_->FillClusterMasks(reference, num_clusters_, &masks_, pool);
-    } else {
-      index_->CompactClusters(reference, num_clusters_, &table_, pool);
-    }
+    bound_ = {};
+    if (!index_->ClusterMasksFit(num_clusters_)) return;
+    index_->FillClusterMasks(reference, num_clusters_, &masks_, pool);
     bound_ = reference;
   }
 
-  /// Unbinds the table: every later GetCandidates takes the item walk
-  /// until the next BeginPass. Keeps the table's storage for reuse. The
-  /// engine calls this when refinement ends, so an assignment later
-  /// allocated at the freed snapshot's address can never match.
+  /// Unbinds the masks: CandidateMask answers for no span until the next
+  /// BeginPass. Keeps the masks' storage for reuse. The engine calls this
+  /// when refinement ends, so an assignment later allocated at the freed
+  /// snapshot's address can never match.
   void EndPass() { bound_ = {}; }
 
   /// Fills `out` with the deduplicated candidate clusters of `item`:
   /// the clusters *currently* containing the items LSH considers similar
-  /// to it, plus the item's own current cluster. Reads `assignment` as the
+  /// to it, plus the item's own current cluster, in the order the
+  /// co-bucketed items are walked. Reads `assignment` as the
   /// cluster-reference store (the engine passes its per-pass snapshot).
-  /// When `assignment` is the span bound by BeginPass the compacted
-  /// bucket lists are walked, otherwise the co-bucketed items; the
-  /// shortlist is the same, in content and order.
   /// Thread-safe given a private `scratch`.
   void GetCandidates(uint32_t item, std::span<const uint32_t> assignment,
                      Scratch& scratch, std::vector<uint32_t>* out) const {
     LSHC_DCHECK(index_ != nullptr) << "Prepare() must run before queries";
-    if (!masked_ && IsBound(assignment)) {
-      CollectDistinctClusters(assignment[item], scratch, out,
-                              [&](auto&& sink) {
-                                index_->VisitCandidateClusters(item, table_,
-                                                               sink);
-                              });
-      return;
-    }
     CollectCandidateClusters(item, assignment, scratch, out,
                              [&](auto&& sink) {
                                index_->VisitCandidates(item, sink);
@@ -330,7 +298,10 @@ class ShortlistProvider {
   /// Thread-safe.
   bool CandidateMask(uint32_t item, std::span<const uint32_t> assignment,
                      std::span<uint64_t> mask) const {
-    if (!masked_ || !IsBound(assignment)) return false;
+    if (bound_.empty() || assignment.data() != bound_.data() ||
+        assignment.size() != bound_.size()) {
+      return false;
+    }
     LSHC_DCHECK(mask.size() == masks_.words()) << "mask width mismatch";
     index_->OrClusterMasks(item, masks_, mask.data());
     return true;
@@ -368,7 +339,7 @@ class ShortlistProvider {
   /// index built once after the initial assignment is the one that model
   /// routes with — never a copy.
   std::pair<Family, std::unique_ptr<BandedIndex>> Release() && {
-    DropClusterTable();
+    DropClusterMasks();
     return {std::move(family_), std::move(index_)};
   }
 
@@ -387,11 +358,10 @@ class ShortlistProvider {
   }
 
   /// Approximate heap footprint (index + any kept signatures + the
-  /// per-pass cluster table or masks).
+  /// per-pass cluster masks).
   uint64_t MemoryUsageBytes() const {
     uint64_t bytes = sizeof(*this);
     if (index_ != nullptr) bytes += index_->MemoryUsageBytes();
-    bytes += table_.MemoryUsageBytes() - sizeof(table_);
     bytes += masks_.MemoryUsageBytes() - sizeof(masks_);
     bytes += signatures_.size() * sizeof(uint64_t);
     bytes += scratch_.cluster_stamp.size() * sizeof(uint32_t);
@@ -413,27 +383,16 @@ class ShortlistProvider {
   uint64_t dataset_sign_passes() const { return dataset_sign_passes_; }
 
  private:
-  /// Whether `assignment` is the span BeginPass bound (same data pointer
-  /// and size).
-  bool IsBound(std::span<const uint32_t> assignment) const {
-    return !bound_.empty() && assignment.data() == bound_.data() &&
-           assignment.size() == bound_.size();
-  }
-
-  void DropClusterTable() {
+  void DropClusterMasks() {
     bound_ = {};
-    table_ = {};
     masks_ = {};
-    masked_ = false;
   }
 
   Family family_;
   uint32_t num_clusters_;
   std::unique_ptr<BandedIndex> index_;
-  BucketClusterTable table_;            // filled by BeginPass, or
-  BucketClusterMasks masks_;            // these when masked_
-  bool masked_ = false;
-  std::span<const uint32_t> bound_;     // the span they describe
+  BucketClusterMasks masks_;            // filled by BeginPass
+  std::span<const uint32_t> bound_;     // the span they describe, if any
   SignatureMatrix signatures_;  // kept only if family says so
   Scratch scratch_;                   // for GetCandidatesForQuery
   std::vector<uint64_t> query_signature_;  // GetCandidatesForQuery buffer

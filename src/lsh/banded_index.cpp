@@ -106,128 +106,101 @@ void BandedIndex::Build(std::span<const uint64_t> signatures,
   // lands in the heap does not depend on the pool. Reserving writes
   // nothing: each band's worker sizes (and zeroes) its arrays within that
   // storage, so the first-touch page faults are taken in parallel, and
-  // workers never allocate, except when one shrinks its band's map at the
-  // end. A band has at most n buckets, so n + 1 offsets and a map sized
-  // for n keys always fit.
-  const size_t num_offsets = static_cast<size_t>(num_items) + 1;
+  // workers never allocate, except when one resizes its band's map at the
+  // end. A band is first bucketed with a map and offsets for
+  // kCoarseBandKeys keys, which a band of a few wide buckets never
+  // outgrows (SimHash's coarse bands hold 16); a band with more keys
+  // stops and is bucketed again below, with room for n.
+  const uint32_t coarse_keys = std::min(num_items, kCoarseBandKeys);
   for (Band& band : bands_) {
-    band.key_to_bucket.ReserveStorage(num_items);
+    band.key_to_bucket.ReserveStorage(coarse_keys);
     band.item_bucket.reserve(num_items);
     band.bucket_items.reserve(num_items);
-    band.bucket_offsets.reserve(num_offsets);
+    band.bucket_offsets.reserve(static_cast<size_t>(coarse_keys) + 1);
   }
 
-  const auto build_band = [&](uint32_t b) {
+  // Buckets band `b` if it has at most `max_keys` keys; otherwise returns
+  // false before writing past its reserved storage.
+  const auto build_band = [&](uint32_t b, uint32_t max_keys) {
     Band& band = bands_[b];
-    band.key_to_bucket.Reserve(num_items);
+    band.key_to_bucket.Reserve(max_keys);
     band.item_bucket.resize(num_items);
-    band.bucket_items.resize(num_items);
-    band.bucket_offsets.resize(num_offsets);
+    band.bucket_offsets.assign(static_cast<size_t>(max_keys) + 1, 0);
     [[maybe_unused]] const size_t reserved = band.key_to_bucket.capacity();
     uint32_t* offsets = band.bucket_offsets.data();
 
     // Pass 1: dense bucket ids in first-occurrence order; offsets[id + 1]
-    // counts the bucket's items.
+    // counts the bucket's items. A full map only answers for known keys.
     uint32_t num_buckets = 0;
     for (uint32_t item = 0; item < num_items; ++item) {
-      const uint64_t* signature =
-          signatures.data() + static_cast<size_t>(item) * width;
-      const uint32_t bucket =
-          *band.key_to_bucket.FindOrInsert(BandKey(signature, b), num_buckets);
-      if (bucket == num_buckets) ++num_buckets;
+      const uint64_t key =
+          BandKey(signatures.data() + static_cast<size_t>(item) * width, b);
+      uint32_t bucket;
+      if (num_buckets < max_keys) {
+        bucket = *band.key_to_bucket.FindOrInsert(key, num_buckets);
+        if (bucket == num_buckets) ++num_buckets;
+      } else {
+        const uint32_t* found = band.key_to_bucket.Find(key);
+        if (found == nullptr) return false;
+        bucket = *found;
+      }
       band.item_bucket[item] = bucket;
       ++offsets[bucket + 1];
     }
 
     // Pass 2: the counting-sort fill.
+    band.bucket_items.resize(num_items);
     FillBuckets(num_buckets, band);
     LSHC_DCHECK(band.key_to_bucket.capacity() == reserved)
         << "a band worker grew its hash map";
 
-    // A map reserved for n keys but holding far fewer (a few wide
-    // buckets, as SimHash's coarse bands make) is rehashed to fit. Within
-    // 4x it stays: the O(capacity) rehash would save little memory, and
-    // a fuller map lengthens the probe chains of routed lookups.
+    // Either round leaves the map the size n keys' slots would shrink to:
+    // fitted to its keys, unless they fill more than a quarter of those
+    // slots. Such a map keeps them, since a fuller one lengthens the
+    // probe chains of routed lookups and a smaller one saves little.
     if (FlatHashMap64::CapacityFor(num_buckets) * 4 <=
-        band.key_to_bucket.capacity()) {
+        FlatHashMap64::CapacityFor(num_items)) {
       band.key_to_bucket.ShrinkToFit();
+    } else {
+      band.key_to_bucket.Reserve(num_items);
+    }
+    return true;
+  };
+  const auto build_bands = [&](std::span<const uint32_t> bands,
+                               uint32_t max_keys, uint8_t* built) {
+    const auto run = [&](uint32_t begin, uint32_t end, uint32_t) {
+      for (uint32_t i = begin; i < end; ++i) {
+        built[i] = build_band(bands[i], max_keys) ? 1 : 0;
+      }
+    };
+    const auto count = static_cast<uint32_t>(bands.size());
+    if (pool == nullptr) {
+      run(0, count, 0);
+    } else {
+      pool->ParallelFor(0, count, 1, run);
     }
   };
-  if (pool == nullptr) {
-    for (uint32_t b = 0; b < num_bands(); ++b) build_band(b);
-  } else {
-    pool->ParallelFor(0, num_bands(), 1,
-                      [&](uint32_t begin, uint32_t end, uint32_t) {
-                        for (uint32_t b = begin; b < end; ++b) build_band(b);
-                      });
+  std::vector<uint32_t> all_bands(num_bands());
+  std::vector<uint8_t> built(num_bands());
+  for (uint32_t b = 0; b < num_bands(); ++b) all_bands[b] = b;
+  build_bands(all_bands, coarse_keys, built.data());
+
+  // The bands that stopped: a fresh map and offsets with room for n keys.
+  std::vector<uint32_t> fine;
+  for (uint32_t b = 0; b < num_bands(); ++b) {
+    if (built[b] != 0) continue;
+    fine.push_back(b);
+    Band& band = bands_[b];
+    band.key_to_bucket = FlatHashMap64();
+    band.key_to_bucket.ReserveStorage(num_items);
+    band.bucket_offsets.reserve(static_cast<size_t>(num_items) + 1);
   }
+  build_bands(fine, num_items, built.data());
 
   // Every key is one bucket, so the map's size is the band's bucket count.
   for (Band& band : bands_) {
     band.bucket_offsets.resize(band.key_to_bucket.size() + 1);
     band.bucket_offsets.shrink_to_fit();
-  }
-}
-
-template <bool kFill>
-void BandedIndex::CompactBand(const Band& band,
-                              std::span<const uint32_t> assignment,
-                              uint32_t num_clusters, uint32_t* stamp,
-                              uint32_t* offsets, uint32_t* clusters) {
-  // stamp[c] == bucket  <=>  c is already listed for `bucket`. Bucket ids
-  // are < n, so the fill value never collides with one.
-  std::fill(stamp, stamp + num_clusters, ~0u);
-  const uint32_t num_buckets =
-      static_cast<uint32_t>(band.bucket_offsets.size()) - 1;
-  uint32_t write = 0;
-  for (uint32_t bucket = 0; bucket < num_buckets; ++bucket) {
-    offsets[bucket] = write;
-    const uint32_t end = band.bucket_offsets[bucket + 1];
-    for (uint32_t i = band.bucket_offsets[bucket]; i < end; ++i) {
-      const uint32_t cluster = assignment[band.bucket_items[i]];
-      LSHC_DCHECK(cluster < num_clusters) << "cluster id out of range";
-      if (stamp[cluster] != bucket) {
-        stamp[cluster] = bucket;
-        if constexpr (kFill) clusters[write] = cluster;
-        ++write;
-      }
-    }
-  }
-  offsets[num_buckets] = write;
-}
-
-void BandedIndex::CompactClusters(std::span<const uint32_t> assignment,
-                                  uint32_t num_clusters,
-                                  BucketClusterTable* table,
-                                  ThreadPool* pool) const {
-  LSHC_CHECK_EQ(assignment.size(), static_cast<size_t>(num_items_))
-      << "assignment does not cover the indexed items";
-  LSHC_CHECK_GE(num_clusters, 1u) << "need at least one cluster";
-
-  // Size every array here, on the calling thread: workers below only write
-  // into storage that already exists. Same shape as the last call = no
-  // allocation.
-  table->bands_.resize(bands_.size());
-  for (size_t b = 0; b < bands_.size(); ++b) {
-    BucketClusterTable::Band& lists = table->bands_[b];
-    lists.offsets.resize(bands_[b].bucket_offsets.size());
-    lists.clusters.resize(num_items_);
-    lists.stamp.resize(num_clusters);
-  }
-
-  const auto compact_band = [&](uint32_t b) {
-    BucketClusterTable::Band& lists = table->bands_[b];
-    CompactBand<true>(bands_[b], assignment, num_clusters,
-                      lists.stamp.data(), lists.offsets.data(),
-                      lists.clusters.data());
-  };
-  if (pool == nullptr) {
-    for (uint32_t b = 0; b < num_bands(); ++b) compact_band(b);
-  } else {
-    pool->ParallelFor(0, num_bands(), 1,
-                      [&](uint32_t begin, uint32_t end, uint32_t) {
-                        for (uint32_t b = begin; b < end; ++b) compact_band(b);
-                      });
   }
 }
 
@@ -266,27 +239,6 @@ void BandedIndex::FillClusterMasks(std::span<const uint32_t> assignment,
                       [&](uint32_t begin, uint32_t end, uint32_t) {
                         for (uint32_t b = begin; b < end; ++b) fill_band(b);
                       });
-  }
-}
-
-void BandedIndex::CompactClustersExact(std::span<const uint32_t> assignment,
-                                       uint32_t num_clusters,
-                                       BucketClusterTable* table) const {
-  LSHC_CHECK_EQ(assignment.size(), static_cast<size_t>(num_items_))
-      << "assignment does not cover the indexed items";
-  LSHC_CHECK_GE(num_clusters, 1u) << "need at least one cluster";
-  std::vector<uint32_t> stamp(num_clusters);
-  table->bands_.resize(bands_.size());
-  for (size_t b = 0; b < bands_.size(); ++b) {
-    BucketClusterTable::Band& lists = table->bands_[b];
-    lists.offsets.resize(bands_[b].bucket_offsets.size());
-    CompactBand<false>(bands_[b], assignment, num_clusters, stamp.data(),
-                       lists.offsets.data(), nullptr);
-    lists.clusters.assign(lists.offsets.back(), 0);
-    lists.clusters.shrink_to_fit();
-    CompactBand<true>(bands_[b], assignment, num_clusters, stamp.data(),
-                      lists.offsets.data(), lists.clusters.data());
-    lists.stamp = {};
   }
 }
 
@@ -423,22 +375,6 @@ BandedIndex::Stats BandedIndex::ComputeStats() const {
           : static_cast<double>(total_entries) /
                 static_cast<double>(stats.total_buckets);
   return stats;
-}
-
-uint64_t BucketClusterTable::num_entries() const {
-  uint64_t entries = 0;
-  for (const Band& band : bands_) entries += band.offsets.back();
-  return entries;
-}
-
-uint64_t BucketClusterTable::MemoryUsageBytes() const {
-  uint64_t bytes = sizeof(*this);
-  for (const Band& band : bands_) {
-    bytes += (band.offsets.capacity() + band.clusters.capacity() +
-              band.stamp.capacity()) *
-             sizeof(uint32_t);
-  }
-  return bytes;
 }
 
 uint64_t BucketClusterMasks::MemoryUsageBytes() const {

@@ -15,18 +15,15 @@
 /// contiguous scan. Bands share nothing, so the build fans them out over a
 /// thread pool when it is given one, with the same result as without.
 ///
-/// A query that only wants the *clusters* of its co-bucketed items can
-/// instead walk a BucketClusterTable: every bucket compacted, under one
-/// assignment, to the distinct clusters of its items. Compaction is one
-/// O(n) sweep per band; each query then visits Σ distinct clusters of its
-/// buckets instead of Σ bucket sizes. Fit-time refinement compacts once
-/// per pass (by member item); an immutable fitted model compacts once, at
-/// construction, and routes external signatures over the lists.
-///
-/// Where buckets are few and wide, a list walk still visits most of the k
-/// clusters once per band. A BucketClusterMasks keeps each bucket as a
-/// ⌈k/64⌉-word cluster bitmask instead, and a query ORs its buckets'
-/// masks: its shortlist as a set, without the order of first occurrence.
+/// A query that only wants the *clusters* of its co-bucketed items can,
+/// where buckets are few and wide (ClusterMasksFit), read a
+/// BucketClusterMasks instead: every bucket kept, under one assignment, as
+/// a ⌈k/64⌉-word cluster bitmask. The query ORs its buckets' masks and
+/// gets its shortlist as a set, in ascending cluster id, without walking
+/// a single item. Fit-time refinement fills masks once per pass (by member
+/// item); an immutable fitted model fills them once, at construction, and
+/// routes external signatures over them. Everywhere else, callers walk
+/// the bucket items.
 
 #include <algorithm>
 #include <cstdint>
@@ -44,61 +41,22 @@ namespace lshclust {
 class DynamicBandedIndex;
 class ThreadPool;
 
-/// \brief Each bucket of a BandedIndex compacted to the distinct clusters
-/// of its items under one assignment: per band, a CSR of cluster lists,
-/// each in the order the cluster first occurs when the bucket's items are
-/// walked in ascending id.
-///
-/// Filled by BandedIndex::CompactClusters or CompactClustersExact and
-/// read by BandedIndex::VisitCandidateClusters (member items) and
-/// VisitCandidateClustersOfSignature (external signatures). Validity
-/// window: the lists describe the assignment *content* of the last
-/// compaction, for the index it was made from. They go stale
-/// the moment that assignment is written or the index is replaced; nothing
-/// here detects either, so the owner must drop or recompact the table
-/// first. Two owners exist: ShortlistProvider binds a table to exactly one
-/// assignment span and one refinement pass, and a fitted FrozenModelImpl
-/// owns one next to the immutable index and fit assignment it was
-/// compacted from, so it stays valid for the model's whole life.
-///
-/// CompactClusters sizes storage on its first call for an (index, k)
-/// shape and reuses it for later calls of the same shape, so a run pays
-/// the allocation once, not once per pass. CompactClustersExact sizes
-/// each list to its entries instead, for a table that is built once and
-/// then only read.
-class BucketClusterTable {
- public:
-  /// True until the table is first compacted.
-  bool empty() const { return bands_.empty(); }
-
-  /// Cluster entries listed across every bucket of every band: what one
-  /// walk over all buckets would visit (at most n x bands).
-  uint64_t num_entries() const;
-
-  /// Approximate heap footprint in bytes.
-  uint64_t MemoryUsageBytes() const;
-
- private:
-  friend class BandedIndex;
-
-  struct Band {
-    std::vector<uint32_t> offsets;   // CSR offsets, size buckets + 1
-    std::vector<uint32_t> clusters;  // CSR payload, capacity n
-    std::vector<uint32_t> stamp;     // cluster -> bucket that last listed it
-  };
-
-  std::vector<Band> bands_;
-};
-
 /// \brief Each bucket of a BandedIndex as a bitmask of the clusters of its
 /// items under one assignment: per band, buckets x words() words, bit c
 /// of a bucket's row set iff one of its items is in cluster c.
 ///
 /// Filled by BandedIndex::FillClusterMasks and read by
-/// BandedIndex::OrClusterMasks. The validity window is
-/// BucketClusterTable's: the masks describe the assignment content of the
-/// last fill, for the index they were filled from. Storage is sized by
-/// the first fill of an (index, k) shape and reused by later fills.
+/// BandedIndex::OrClusterMasks (member items) and OrClusterMasksOfSignature
+/// (external signatures). Validity window: the masks describe the
+/// assignment *content* of the last fill, for the index they were filled
+/// from. They go stale the moment that assignment is written or the index
+/// is replaced; nothing here detects either, so the owner must drop or
+/// refill the masks first. Two owners exist: ShortlistProvider binds masks
+/// to exactly one assignment span and one refinement pass, and a fitted
+/// FrozenModelImpl owns masks next to the immutable index and fit
+/// assignment they were filled from, so they stay valid for the model's
+/// whole life. Storage is sized by the first fill of an (index, k) shape
+/// and reused by later fills.
 class BucketClusterMasks {
  public:
   /// Words per mask: ⌈k/64⌉ for the k of the last fill.
@@ -196,55 +154,13 @@ class BandedIndex {
     }
   }
 
-  /// Compacts every bucket of every band to the distinct clusters of its
-  /// items under `assignment` (cluster ids < `num_clusters`), into
-  /// `table`. Any storage the table lacks for this shape is allocated here,
-  /// on the calling thread; bands are independent, so with a `pool` they
-  /// are fanned out across its workers, which only write into that
-  /// storage. The result is identical for every pool size including none.
-  /// Must not be called from a worker of `pool`.
-  void CompactClusters(std::span<const uint32_t> assignment,
-                       uint32_t num_clusters, BucketClusterTable* table,
-                       ThreadPool* pool) const;
-
-  /// CompactClusters on the calling thread, with every band's lists
-  /// sized to their entries rather than to n: one sweep per band counts
-  /// them, a second fills them, and no compaction stamps are kept. For a
-  /// table that is compacted once and only read afterwards.
-  void CompactClustersExact(std::span<const uint32_t> assignment,
-                            uint32_t num_clusters,
-                            BucketClusterTable* table) const;
-
-  /// Invokes `visit(cluster_id)` for every cluster that `table` lists for
-  /// `item`'s bucket, band by band. This is VisitCandidates mapped through
-  /// the assignment `table` was compacted from, with repeats *within* a
-  /// bucket removed: the first occurrence of each cluster keeps its
-  /// position, so deduplicating either stream by first occurrence yields
-  /// the same list in the same order. `table` must come from
-  /// CompactClusters on this index and still be valid (see
-  /// BucketClusterTable).
-  template <typename Visitor>
-  void VisitCandidateClusters(uint32_t item, const BucketClusterTable& table,
-                              Visitor&& visit) const {
-    LSHC_DCHECK(item < num_items_) << "item index out of range";
-    LSHC_DCHECK(table.bands_.size() == bands_.size())
-        << "cluster table was not compacted from this index";
-    for (size_t b = 0; b < bands_.size(); ++b) {
-      const BucketClusterTable::Band& lists = table.bands_[b];
-      const uint32_t bucket = bands_[b].item_bucket[item];
-      const uint32_t begin = lists.offsets[bucket];
-      const uint32_t end = lists.offsets[bucket + 1];
-      for (uint32_t i = begin; i < end; ++i) {
-        visit(lists.clusters[i]);
-      }
-    }
-  }
-
-  /// Whether BucketClusterMasks for `num_clusters` clusters take no more
-  /// memory than the lists CompactClusters sizes: buckets x ⌈k/64⌉ x 8 B
-  /// summed over bands, against n x 4 B per band. That holds where
-  /// buckets are few and wide (SimHash's coarse bands), which is where a
-  /// list walk visits most clusters once per band. O(bands).
+  /// Whether BucketClusterMasks for `num_clusters` clusters are no bigger
+  /// than the n x 4 B per band of `bucket_items` they summarise: buckets x
+  /// ⌈k/64⌉ x 8 B summed over bands. That holds where buckets are few and
+  /// wide (SimHash's coarse bands), which is where an item walk visits
+  /// most clusters many times over. The library's one density rule: Fit
+  /// passes and fitted models take masks under it and the item walk
+  /// otherwise. O(bands).
   bool ClusterMasksFit(uint32_t num_clusters) const {
     const uint64_t words = (uint64_t{num_clusters} + 63) / 64;
     return num_buckets() * words * sizeof(uint64_t) <=
@@ -262,9 +178,9 @@ class BandedIndex {
                         ThreadPool* pool) const;
 
   /// Writes into `mask` (masks.words() words) the OR of the masks of
-  /// `item`'s bucket in every band: the set of clusters
-  /// VisitCandidateClusters would visit under the masks' assignment, which
-  /// includes `item`'s own cluster. `masks` must come from
+  /// `item`'s bucket in every band: the clusters, under the masks'
+  /// assignment, of the items VisitCandidates visits, which include
+  /// `item`'s own cluster. `masks` must come from
   /// FillClusterMasks on this index and still be valid.
   void OrClusterMasks(uint32_t item, const BucketClusterMasks& masks,
                       uint64_t* mask) const {
@@ -281,31 +197,28 @@ class BandedIndex {
     }
   }
 
-  /// VisitCandidateClusters for an external `signature` (length
-  /// signature_width()): invokes `visit(cluster_id)` for every cluster
-  /// `table` lists for the bucket the signature's key selects in each band,
-  /// band by band. Bands whose key was never inserted are skipped. This is
-  /// VisitCandidatesOfSignature mapped through the assignment `table` was
-  /// compacted from, with repeats within a bucket removed, so
-  /// deduplicating either stream by first occurrence yields the same list.
-  template <typename Visitor>
-  void VisitCandidateClustersOfSignature(std::span<const uint64_t> signature,
-                                         const BucketClusterTable& table,
-                                         Visitor&& visit) const {
+  /// OrClusterMasks for an external `signature` (length
+  /// signature_width()): writes into `mask` (masks.words() words) the OR
+  /// of the masks of the bucket the signature's key selects in each band,
+  /// skipping bands whose key was never inserted. That is the clusters,
+  /// under the masks' assignment, of the items VisitCandidatesOfSignature
+  /// visits; all zero when no band's key is found.
+  void OrClusterMasksOfSignature(std::span<const uint64_t> signature,
+                                 const BucketClusterMasks& masks,
+                                 uint64_t* mask) const {
     LSHC_DCHECK(signature.size() == signature_width_)
         << "signature width mismatch";
-    LSHC_DCHECK(table.bands_.size() == bands_.size())
-        << "cluster table was not compacted from this index";
+    LSHC_DCHECK(masks.bands_.size() == bands_.size())
+        << "cluster masks were not filled from this index";
+    const uint32_t words = masks.words_;
+    std::fill(mask, mask + words, uint64_t{0});
     for (uint32_t b = 0; b < num_bands(); ++b) {
       const uint32_t* bucket =
           bands_[b].key_to_bucket.Find(BandKey(signature.data(), b));
       if (bucket == nullptr) continue;
-      const BucketClusterTable::Band& lists = table.bands_[b];
-      const uint32_t begin = lists.offsets[*bucket];
-      const uint32_t end = lists.offsets[*bucket + 1];
-      for (uint32_t i = begin; i < end; ++i) {
-        visit(lists.clusters[i]);
-      }
+      const uint64_t* row =
+          masks.bands_[b].data() + static_cast<size_t>(*bucket) * words;
+      for (uint32_t w = 0; w < words; ++w) mask[w] |= row[w];
     }
   }
 
@@ -391,6 +304,11 @@ class BandedIndex {
   static Result<BandedIndex> FromRaw(Raw raw);
 
  private:
+  /// Keys Build first makes room for in each band: more than a band of a
+  /// few wide buckets holds, and a small share of a fine band's work to
+  /// find out that it has more.
+  static constexpr uint32_t kCoarseBandKeys = 1024;
+
   struct Band {
     FlatHashMap64 key_to_bucket;          // band key -> dense bucket id
     std::vector<uint32_t> bucket_offsets; // CSR offsets, size buckets+1
@@ -400,26 +318,18 @@ class BandedIndex {
     uint32_t rows = 0;                    // components in this band
   };
 
-  /// Compacts band `band`'s buckets, in order, to the distinct clusters
-  /// of their items under `assignment`: offsets[bucket] becomes the first
-  /// entry of the bucket's list and offsets[buckets] the band's total.
-  /// With kFill the lists are written into `clusters`; without, it only
-  /// counts. `stamp` is k words of scratch.
-  template <bool kFill>
-  static void CompactBand(const Band& band,
-                          std::span<const uint32_t> assignment,
-                          uint32_t num_clusters, uint32_t* stamp,
-                          uint32_t* offsets, uint32_t* clusters);
-
   /// Buckets every band: dense bucket ids in the order their keys first
   /// occur over ascending item ids, then the CSR fill. Bands have disjoint
   /// bucket spaces (§III-A2), so with a `pool` they are fanned out across
   /// its workers. All storage is reserved first, on the calling thread,
   /// but not written: each band's worker sizes its own arrays inside that
-  /// storage, so it is the first to touch their pages. Workers never
-  /// allocate (a band may shrink its own map at the end), so the index —
-  /// and its ToRaw dump — is identical for every pool size including
-  /// none. Must not be called from a worker of `pool`.
+  /// storage, so it is the first to touch their pages. The first round
+  /// reserves each band's map and offsets for kCoarseBandKeys keys; the
+  /// bands with more are reserved for n and bucketed again in a second
+  /// round. Workers never allocate (a band may resize its own map at the
+  /// end), so the index — and its ToRaw dump — is identical for every
+  /// pool size including none. Must not be called from a worker of
+  /// `pool`.
   void Build(std::span<const uint64_t> signatures, ThreadPool* pool);
 
   /// Build's second pass, shared with the freeze: given `item_bucket`

@@ -9,11 +9,11 @@
 /// call back into the Fit that produced it), the centroid/mode table, the
 /// signing family (hashers, seeds and all), the banded index, the
 /// fit-time assignment that serves as the cluster-reference store and —
-/// when the index's buckets are large enough to pay for it
-/// (RoutesOverClusterLists) — those buckets compacted once to the distinct
-/// clusters of their items, which routed queries walk instead of the
-/// items. It is immutable once built. A `Clusterer` holds its fitted state
-/// as one of these behind a `shared_ptr<const FrozenModel>`, so
+/// when the index's buckets are few and wide
+/// (BandedIndex::ClusterMasksFit) — every bucket's cluster bitmask under
+/// that assignment, filled once, which routed queries OR instead of
+/// walking the items. It is immutable once built. A `Clusterer` holds its
+/// fitted state as one of these behind a `shared_ptr<const FrozenModel>`, so
 /// `Snapshot()` hands out that same object, `IndexHandle`s share it, and
 /// `PredictRouted` and `RouteInto` run the same sign-and-route code
 /// (RouteRange) over it.
@@ -24,8 +24,8 @@
 /// prepared provider's family and index in), `persist::BuildFrozenModel`
 /// (the one load path, shared by `LoadFrozenModel` and
 /// `Clusterer::FromSnapshot`) and `StreamingSession::Snapshot` (a copy of
-/// the live session's state). Each constructs the cluster lists itself,
-/// so model files never carry them. Applications program against
+/// the live session's state). Each fills the cluster masks itself, so
+/// model files never carry them. Applications program against
 /// serving/frozen_model.h and never name these types.
 
 #include <cstdint>
@@ -126,15 +126,15 @@ class FrozenModelImpl final : public FrozenModel {
     // never call back into them.
     options_.progress = nullptr;
     options_.cancel = nullptr;
-    if (index_ != nullptr && RoutesOverClusterLists(*index_)) {
-      index_->CompactClustersExact(fit_assignment_, options_.num_clusters,
-                                   &cluster_lists_);
+    if (index_ != nullptr && index_->ClusterMasksFit(options_.num_clusters)) {
+      index_->FillClusterMasks(fit_assignment_, options_.num_clusters,
+                               &cluster_masks_, nullptr);
     }
     memory_bytes_ = (index_ != nullptr ? index_->MemoryUsageBytes() : 0) +
                     fit_assignment_.size() * sizeof(uint32_t) +
-                    (cluster_lists_.empty()
-                         ? 0
-                         : cluster_lists_.MemoryUsageBytes());
+                    (cluster_masks() != nullptr
+                         ? cluster_masks_.MemoryUsageBytes()
+                         : 0);
   }
 
   std::unique_ptr<RouteScratch> MakeScratch() const override {
@@ -168,11 +168,10 @@ class FrozenModelImpl final : public FrozenModel {
     if constexpr (kRouted) {
       // Re-fit the scratch to this model; every branch is a no-op once
       // the scratch is warm, preserving the zero-allocation hot path.
-      // Stale stamp contents from a previous model are harmless: the
-      // stamps are epoch-compared, and the epoch wrap clears them.
-      if (s.dedup.cluster_stamp.size() < options_.num_clusters) {
-        s.dedup = MakeClusterDedupScratch(options_.num_clusters);
-      }
+      // Stale mask contents from a previous model are harmless: every
+      // query rewrites the words it reads.
+      const size_t words = (options_.num_clusters + 63) / 64;
+      if (s.mask.size() < words) s.mask.resize(words);
       if (s.signature.size() != index_->signature_width()) {
         s.signature.resize(index_->signature_width());
       }
@@ -199,7 +198,7 @@ class FrozenModelImpl final : public FrozenModel {
       }
     } else {
       const RoutedStateView view{index_.get(), fit_assignment_,
-                                 cluster_lists()};
+                                 cluster_masks()};
       for (uint32_t item = begin; item < end; ++item) {
         SignQuery(queries, item, scratch);
         out[item] = RouteSignedQuery<Traits>(queries, model_, options_, view,
@@ -217,9 +216,6 @@ class FrozenModelImpl final : public FrozenModel {
   uint32_t num_clusters() const override { return options_.num_clusters; }
   bool has_index() const override { return index_ != nullptr; }
   uint64_t memory_bytes() const override { return memory_bytes_; }
-  uint64_t cluster_list_entries() const override {
-    return cluster_lists_.num_entries();
-  }
 
   // Read-only views of the model's members, for the Clusterer (Predict,
   // index()) and the model-file encoder (persist/model_io.cpp), which
@@ -229,10 +225,10 @@ class FrozenModelImpl final : public FrozenModel {
   const std::optional<Family>& family() const { return family_; }
   const BandedIndex* index() const { return index_.get(); }
   std::span<const uint32_t> fit_assignment() const { return fit_assignment_; }
-  /// The buckets' cluster lists routed queries walk; null when the model
+  /// The buckets' cluster masks routed queries OR; null when the model
   /// walks bucket items instead.
-  const BucketClusterTable* cluster_lists() const {
-    return cluster_lists_.empty() ? nullptr : &cluster_lists_;
+  const BucketClusterMasks* cluster_masks() const {
+    return cluster_masks_.words() != 0 ? &cluster_masks_ : nullptr;
   }
   uint32_t shape_primary() const { return shape_primary_; }
   uint32_t shape_secondary() const { return shape_secondary_; }
@@ -263,7 +259,7 @@ class FrozenModelImpl final : public FrozenModel {
   std::optional<Family> family_;
   std::unique_ptr<const BandedIndex> index_;
   std::vector<uint32_t> fit_assignment_;
-  BucketClusterTable cluster_lists_;  // empty unless RoutesOverClusterLists
+  BucketClusterMasks cluster_masks_;  // unfilled unless ClusterMasksFit
   uint32_t shape_primary_ = 0;
   uint32_t shape_secondary_ = 0;
   uint64_t memory_bytes_ = 0;

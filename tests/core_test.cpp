@@ -231,23 +231,15 @@ TEST(ShortlistProviderTest, TimersAndMemoryArePopulated) {
 
 // ------------------------------------- brute-force shortlist oracle --
 
-// What the oracle derives for one item under one assignment.
-struct OracleLists {
-  // Per band, the distinct clusters of the item's co-colliding peers in
-  // ascending peer id, bands concatenated in order: what
-  // BandedIndex::VisitCandidateClusters must visit.
-  std::vector<uint32_t> bucket_clusters;
-  // The shortlist: the current cluster, then bucket_clusters deduplicated
-  // by first occurrence.
-  std::vector<uint32_t> shortlist;
-};
-
 // Shortlists from literal pairwise band collisions: for every band and
 // every (item, peer) pair the band key of both is recomputed and compared.
-// Signs with a separately constructed family, so it shares nothing with
-// the provider under test but the family's signing and the band-key hash.
+// An item's shortlist is its current cluster, then the clusters of its
+// co-colliding peers by first occurrence, band by band in ascending peer
+// id. Signs with a separately constructed family, so it shares nothing
+// with the provider under test but the family's signing and the band-key
+// hash.
 template <typename Family>
-std::vector<OracleLists> BruteForceShortlists(
+std::vector<std::vector<uint32_t>> BruteForceShortlists(
     const typename Family::Options& options,
     const typename Family::Dataset& dataset,
     const std::vector<uint32_t>& assignment) {
@@ -262,26 +254,18 @@ std::vector<OracleLists> BruteForceShortlists(
         signatures.data() + static_cast<size_t>(item) * width + offset, band,
         layout[band]);
   };
-  const auto add_once = [](std::vector<uint32_t>& list, uint32_t cluster,
-                           size_t from) {
-    if (std::find(list.begin() + static_cast<ptrdiff_t>(from), list.end(),
-                  cluster) == list.end()) {
-      list.push_back(cluster);
-    }
-  };
-  std::vector<OracleLists> result(n);
+  std::vector<std::vector<uint32_t>> result(n);
   for (uint32_t item = 0; item < n; ++item) {
-    OracleLists& lists = result[item];
-    lists.shortlist.push_back(assignment[item]);
+    std::vector<uint32_t>& shortlist = result[item];
+    shortlist.push_back(assignment[item]);
     uint32_t offset = 0;
     for (uint32_t band = 0; band < layout.size(); ++band) {
-      const size_t band_start = lists.bucket_clusters.size();
       for (uint32_t peer = 0; peer < n; ++peer) {
-        if (band_key(item, band, offset) != band_key(peer, band, offset)) {
-          continue;
+        if (band_key(item, band, offset) == band_key(peer, band, offset) &&
+            std::find(shortlist.begin(), shortlist.end(), assignment[peer]) ==
+                shortlist.end()) {
+          shortlist.push_back(assignment[peer]);
         }
-        add_once(lists.bucket_clusters, assignment[peer], band_start);
-        add_once(lists.shortlist, assignment[peer], 0);
       }
       offset += layout[band];
     }
@@ -289,8 +273,20 @@ std::vector<OracleLists> BruteForceShortlists(
   return result;
 }
 
-// Checks both GetCandidates paths, and the compacted table itself, against
-// the oracle for one random assignment into k clusters.
+// The clusters set in `mask`, ascending.
+std::vector<uint32_t> MaskMembers(std::span<const uint64_t> mask,
+                                  uint32_t k) {
+  std::vector<uint32_t> members;
+  for (uint32_t cluster = 0; cluster < k; ++cluster) {
+    if ((mask[cluster / 64] >> (cluster % 64)) & 1) members.push_back(cluster);
+  }
+  return members;
+}
+
+// Checks the item walk, and the cluster masks as sets, against the oracle
+// for one random assignment into k clusters: the masks filled directly
+// (whatever the density gate says) and bound by the pass hook, with no
+// pool and with a 4-thread pool.
 template <typename Family>
 void ExpectProviderMatchesOracle(const typename Family::Options& options,
                                  const typename Family::Dataset& dataset,
@@ -301,84 +297,62 @@ void ExpectProviderMatchesOracle(const typename Family::Options& options,
   for (auto& cluster : assignment) {
     cluster = static_cast<uint32_t>(rng.Below(k));
   }
-  const std::vector<OracleLists> expected =
+  const std::vector<std::vector<uint32_t>> expected =
       BruteForceShortlists<Family>(options, dataset, assignment);
+  std::vector<std::vector<uint32_t>> expected_sets = expected;
+  for (auto& set : expected_sets) std::sort(set.begin(), set.end());
 
   ShortlistProvider<Family> provider(options, k);
   ASSERT_TRUE(provider.Prepare(dataset).ok());
+  const BandedIndex& index = *provider.index();
   auto scratch = provider.MakeScratch();
   std::vector<uint32_t> shortlist;
-  // No pass hook has run: the item walk.
   for (uint32_t item = 0; item < n; ++item) {
     provider.GetCandidates(item, assignment, scratch, &shortlist);
-    ASSERT_EQ(shortlist, expected[item].shortlist)
+    ASSERT_EQ(shortlist, expected[item])
         << "item walk, k=" << k << ", item " << item;
   }
 
+  const bool masked = index.ClusterMasksFit(k);
   const uint64_t unbound_bytes = provider.MemoryUsageBytes();
-  uint64_t table_bytes = 0;
+  uint64_t bound_bytes = 0;
+  std::vector<uint64_t> mask((k + 63) / 64);
   ThreadPool pool(4);
   for (ThreadPool* hook_pool : {static_cast<ThreadPool*>(nullptr), &pool}) {
     const char* path = hook_pool == nullptr ? "no pool" : "4-thread pool";
-    BucketClusterTable table;
-    provider.index()->CompactClusters(assignment, k, &table, hook_pool);
+    BucketClusterMasks masks;
+    index.FillClusterMasks(assignment, k, &masks, hook_pool);
+    ASSERT_EQ(masks.words(), mask.size());
     for (uint32_t item = 0; item < n; ++item) {
-      std::vector<uint32_t> visited;
-      provider.index()->VisitCandidateClusters(
-          item, table, [&](uint32_t cluster) { visited.push_back(cluster); });
-      ASSERT_EQ(visited, expected[item].bucket_clusters)
-          << "compacted table, " << path << ", k=" << k << ", item " << item;
+      index.OrClusterMasks(item, masks, mask.data());
+      ASSERT_EQ(MaskMembers(mask, k), expected_sets[item])
+          << "filled masks, " << path << ", k=" << k << ", item " << item;
     }
 
     provider.BeginPass(assignment, hook_pool);
-    EXPECT_GT(provider.MemoryUsageBytes(), unbound_bytes)
-        << "BeginPass built no table";
-    // Later passes reuse the first pass's storage.
-    if (table_bytes == 0) table_bytes = provider.MemoryUsageBytes();
-    EXPECT_EQ(provider.MemoryUsageBytes(), table_bytes);
-    // Few, wide buckets get cluster masks instead of lists; each item's
-    // mask must then be its shortlist as a set.
-    const bool masked = provider.index()->ClusterMasksFit(k);
-    std::vector<uint64_t> mask((k + 63) / 64);
+    // Masks are filled only under the density gate, and later passes
+    // reuse the first pass's storage.
+    if (masked) {
+      EXPECT_GT(provider.MemoryUsageBytes(), unbound_bytes)
+          << "BeginPass filled no masks";
+    } else {
+      EXPECT_EQ(provider.MemoryUsageBytes(), unbound_bytes)
+          << "BeginPass filled masks over the gate";
+    }
+    if (bound_bytes == 0) bound_bytes = provider.MemoryUsageBytes();
+    EXPECT_EQ(provider.MemoryUsageBytes(), bound_bytes);
     for (uint32_t item = 0; item < n; ++item) {
       provider.GetCandidates(item, assignment, scratch, &shortlist);
-      ASSERT_EQ(shortlist, expected[item].shortlist)
+      ASSERT_EQ(shortlist, expected[item])
           << "bound walk, " << path << ", k=" << k << ", item " << item;
       ASSERT_EQ(provider.CandidateMask(item, assignment, mask), masked);
       if (!masked) continue;
-      std::vector<uint32_t> members;
-      for (uint32_t cluster = 0; cluster < k; ++cluster) {
-        if ((mask[cluster / 64] >> (cluster % 64)) & 1) {
-          members.push_back(cluster);
-        }
-      }
-      std::vector<uint32_t> want = expected[item].shortlist;
-      std::sort(want.begin(), want.end());
-      ASSERT_EQ(members, want)
-          << "cluster mask, " << path << ", k=" << k << ", item " << item;
+      ASSERT_EQ(MaskMembers(mask, k), expected_sets[item])
+          << "bound mask, " << path << ", k=" << k << ", item " << item;
     }
     provider.EndPass();
     EXPECT_FALSE(provider.CandidateMask(0, assignment, mask));
   }
-
-  // The exact-sized table a fitted model keeps: the same lists, and
-  // storage for their entries and offsets only.
-  const BandedIndex& index = *provider.index();
-  BucketClusterTable exact;
-  index.CompactClustersExact(assignment, k, &exact);
-  for (uint32_t item = 0; item < n; ++item) {
-    std::vector<uint32_t> visited;
-    index.VisitCandidateClusters(
-        item, exact, [&](uint32_t cluster) { visited.push_back(cluster); });
-    ASSERT_EQ(visited, expected[item].bucket_clusters)
-        << "exact table, k=" << k << ", item " << item;
-  }
-  EXPECT_LE(exact.num_entries(), uint64_t{n} * index.num_bands());
-  EXPECT_EQ(exact.MemoryUsageBytes(),
-            sizeof(BucketClusterTable) +
-                (index.num_buckets() + index.num_bands() +
-                 exact.num_entries()) *
-                    sizeof(uint32_t));
 }
 
 // Random token codes over a small domain (3 codes per attribute), so
@@ -501,12 +475,12 @@ TYPED_TEST(ShortlistOracleTest, EveryItemSharesOneBucket) {
   }
 }
 
-// ------------------------------------------- per-pass table lifetime --
+// -------------------------------------------- per-pass mask lifetime --
 
 // The item-walk shortlist of `item` under `assignment`: the reference any
-// GetCandidates call must reproduce, whichever path it takes.
-std::vector<uint32_t> ItemWalk(const ClusterShortlistProvider& provider,
-                               uint32_t item,
+// GetCandidates call must reproduce.
+template <typename Provider>
+std::vector<uint32_t> ItemWalk(const Provider& provider, uint32_t item,
                                std::span<const uint32_t> assignment) {
   ClusterDedupScratch scratch = provider.MakeScratch();
   std::vector<uint32_t> shortlist;
@@ -527,23 +501,35 @@ std::vector<uint32_t> RandomAssignment(uint32_t n, uint32_t k,
   return assignment;
 }
 
-TEST(ShortlistPassTableTest, EngineUnbindsTheSnapshotTableWhenItEnds) {
+// A SimHash provider over uniform 5-d data: 3-row bands hold at most 8
+// buckets each, so its masks always fit and BeginPass binds them.
+SimHashShortlistProvider PreparedMaskedProvider(const NumericDataset& dataset,
+                                                uint32_t k) {
+  SimHashShortlistProvider provider(OracleCase<SimHashShortlistFamily>::Options(),
+                                    k);
+  EXPECT_TRUE(provider.Prepare(dataset).ok());
+  EXPECT_TRUE(provider.index()->ClusterMasksFit(k));
+  return provider;
+}
+
+TEST(ShortlistPassMaskTest, EngineUnbindsTheSnapshotMasksWhenItEnds) {
   // After the engine returns, its snapshot is freed; fresh vectors of the
-  // same size allocated right away tend to reuse its address. A table still
+  // same size allocated right away tend to reuse its address. Masks still
   // bound to that address would answer for the engine's last snapshot.
   constexpr uint32_t kItems = 300;
   constexpr uint32_t kClusters = 12;
-  const auto dataset = MakeData(kItems, 12, kClusters, 60, 31);
-  ShortlistIndexOptions index_options;
-  index_options.banding = {8, 2};
-  ClusterShortlistProvider provider(index_options, kClusters);
-  EngineOptions options;
+  const auto dataset = OracleNumeric(kItems, 31, /*identical=*/false);
+  SimHashShortlistProvider provider(
+      OracleCase<SimHashShortlistFamily>::Options(), kClusters);
+  KMeansOptions options;
   options.num_clusters = kClusters;
   options.max_iterations = 3;
   options.num_threads = 2;
-  auto result = RunEngine(dataset, options, provider);
+  CentroidTable centroids{1, 1};
+  auto result = RunKMeansEngine(dataset, options, provider, &centroids);
   ASSERT_TRUE(result.ok());
   ASSERT_FALSE(result->iterations.empty());
+  ASSERT_TRUE(provider.index()->ClusterMasksFit(kClusters));
 
   std::vector<std::vector<uint32_t>> fresh;
   for (uint64_t round = 0; round < 8; ++round) {
@@ -551,8 +537,11 @@ TEST(ShortlistPassTableTest, EngineUnbindsTheSnapshotTableWhenItEnds) {
   }
   auto scratch = provider.MakeScratch();
   std::vector<uint32_t> shortlist;
+  std::vector<uint64_t> mask(1);
   for (size_t round = 0; round < fresh.size(); ++round) {
     for (uint32_t item = 0; item < kItems; ++item) {
+      ASSERT_FALSE(provider.CandidateMask(item, fresh[round], mask))
+          << "vector " << round << ", item " << item;
       provider.GetCandidates(item, fresh[round], scratch, &shortlist);
       ASSERT_EQ(shortlist, ItemWalk(provider, item, fresh[round]))
           << "vector " << round << ", item " << item;
@@ -560,46 +549,64 @@ TEST(ShortlistPassTableTest, EngineUnbindsTheSnapshotTableWhenItEnds) {
   }
 }
 
-TEST(ShortlistPassTableTest, TableAnswersOnlyForTheBoundSpan) {
+TEST(ShortlistPassMaskTest, MasksAnswerOnlyForTheBoundSpan) {
   constexpr uint32_t kItems = 200;
   constexpr uint32_t kClusters = 9;
-  const auto dataset = MakeData(kItems, 12, kClusters, 60, 32);
-  ShortlistIndexOptions options;
-  options.banding = {8, 2};
-  ClusterShortlistProvider provider(options, kClusters);
-  ASSERT_TRUE(provider.Prepare(dataset).ok());
+  const auto dataset = OracleNumeric(kItems, 32, /*identical=*/false);
+  SimHashShortlistProvider provider =
+      PreparedMaskedProvider(dataset, kClusters);
 
   const std::vector<uint32_t> bound = RandomAssignment(kItems, kClusters, 1);
   const std::vector<uint32_t> other = RandomAssignment(kItems, kClusters, 2);
+  const std::span<const uint32_t> prefix(bound.data(), kItems - 1);
   provider.BeginPass(bound, nullptr);
   auto scratch = provider.MakeScratch();
   std::vector<uint32_t> shortlist;
+  std::vector<uint64_t> mask(1);
   for (uint32_t item = 0; item < kItems; ++item) {
+    ASSERT_TRUE(provider.CandidateMask(item, bound, mask)) << "item " << item;
+    std::vector<uint32_t> want = ItemWalk(provider, item, bound);
+    std::sort(want.begin(), want.end());
+    ASSERT_EQ(MaskMembers(mask, kClusters), want) << "item " << item;
+    // Another assignment, or the bound one's data under another size, is
+    // not the bound span: no mask, and the walk reads what it is given.
+    ASSERT_FALSE(provider.CandidateMask(item, other, mask)) << "item " << item;
+    if (item + 1 < kItems) {
+      ASSERT_FALSE(provider.CandidateMask(item, prefix, mask))
+          << "item " << item;
+    }
     provider.GetCandidates(item, other, scratch, &shortlist);
     ASSERT_EQ(shortlist, ItemWalk(provider, item, other)) << "item " << item;
   }
+  provider.EndPass();
+  EXPECT_FALSE(provider.CandidateMask(0, bound, mask));
 }
 
-TEST(ShortlistPassTableTest, PrepareDropsTheTable) {
+TEST(ShortlistPassMaskTest, PrepareDropsTheMasks) {
   constexpr uint32_t kItems = 200;
   constexpr uint32_t kClusters = 9;
-  const auto dataset = MakeData(kItems, 12, kClusters, 60, 33);
-  ShortlistIndexOptions options;
-  options.banding = {8, 2};
-  ClusterShortlistProvider provider(options, kClusters);
-  ASSERT_TRUE(provider.Prepare(dataset).ok());
+  const auto dataset = OracleNumeric(kItems, 33, /*identical=*/false);
+  SimHashShortlistProvider provider =
+      PreparedMaskedProvider(dataset, kClusters);
   const uint64_t unbound_bytes = provider.MemoryUsageBytes();
 
   std::vector<uint32_t> assignment = RandomAssignment(kItems, kClusters, 3);
   provider.BeginPass(assignment, nullptr);
-  // Rewriting the bound span breaks the table's validity window; a second
-  // Prepare must forget the table instead of serving the stale lists.
-  assignment = RandomAssignment(kItems, kClusters, 4);
+  EXPECT_GT(provider.MemoryUsageBytes(), unbound_bytes);
+  // Rewriting the bound span in place breaks the masks' validity window
+  // while the span stays the same; a second Prepare must forget the masks
+  // instead of serving the stale sets.
+  const std::vector<uint32_t> rewritten =
+      RandomAssignment(kItems, kClusters, 4);
+  std::copy(rewritten.begin(), rewritten.end(), assignment.begin());
   ASSERT_TRUE(provider.Prepare(dataset).ok());
   EXPECT_EQ(provider.MemoryUsageBytes(), unbound_bytes);
   auto scratch = provider.MakeScratch();
   std::vector<uint32_t> shortlist;
+  std::vector<uint64_t> mask(1);
   for (uint32_t item = 0; item < kItems; ++item) {
+    ASSERT_FALSE(provider.CandidateMask(item, assignment, mask))
+        << "item " << item;
     provider.GetCandidates(item, assignment, scratch, &shortlist);
     ASSERT_EQ(shortlist, ItemWalk(provider, item, assignment))
         << "item " << item;

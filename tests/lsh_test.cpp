@@ -528,6 +528,47 @@ TEST(BandedIndexBuildTest, FewWideBucketsShrinkTheMapToFit) {
   ExpectSameIndex(built, *reloaded);
 }
 
+TEST(BandedIndexBuildTest, BandsPastTheFirstRoundsKeysAreBuiltAgainAlike) {
+  // One-row bands over 2,000 items with 16, 1,000, 1,024, 1,025 and
+  // 2,000 keys: the first three fit the build's first round (the third
+  // fills its map), the last two stop there and are bucketed again with
+  // room for n. Every band must still number its buckets by first
+  // occurrence, build alike with and without pools, and end with the map
+  // a build reserved for n keys ends with.
+  constexpr uint32_t kItems = 2000;
+  const std::vector<uint32_t> keys = {16, 1000, 1024, 1025, kItems};
+  const auto width = static_cast<uint32_t>(keys.size());
+  std::vector<uint64_t> signatures(kItems * width);
+  for (uint32_t item = 0; item < kItems; ++item) {
+    for (uint32_t b = 0; b < width; ++b) {
+      signatures[item * width + b] = item % keys[b];
+    }
+  }
+  const std::vector<uint32_t> layout(width, 1);
+  const BandedIndex built(signatures, kItems, layout);
+  const BandedIndex::Raw raw = built.ToRaw();
+  for (uint32_t b = 0; b < width; ++b) {
+    SCOPED_TRACE(testing::Message() << "band " << b);
+    ASSERT_EQ(raw.bands[b].bucket_keys.size(), keys[b]);
+    for (uint32_t item = 0; item < kItems; ++item) {
+      ASSERT_EQ(raw.bands[b].item_bucket[item], item % keys[b]);
+    }
+  }
+  ExpectPoolInvariantBuild(signatures, kItems, layout);
+
+  // n keys take 4,096 slots. 16 keys fill under a quarter of them, so
+  // that map is fitted (32 slots), as a load of the dump sizes it; 1,000
+  // to 1,025 keys fit 2,048 slots but fill more than a quarter of 4,096,
+  // so those three maps keep 4,096; 2,000 keys take 4,096 either way.
+  const auto reloaded = BandedIndex::FromRaw(raw);
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+  ExpectSameRaw(built, *reloaded);
+  ASSERT_EQ(FlatHashMap64::CapacityFor(kItems), 4096u);
+  const uint64_t slot_bytes = sizeof(uint64_t) + sizeof(uint32_t) + 1;
+  EXPECT_EQ(built.MemoryUsageBytes() - reloaded->MemoryUsageBytes(),
+            3 * (4096 - 2048) * slot_bytes);
+}
+
 // ------------------------------------------------------- freeze oracle --
 
 // How a step of the oracle feeds items into the growable index.

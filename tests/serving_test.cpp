@@ -19,8 +19,9 @@
 //  * Routing oracle: RouteInto and PredictRouted equal a naive reference
 //    (item walk through the fit assignment, sort, exact per-pair scoring,
 //    exhaustive fallback) for every query, with and without per-bucket
-//    cluster lists, on both sides of the k/4 scan crossover, under forced
-//    ties, across save -> load and across threads x shards.
+//    cluster masks, on both sides of the k/4 scan crossover, under forced
+//    ties, with probes missing some or every band, across save -> load
+//    and across threads x shards.
 //  * Streaming: the publish-every-N-ingests hook fires at the documented
 //    cadence.
 //  * bench::Percentile (bench/common.h), used by bench/serving_qps.cpp.
@@ -457,19 +458,22 @@ TEST(ServingErrorsTest, ScratchIsReusableAcrossModels) {
 using serving::internal::FrozenModelImpl;
 
 /// What the reference saw over a query set: shortlists on each side of
-/// the k/4 scan crossover, empty probes, and answers tied (equal distance)
-/// with another shortlisted cluster.
+/// the k/4 scan crossover, empty probes, answers tied (equal distance)
+/// with another shortlisted cluster, and queries of a masked model whose
+/// key some band never inserted.
 struct OracleCounts {
   uint32_t below_crossover = 0;
   uint32_t at_or_above_crossover = 0;
   uint32_t empty_probes = 0;
   uint32_t ties = 0;
+  uint32_t masked_band_misses = 0;
 
   OracleCounts& operator+=(const OracleCounts& other) {
     below_crossover += other.below_crossover;
     at_or_above_crossover += other.at_or_above_crossover;
     empty_probes += other.empty_probes;
     ties += other.ties;
+    masked_band_misses += other.masked_band_misses;
     return *this;
   }
 };
@@ -481,14 +485,29 @@ void AddDistinct(std::vector<uint32_t>& clusters, uint32_t cluster) {
   }
 }
 
+/// Whether `model`, a routed model of (Traits, Family), routes from
+/// per-bucket cluster masks.
+template <typename Traits, typename Family>
+bool RoutesFromMasks(const FrozenModel& model) {
+  const auto* impl =
+      dynamic_cast<const FrozenModelImpl<Traits, Family>*>(&model);
+  EXPECT_NE(impl, nullptr) << "not a routed model of the expected family";
+  return impl != nullptr && impl->cluster_masks() != nullptr;
+}
+
+bool NumericRoutesFromMasks(const FrozenModel& model) {
+  return RoutesFromMasks<NumericClusteringTraits, SimHashShortlistFamily>(
+      model);
+}
+
 /// Routes `queries` through `model` (twice, through one scratch) and
 /// expects exactly the routing rule computed the slow way: sign (with the
 /// model's own hashers), walk every co-bucketed fitted item through the
 /// fit assignment, sort the distinct clusters, score each with the exact
 /// distance and keep the first strict minimum; an empty probe scores all
-/// k clusters from cluster 0 instead. Also checks the cluster-list gate and, when the
-/// model built lists, that walking them reaches the same clusters, in the
-/// same first-occurrence order, as the item walk.
+/// k clusters from cluster 0 instead. Also checks the mask gate and, when
+/// the model filled masks, that each query's OR of bucket masks is the
+/// item walk's clusters as a set.
 template <typename Traits, typename Family>
 OracleCounts ExpectRoutesMatchReference(const FrozenModel& model,
                                         const typename Traits::Dataset& queries,
@@ -501,33 +520,44 @@ OracleCounts ExpectRoutesMatchReference(const FrozenModel& model,
   }
   const BandedIndex& index = *impl->index();
   const uint32_t k = impl->num_clusters();
-  EXPECT_EQ(impl->cluster_lists() != nullptr,
-            serving::RoutesOverClusterLists(index))
-      << label;
-  EXPECT_EQ(model.cluster_list_entries() > 0, impl->cluster_lists() != nullptr)
-      << label;
-  EXPECT_LE(model.cluster_list_entries(),
-            static_cast<uint64_t>(index.num_items()) * index.num_bands())
-      << label;
+  const BucketClusterMasks* masks = impl->cluster_masks();
+  EXPECT_EQ(masks != nullptr, index.ClusterMasksFit(k)) << label;
+  // Every band's inserted keys, to tell which bands a query misses.
+  const BandedIndex::Raw raw = index.ToRaw();
 
   OracleCounts counts;
   std::vector<uint32_t> expected(queries.num_items());
   serving::RoutedScratch signing = impl->NewRoutedScratch();
   const std::span<const uint64_t> signature = signing.signature;
+  std::vector<uint64_t> mask((k + 63) / 64);
   for (uint32_t item = 0; item < queries.num_items(); ++item) {
     impl->SignQuery(queries, item, signing);
     std::vector<uint32_t> shortlist;
     index.VisitCandidatesOfSignature(signature, [&](uint32_t other) {
       AddDistinct(shortlist, impl->fit_assignment()[other]);
     });
-    if (impl->cluster_lists() != nullptr) {
-      std::vector<uint32_t> listed;
-      index.VisitCandidateClustersOfSignature(
-          signature, *impl->cluster_lists(),
-          [&](uint32_t cluster) { AddDistinct(listed, cluster); });
-      EXPECT_EQ(listed, shortlist) << label << ", cluster lists, item " << item;
-    }
     std::sort(shortlist.begin(), shortlist.end());
+    if (masks != nullptr) {
+      index.OrClusterMasksOfSignature(signature, *masks, mask.data());
+      std::vector<uint32_t> members;
+      for (uint32_t cluster = 0; cluster < k; ++cluster) {
+        if ((mask[cluster / 64] >> (cluster % 64)) & 1) {
+          members.push_back(cluster);
+        }
+      }
+      EXPECT_EQ(members, shortlist) << label << ", cluster mask, item "
+                                    << item;
+      for (uint32_t band = 0; band < raw.bands.size(); ++band) {
+        const BandedIndex::RawBand& b = raw.bands[band];
+        const uint64_t key = ComputeBandKey(signature.data() + b.offset,
+                                            band, b.rows);
+        if (std::find(b.bucket_keys.begin(), b.bucket_keys.end(), key) ==
+            b.bucket_keys.end()) {
+          ++counts.masked_band_misses;
+          break;
+        }
+      }
+    }
     if (shortlist.empty()) {
       ++counts.empty_probes;
       shortlist.resize(k);
@@ -569,7 +599,7 @@ OracleCounts ExpectRoutesMatchReference(const FrozenModel& model,
 }
 
 /// `model` saved, decoded and rebuilt with `edit` applied to the decoded
-/// arrays; the rebuilt model makes its own cluster lists.
+/// arrays; the rebuilt model fills its own cluster masks.
 std::shared_ptr<const FrozenModel> Rebuilt(
     const FrozenModel& model, const std::string& name,
     const std::function<void(persist::DecodedModel&)>& edit) {
@@ -623,13 +653,13 @@ TEST(RoutingOracleTest, NumericRoutesEqualTheItemWalkReference) {
   const auto fit_data = SliceNumeric(all, 0, 600);
   const auto held_out = SliceNumeric(all, 600, 200);
   OracleCounts total;
-  uint32_t with_lists = 0;
+  uint32_t with_masks = 0;
   for (const BandingParams banding :
        {BandingParams{8, 3}, BandingParams{6, 5}, BandingParams{3, 9}}) {
     const auto model = FitSnapshot(NumericOracleSpec(banding, 1, 1), fit_data);
     const std::string label = "numeric " + std::to_string(banding.bands) +
                               "b" + std::to_string(banding.rows) + "r";
-    with_lists += model->cluster_list_entries() > 0 ? 1 : 0;
+    with_masks += NumericRoutesFromMasks(*model) ? 1 : 0;
     // Fitted items as queries reach every bucket of every band.
     total += ExpectRoutesMatchReference<NumericClusteringTraits,
                                         SimHashShortlistFamily>(
@@ -638,9 +668,12 @@ TEST(RoutingOracleTest, NumericRoutesEqualTheItemWalkReference) {
                                         SimHashShortlistFamily>(
         *model, held_out, label + ", held out");
   }
-  EXPECT_GE(with_lists, 1u) << "no banding built cluster lists";
+  // SimHash's coarse bands make dense buckets: masked routing.
+  EXPECT_GE(with_masks, 1u) << "no banding filled cluster masks";
   EXPECT_GT(total.below_crossover, 0u);
   EXPECT_GT(total.at_or_above_crossover, 0u);
+  EXPECT_GT(total.masked_band_misses, 0u)
+      << "no masked query missed a band, so the band skip went untested";
 }
 
 TEST(RoutingOracleTest, CategoricalAndMixedRoutesEqualTheReference) {
@@ -648,7 +681,7 @@ TEST(RoutingOracleTest, CategoricalAndMixedRoutesEqualTheReference) {
   const auto fit_data = SliceCategorical(all, 0, 300);
   const auto held_out = SliceCategorical(all, 300, 60);
   OracleCounts categorical;
-  uint32_t without_lists = 0;
+  uint32_t without_masks = 0;
   for (const BandingParams banding :
        {BandingParams{8, 2}, BandingParams{12, 4}, BandingParams{4, 6}}) {
     ClustererSpec spec;
@@ -660,12 +693,15 @@ TEST(RoutingOracleTest, CategoricalAndMixedRoutesEqualTheReference) {
     const std::string label = "categorical " +
                               std::to_string(banding.bands) + "b" +
                               std::to_string(banding.rows) + "r";
-    without_lists += model->cluster_list_entries() == 0 ? 1 : 0;
+    without_masks += RoutesFromMasks<CategoricalClusteringTraits,
+                                     MinHashShortlistFamily>(*model)
+                         ? 0
+                         : 1;
     categorical += ExpectRoutesMatchReference<CategoricalClusteringTraits,
                                               MinHashShortlistFamily>(
         *model, held_out, label);
   }
-  EXPECT_GE(without_lists, 1u) << "every categorical banding built lists";
+  EXPECT_GE(without_masks, 1u) << "every categorical banding filled masks";
   EXPECT_GT(categorical.below_crossover, 0u);
   EXPECT_GT(categorical.at_or_above_crossover, 0u);
   EXPECT_GT(categorical.ties, 0u);
@@ -697,7 +733,8 @@ TEST(RoutingOracleTest, CategoricalAndMixedRoutesEqualTheReference) {
   spec.mixed_index.categorical_banding = {3, 5};
   spec.mixed_index.numeric_banding = {2, 10};
   const auto model = FitSnapshot(spec, mixed_fit);
-  EXPECT_EQ(model->cluster_list_entries(), 0u);
+  EXPECT_FALSE((RoutesFromMasks<MixedClusteringTraits, MixedShortlistFamily>(
+      *model)));
   const OracleCounts mixed_counts =
       ExpectRoutesMatchReference<MixedClusteringTraits, MixedShortlistFamily>(
           *model, mixed_held_out, "mixed");
@@ -721,7 +758,7 @@ TEST(RoutingOracleTest, DuplicateCentroidsTieToTheLowerId) {
                       decoded.centroid_values.begin() + (c + 1) * d);
         }
       });
-  EXPECT_GT(duplicated->cluster_list_entries(), 0u);
+  EXPECT_TRUE(NumericRoutesFromMasks(*duplicated));
   OracleCounts counts =
       ExpectRoutesMatchReference<NumericClusteringTraits,
                                  SimHashShortlistFamily>(
@@ -752,18 +789,18 @@ TEST(RoutingOracleTest, DuplicateCentroidsTieToTheLowerId) {
   EXPECT_GT(counts.ties, 0u);
 }
 
-TEST(RoutingOracleTest, LoadedModelRebuildsItsClusterLists) {
+TEST(RoutingOracleTest, LoadedModelRebuildsItsClusterMasks) {
   const auto all = OracleNumeric(800);
   const auto fit_data = SliceNumeric(all, 0, 600);
   const auto held_out = SliceNumeric(all, 600, 200);
   const auto fitted = FitSnapshot(NumericOracleSpec({8, 3}, 1, 1), fit_data);
-  ASSERT_GT(fitted->cluster_list_entries(), 0u);
+  ASSERT_TRUE(NumericRoutesFromMasks(*fitted));
 
   const std::string path = ::testing::TempDir() + "serving_oracle_saved";
   ASSERT_TRUE(serving::SaveFrozenModel(*fitted, path).ok());
   auto loaded = serving::LoadFrozenModel(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ((*loaded)->cluster_list_entries(), fitted->cluster_list_entries());
+  EXPECT_TRUE(NumericRoutesFromMasks(**loaded));
   // A fitted index's key maps are sized to its buckets, as loading sizes
   // them, so the round trip keeps the footprint.
   EXPECT_EQ((*loaded)->memory_bytes(), fitted->memory_bytes());
@@ -771,7 +808,7 @@ TEST(RoutingOracleTest, LoadedModelRebuildsItsClusterLists) {
   ExpectRoutesMatchReference<NumericClusteringTraits, SimHashShortlistFamily>(
       **loaded, held_out, "loaded");
 
-  // The lists are rebuilt, never stored: re-saving the loaded model
+  // The masks are rebuilt, never stored: re-saving the loaded model
   // writes the same bytes.
   const std::string resaved = path + "_again";
   ASSERT_TRUE(serving::SaveFrozenModel(**loaded, resaved).ok());
@@ -791,7 +828,7 @@ TEST(RoutingOracleTest, PredictRoutedEqualsTheReferenceAcrossThreadsAndShards) {
       ASSERT_TRUE(clusterer.ok()) << clusterer.status().ToString();
       ASSERT_TRUE(clusterer->Fit(fit_data).ok());
       const auto model = *clusterer->Snapshot();
-      ASSERT_GT(model->cluster_list_entries(), 0u) << label;
+      ASSERT_TRUE(NumericRoutesFromMasks(*model)) << label;
       auto routed = clusterer->PredictRouted(held_out);
       ASSERT_TRUE(routed.ok()) << routed.status().ToString();
       // The reference pins RouteInto; PredictRouted must equal it.

@@ -100,24 +100,20 @@ class FixtureViolationsTest(unittest.TestCase):
 class DatagenExemptionTest(unittest.TestCase):
     def test_rng_allowed_under_datagen(self):
         # The same rand() fixture linted as if it lived in src/datagen/
-        # must produce no rng findings.
-        fake_path = os.path.join(REPO_ROOT, "src", "datagen",
-                                 "violations.cpp")
+        # must produce no rng findings. It is written under a temporary
+        # root, never into the real src/, which the whole-tree lint scans.
+        import tempfile
         with open(os.path.join(TESTDATA, "violations.cpp")) as handle:
             content = handle.read()
-        import tempfile
-        os.makedirs(os.path.dirname(fake_path), exist_ok=True)
-        with tempfile.NamedTemporaryFile(
-                "w", suffix=".cpp", dir=os.path.dirname(fake_path),
-                delete=False) as handle:
-            handle.write(content)
-            temp_path = handle.name
-        try:
-            findings = determinism_lint.lint_file(temp_path, REPO_ROOT)
+        with tempfile.TemporaryDirectory() as fake_root:
+            datagen = os.path.join(fake_root, "src", "datagen")
+            os.makedirs(datagen)
+            fake_path = os.path.join(datagen, "violations.cpp")
+            with open(fake_path, "w") as handle:
+                handle.write(content)
+            findings = determinism_lint.lint_file(fake_path, fake_root)
             self.assertFalse([f for f in findings if f.rule == "rng"],
                              "datagen/ exemption not honored")
-        finally:
-            os.unlink(temp_path)
 
 
 class FpContractTest(unittest.TestCase):

@@ -3,15 +3,17 @@
 /// serving::SaveFrozenModel: the header + table of contents (section ids,
 /// offsets, sizes, checksums), then the decoded model's shape and the
 /// banded index's bucket occupancy, and whether the loaded model routes
-/// over per-bucket cluster lists (rebuilt at load, never stored). Exit 0 when the file is fully intact,
-/// 1 on any error or checksum mismatch, 2 on usage errors — so CI can use
-/// it as a corruption smoke test on saved artifacts.
+/// over per-bucket cluster masks (filled at load, never stored). Exit 0
+/// when the file is fully intact and loads, 1 on any error or checksum
+/// mismatch, 2 on usage errors — so CI can use it as a corruption smoke
+/// test on saved artifacts.
 
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <string>
 
+#include "lsh/banded_index.h"
 #include "persist/model_io.h"
 #include "serving/frozen_model.h"
 
@@ -66,24 +68,21 @@ bool PrintFileInfo(const ModelFileInfo& info) {
   return all_ok;
 }
 
-/// Whether the loaded model routes over per-bucket cluster lists, and
-/// their entries against the items x bands a walk over bucket items holds.
-void PrintRouting(const DecodedModel& model,
-                  const lshclust::serving::FrozenModel& loaded) {
-  const uint64_t item_entries =
-      static_cast<uint64_t>(model.index_raw.num_items) *
-      model.index_raw.bands.size();
-  if (loaded.cluster_list_entries() == 0) {
-    std::printf("cluster lists:  no (routes over %" PRIu64
-                " bucket items)\n",
-                item_entries);
-    return;
+/// Whether a model over the decoded index routes over per-bucket cluster
+/// masks (BandedIndex::ClusterMasksFit), and the bytes those masks take
+/// or would take: buckets x ⌈k/64⌉ words. Returns false when the index
+/// does not decode.
+bool PrintRouting(const DecodedModel& model) {
+  auto index = lshclust::BandedIndex::FromRaw(model.index_raw);
+  if (!index.ok()) {
+    std::fprintf(stderr, "error: %s\n", index.status().ToString().c_str());
+    return false;
   }
-  std::printf("cluster lists:  yes, %" PRIu64 " entries of %" PRIu64
-              " items x bands (%.1f%%)\n",
-              loaded.cluster_list_entries(), item_entries,
-              100.0 * static_cast<double>(loaded.cluster_list_entries()) /
-                  static_cast<double>(item_entries));
+  const uint64_t words = (uint64_t{model.num_clusters} + 63) / 64;
+  std::printf("cluster masks:  %s (%" PRIu64 " B)\n",
+              index->ClusterMasksFit(model.num_clusters) ? "yes" : "no",
+              index->num_buckets() * words * sizeof(uint64_t));
+  return true;
 }
 
 void PrintModel(const DecodedModel& model) {
@@ -154,7 +153,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "error: %s\n", loaded.status().ToString().c_str());
       return 1;
     }
-    PrintRouting(*model, **loaded);
+    if (!PrintRouting(*model)) return 1;
   }
   return checksums_ok ? 0 : 1;
 }
